@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, autograd as ag, blocks, data as dio, network as net_mod, ops, training
-from .errors import DMFNetError
+from .errors import ConfigError, DMFNetError
 
 
 def _log(msg):
@@ -28,14 +28,41 @@ def _echo_config(name, cfg):
     _log(f"resolved {name} config: {json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=list)}")
 
 
+CONFIG_SECTIONS = {"arch": net_mod.ArchConfig, "train": training.TrainConfig,
+                   "augment": dio.AugmentConfig}
+
+
 def _load_config_file(path):
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_SECTIONS))
+    if unknown:
+        raise ConfigError(f"config file {path} has unknown section(s): {', '.join(unknown)}")
+    return cfg
+
+
+def _section(file_cfg, name):
+    """Overrides from one config-file section; unknown keys are a ConfigError."""
+    overrides = file_cfg.get(name, {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    fields = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[name])}
+    unknown = sorted(set(overrides) - fields)
+    if unknown:
+        raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
+    return dict(overrides)
 
 
 def _arch_from_args(args, file_cfg):
-    overrides = dict(file_cfg.get("arch", {}))
+    overrides = _section(file_cfg, "arch")
     if getattr(args, "width_multiplier", None) is not None:
         overrides["width_multiplier"] = args.width_multiplier
     if getattr(args, "groups", None) is not None:
@@ -116,7 +143,7 @@ def cmd_infer(args):
 
 
 def _train_cfg_from_args(args, file_cfg):
-    overrides = dict(file_cfg.get("train", {}))
+    overrides = _section(file_cfg, "train")
     for key in ("batch_size", "epochs", "lr", "weight_decay", "seed"):
         val = getattr(args, key, None)
         if val is not None:
@@ -130,7 +157,7 @@ def _augment_cfg_from_args(args, file_cfg):
     if getattr(args, "no_augment", False):
         _log("augmentation disabled")
         return None
-    overrides = dict(file_cfg.get("augment", {}))
+    overrides = _section(file_cfg, "augment")
     if getattr(args, "crop_size", None) is not None:
         overrides["crop_size"] = args.crop_size
     if getattr(args, "seed", None) is not None:

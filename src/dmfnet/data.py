@@ -255,18 +255,31 @@ def save_params(net, path):
 
 
 def load_params(net, path):
-    """Restore a checkpoint into `net` in place; bit-exact round trip."""
-    raw = Path(path).read_bytes()
+    """Restore a checkpoint into `net` in place; bit-exact round trip.
+
+    Every blob is checked before any is written, so a bad file leaves `net` as it was.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a parameter checkpoint (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off : off + hlen].decode())
+    off = len(CHECKPOINT_MAGIC) + 8
+    if len(raw) < off:
+        raise CheckpointError(f"checkpoint {path} is truncated inside its header length")
+    (hlen,) = struct.unpack_from("<Q", raw, off - 8)
+    if len(raw) < off + hlen:
+        raise CheckpointError(f"checkpoint {path} is truncated inside its header")
+    try:
+        header = json.loads(raw[off : off + hlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint {path} has a corrupt header: {exc}") from exc
     off += hlen
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
     items = net.state_items()
+    loaded = []
     blobs = header["blobs"]
     if len(blobs) != len(items):
         raise CheckpointError(
@@ -279,14 +292,18 @@ def load_params(net, path):
         dtype = np.dtype(blob["dtype"])
         count = int(np.prod(arr.shape)) if arr.shape else 1
         nbytes = dtype.itemsize * count
+        if len(raw) < off + nbytes:
+            raise CheckpointError(f"checkpoint {path} is truncated inside blob {name}")
         data = np.frombuffer(raw[off : off + nbytes], dtype=dtype).reshape(arr.shape)
         if data.dtype != arr.dtype:
             raise CheckpointError(
                 f"dtype mismatch for {name}: checkpoint {data.dtype}, network {arr.dtype}")
-        arr[...] = data
+        loaded.append((arr, data))
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{len(raw) - off} trailing bytes in checkpoint {path}")
+    for arr, data in loaded:
+        arr[...] = data
 
 
 # ---------------------------------------------------------------------------

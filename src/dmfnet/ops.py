@@ -6,6 +6,12 @@ Volumes are C-contiguous numpy arrays of shape (n, c, d, h, w), float32 by
 default. Every kernel is a pure function of its inputs (batch_norm's running
 statistics are updated by the caller, see :func:`batch_norm`), deterministic,
 and safe to call concurrently on distinct arrays.
+
+The three conv passes are im2col GEMMs over slabs of output voxels: per
+slab, the strided windows the kernel taps read from the padded input fill one
+(n, g, c_in/g * taps, voxels) column buffer, which one batched matmul contracts
+with the weight or the output gradient. The buffer holds at most SLAB_BYTES, so
+a pass's scratch is its padded input (or input gradient) plus one slab.
 """
 
 from __future__ import annotations
@@ -120,6 +126,46 @@ def _check_conv_args(x, weight, spec):
     return x
 
 
+# Bytes of im2col columns a conv pass holds at once (one output row at least).
+SLAB_BYTES = 8 << 20
+
+
+def _padded_groups(x, spec):
+    """Zero-padded input viewed as (n, g, c_in/g, d, h, w); no copy without padding."""
+    pads = ((0, 0), (0, 0)) + tuple((p, p) for p in spec.padding)
+    xp = np.pad(x, pads) if any(spec.padding) else x
+    return xp.reshape(x.shape[0], spec.groups, spec.c_in // spec.groups, *xp.shape[2:])
+
+
+def _slabs(spec, n, out_spatial, dtype):
+    """Split a conv pass into slabs of output voxels whose columns fit SLAB_BYTES.
+
+    A slab is whole output depth planes or, if one plane does not fit, rows of
+    one plane, so its voxels are contiguous in the flattened output. Yields per
+    slab its flattened voxel slice; per tap, in (kd, kh, kw) order, the index
+    of the padded-input window the tap reads; and a reused, uninitialised
+    buffer of shape (n, g, c_in/g, taps, *slab extent), whose flattened rows
+    follow a weight reshaped to (g, c_out/g, -1).
+    """
+    do, ho, wo = out_spatial
+    taps = int(np.prod(spec.kernel))
+    line_elems = n * spec.c_in * taps * wo
+    lines = max(1, SLAB_BYTES // (line_elems * dtype.itemsize))
+    dz, dy = (min(do, lines // ho), ho) if lines >= ho else (1, lines)
+    buf = np.empty(line_elems * dz * dy, dtype=dtype)
+    for z0 in range(0, do, dz):
+        for y0 in range(0, ho, dy):
+            extent = (min(dz, do - z0), min(dy, ho - y0), wo)
+            first, size = (z0 * ho + y0) * wo, extent[0] * extent[1] * wo
+            cols = buf[: line_elems * size // wo].reshape(
+                n, spec.groups, spec.c_in // spec.groups, taps, *extent)
+            windows = [(Ellipsis,) + tuple(
+                slice(o * s + t * d, o * s + t * d + s * (e - 1) + 1, s)
+                for o, e, s, d, t in zip((z0, y0, 0), extent, spec.stride, spec.dilation, tap))
+                for tap in product(*map(range, spec.kernel))]
+            yield slice(first, first + size), windows, cols
+
+
 def conv3d(x, weight, spec, bias=None):
     """Grouped, strided, dilated 3D cross-correlation.
 
@@ -127,29 +173,16 @@ def conv3d(x, weight, spec, bias=None):
     Output channel group i reads only input channel group i.
     """
     x = _check_conv_args(x, weight, spec)
-    n = x.shape[0]
-    g = spec.groups
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    do, ho, wo = spec.out_spatial(x.shape[2:])
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    xg = xp.reshape(n, g, spec.c_in // g, *xp.shape[2:])
-    wg = weight.reshape(g, spec.c_out // g, spec.c_in // g, kd, kh, kw)
-    acc = np.zeros((n, g, spec.c_out // g, do, ho, wo), dtype=x.dtype)
-    for a, b, c in product(range(kd), range(kh), range(kw)):
-        xs = xg[
-            :,
-            :,
-            :,
-            a * dd : a * dd + sd * (do - 1) + 1 : sd,
-            b * dh : b * dh + sh * (ho - 1) + 1 : sh,
-            c * dw : c * dw + sw * (wo - 1) + 1 : sw,
-        ]
-        acc += np.einsum("ngidhw,goi->ngodhw", xs, wg[:, :, :, a, b, c], optimize=True)
-    out = acc.reshape(n, spec.c_out, do, ho, wo)
+    n, g = x.shape[0], spec.groups
+    out_spatial = spec.out_spatial(x.shape[2:])
+    xg = _padded_groups(x, spec)
+    wk = weight.reshape(g, spec.c_out // g, -1)
+    out = np.empty((n, g, spec.c_out // g, int(np.prod(out_spatial))), dtype=x.dtype)
+    for vox, windows, cols in _slabs(spec, n, out_spatial, x.dtype):
+        for t, win in enumerate(windows):
+            cols[:, :, :, t] = xg[win]
+        np.matmul(wk, cols.reshape(n, g, wk.shape[2], -1), out=out[..., vox])
+    out = out.reshape(n, spec.c_out, *out_spatial)
     if bias is not None:
         out = out + bias.reshape(1, -1, 1, 1, 1)
     return out
@@ -157,68 +190,33 @@ def conv3d(x, weight, spec, bias=None):
 
 def conv3d_input_grad(grad_out, weight, spec, input_shape):
     """Gradient of conv3d w.r.t. its input (transposed convolution)."""
-    n = input_shape[0]
-    g = spec.groups
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    do, ho, wo = grad_out.shape[2:]
-
-    padded = (
-        input_shape[2] + 2 * pd,
-        input_shape[3] + 2 * ph,
-        input_shape[4] + 2 * pw,
-    )
-    go = grad_out.reshape(n, g, spec.c_out // g, do, ho, wo)
-    wg = weight.reshape(g, spec.c_out // g, spec.c_in // g, kd, kh, kw)
+    n, g = input_shape[0], spec.groups
+    go = grad_out.reshape(n, g, spec.c_out // g, -1)
+    wt = weight.reshape(g, spec.c_out // g, -1).swapaxes(1, 2)
+    padded = tuple(s + 2 * p for s, p in zip(input_shape[2:], spec.padding))
     gxp = np.zeros((n, g, spec.c_in // g) + padded, dtype=grad_out.dtype)
-    for a, b, c in product(range(kd), range(kh), range(kw)):
-        # strided slices for a fixed kernel offset never overlap, so += is safe
-        gxp[
-            :,
-            :,
-            :,
-            a * dd : a * dd + sd * (do - 1) + 1 : sd,
-            b * dh : b * dh + sh * (ho - 1) + 1 : sh,
-            c * dw : c * dw + sw * (wo - 1) + 1 : sw,
-        ] += np.einsum("ngodhw,goi->ngidhw", go, wg[:, :, :, a, b, c], optimize=True)
-    gx = gxp[
-        :,
-        :,
-        :,
-        pd : padded[0] - pd,
-        ph : padded[1] - ph,
-        pw : padded[2] - pw,
-    ]
-    return gx.reshape(input_shape)
+    # one output channel per group makes an outer product, which BLAS does 3x slower
+    contract = np.multiply if wt.shape[2] == 1 else np.matmul
+    for vox, windows, cols in _slabs(spec, n, grad_out.shape[2:], grad_out.dtype):
+        contract(wt, go[..., vox], out=cols.reshape(n, g, wt.shape[1], -1))
+        for t, win in enumerate(windows):
+            # one tap's window holds distinct voxels, so += is safe
+            gxp[win] += cols[:, :, :, t]
+    inner = (Ellipsis,) + tuple(slice(p, p + s) for p, s in zip(spec.padding, input_shape[2:]))
+    return gxp[inner].reshape(input_shape)
 
 
 def conv3d_weight_grad(x, grad_out, spec):
     """Gradient of conv3d w.r.t. its weight tensor."""
     x = check_volume5d(x)
-    n = x.shape[0]
-    g = spec.groups
-    kd, kh, kw = spec.kernel
-    sd, sh, sw = spec.stride
-    dd, dh, dw = spec.dilation
-    pd, ph, pw = spec.padding
-    do, ho, wo = grad_out.shape[2:]
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    xg = xp.reshape(n, g, spec.c_in // g, *xp.shape[2:])
-    go = grad_out.reshape(n, g, spec.c_out // g, do, ho, wo)
-    gw = np.zeros((g, spec.c_out // g, spec.c_in // g, kd, kh, kw), dtype=grad_out.dtype)
-    for a, b, c in product(range(kd), range(kh), range(kw)):
-        xs = xg[
-            :,
-            :,
-            :,
-            a * dd : a * dd + sd * (do - 1) + 1 : sd,
-            b * dh : b * dh + sh * (ho - 1) + 1 : sh,
-            c * dw : c * dw + sw * (wo - 1) + 1 : sw,
-        ]
-        gw[:, :, :, a, b, c] = np.einsum("ngodhw,ngidhw->goi", go, xs, optimize=True)
+    n, g = x.shape[0], spec.groups
+    xg = _padded_groups(x, spec)
+    go = grad_out.reshape(n, g, spec.c_out // g, -1)
+    gw = np.zeros((g, spec.c_out // g, int(np.prod(spec.weight_shape[1:]))), dtype=grad_out.dtype)
+    for vox, windows, cols in _slabs(spec, n, grad_out.shape[2:], x.dtype):
+        for t, win in enumerate(windows):
+            cols[:, :, :, t] = xg[win]
+        gw += np.matmul(go[..., vox], cols.reshape(n, g, gw.shape[2], -1).swapaxes(2, 3)).sum(0)
     return gw.reshape(spec.weight_shape)
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmfnet import cli, data as dio
+from dmfnet import cli, data as dio, network as net_mod
 
 from oracles import make_tumor_case
 
@@ -121,6 +121,72 @@ class TestTrainInferEvaluate:
         rc = cli.main(["train", "--config", toy_config_file, "--arch", "toy",
                        "--data-dir", str(empty), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+
+def _error_line(capsys):
+    """The last stderr line, which must be the only `error:` line."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+    return lines[-1]
+
+
+class TestBadInputs:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        net = net_mod.build_network(net_mod.toy_config(**TOY_ARCH), seed=0)
+        path = tmp_path / "checkpoint.bin"
+        dio.save_params(net, path)
+        return path
+
+    def _infer(self, tmp_path, config, checkpoint, case_dir):
+        return cli.main(["infer", "--config", config, "--arch", "toy",
+                         "--checkpoint", str(checkpoint), "--case-dir", str(case_dir),
+                         "--out", str(tmp_path / "pred.u8")])
+
+    def test_truncated_checkpoint_exits_1(self, tmp_path, toy_config_file, case_dir,
+                                          checkpoint, capsys):
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-5])
+        assert self._infer(tmp_path, toy_config_file, checkpoint, case_dir) == 1
+        assert "truncated" in _error_line(capsys)
+
+    def test_corrupt_checkpoint_header_exits_1(self, tmp_path, toy_config_file, case_dir,
+                                               checkpoint, capsys):
+        raw = bytearray(checkpoint.read_bytes())
+        raw[len(dio.CHECKPOINT_MAGIC) + 8] = 0xFF  # first byte of the JSON header
+        checkpoint.write_bytes(bytes(raw))
+        assert self._infer(tmp_path, toy_config_file, checkpoint, case_dir) == 1
+        assert "corrupt header" in _error_line(capsys)
+
+    def test_missing_checkpoint_exits_1(self, tmp_path, toy_config_file, case_dir, capsys):
+        missing = tmp_path / "nowhere.bin"
+        assert self._infer(tmp_path, toy_config_file, missing, case_dir) == 1
+        assert str(missing) in _error_line(capsys)
+
+    @pytest.mark.parametrize("section,key", [("arch", "widths"), ("train", "learning_rate"),
+                                             ("augment", "flip")])
+    def test_unknown_config_key_exits_1(self, tmp_path, case_dir, capsys, section, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"arch": TOY_ARCH, section: {key: 1}}))
+        rc = cli.main(["train", "--config", str(path), "--arch", "toy",
+                       "--data-dir", str(case_dir.parent), "--out-dir", str(tmp_path / "run")])
+        assert rc == 1
+        line = _error_line(capsys)
+        assert section in line and key in line
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_config_section_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"trian": {"lr": 0.1}}))
+        assert cli.main(["analyze", "--arch", "toy", "--config", str(path)]) == 1
+        assert "trian" in _error_line(capsys)
+
+    @pytest.mark.parametrize("text", ['{"arch": {"groups": 2,', None], ids=["malformed", "missing"])
+    def test_unreadable_config_file_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["analyze", "--arch", "toy", "--config", str(path)]) == 1
+        assert str(path) in _error_line(capsys)
 
 
 class TestAugmentPreview:

@@ -249,6 +249,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="magic"):
             dio.load_params(net, path)
 
+    @pytest.mark.parametrize("keep", [12, 40, -5], ids=["header-length", "header", "blob"])
+    def test_truncated_file_rejected_and_net_untouched(self, tmp_path, keep):
+        cfg = network.toy_config(groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4))
+        path = tmp_path / "ckpt.bin"
+        dio.save_params(network.build_network(cfg, seed=0), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        net = network.build_network(cfg, seed=1)
+        before = {name: arr.copy() for name, arr in net.state_items()}
+        with pytest.raises(CheckpointError, match="truncated"):
+            dio.load_params(net, path)
+        for name, arr in net.state_items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
     def test_architecture_mismatch_rejected(self, tmp_path):
         small = network.build_network(network.toy_config(
             groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4)), seed=0)

@@ -1,5 +1,7 @@
 """Forward kernel tests: spec'd examples, oracle comparisons and properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,73 @@ class TestConv3d:
         a = ops.conv3d(x, w, spec)
         b = ops.conv3d(x.copy(), w.copy(), spec)
         np.testing.assert_array_equal(a, b)
+
+
+def _assert_adjoint(x, w, spec):
+    """<conv3d(x, w), g> == <x, input_grad(g, w)> == <w, weight_grad(x, g)>."""
+    y = ops.conv3d(x, w, spec)
+    g = np.random.default_rng(7).standard_normal(y.shape)
+    expect = np.vdot(y, g)
+    gx = ops.conv3d_input_grad(g, w, spec, x.shape)
+    gw = ops.conv3d_weight_grad(x, g, spec)
+    assert gx.shape == x.shape and gw.shape == w.shape
+    np.testing.assert_allclose(np.vdot(x, gx), expect, rtol=1e-12)
+    np.testing.assert_allclose(np.vdot(w, gw), expect, rtol=1e-12)
+
+
+class TestConvBackwardKernels:
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_adjoint_identities(self, groups, dilation, stride, kernel):
+        rng = np.random.default_rng(groups * 100 + dilation * 10 + stride + kernel)
+        spec = ops.ConvSpec(4, 8, kernel=kernel, stride=stride, dilation=dilation,
+                            padding=ops.same_padding(kernel, dilation), groups=groups)
+        # extents differ per axis, and stride 2 leaves some input voxels unread
+        x = rng.standard_normal((2, 4, 9, 8, 7))
+        w = rng.standard_normal(spec.weight_shape)
+        _assert_adjoint(x, w, spec)
+
+    # float64 slab budgets, in output rows: a few rows of one plane, or two
+    # planes and a row; both leave a short last slab on these shapes
+    @pytest.mark.parametrize("slab_rows", [lambda ho: 3, lambda ho: 2 * ho + 1],
+                             ids=["rows", "planes"])
+    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 2)])
+    def test_several_slabs_match_oracle_and_adjoints(self, monkeypatch, slab_rows,
+                                                     stride, dilation):
+        rng = np.random.default_rng(11)
+        spec = ops.ConvSpec(4, 6, kernel=3, stride=stride, dilation=dilation,
+                            padding=ops.same_padding(3, dilation), groups=2)
+        x = rng.standard_normal((1, 4, 9, 7, 6))
+        w = rng.standard_normal(spec.weight_shape)
+        do, ho, wo = spec.out_spatial(x.shape[2:])
+        row_bytes = x.shape[0] * spec.c_in * 27 * wo * x.itemsize
+        monkeypatch.setattr(ops, "SLAB_BYTES", slab_rows(ho) * row_bytes)
+        slabs = list(ops._slabs(spec, x.shape[0], (do, ho, wo), x.dtype))
+        assert len(slabs) > 2
+        assert slabs[-1][0].stop - slabs[-1][0].start < slabs[0][0].stop - slabs[0][0].start
+
+        got = ops.conv3d(x, w, spec)
+        ref = conv3d_reference(x, w, stride=spec.stride, dilation=spec.dilation,
+                               padding=spec.padding, groups=spec.groups)
+        assert (np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)).max() < 1e-5
+        _assert_adjoint(x, w, spec)
+
+    def test_scratch_memory_is_bounded(self):
+        # the largest 3x3x3 conv of the 1x4x128^3 DMFNet forward (dec3.conv1)
+        spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 96, 64, 64, 64), dtype=np.float32)
+        w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        padded_bytes = x.nbytes // 64 ** 3 * 66 ** 3
+        tracemalloc.start()
+        try:
+            out = ops.conv3d(x, w, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + padded_bytes + ops.SLAB_BYTES + (1 << 20)
 
 
 class TestBatchNorm:
