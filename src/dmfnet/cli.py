@@ -109,15 +109,6 @@ def cmd_analyze(args):
 # ---------------------------------------------------------------------------
 
 
-def _pad_to_divisible(x, factor):
-    pads = []
-    for s in x.shape[2:]:
-        rem = (-s) % factor
-        pads.append((0, rem))
-    padded = np.pad(x, ((0, 0), (0, 0)) + tuple(pads))
-    return padded, [s for s in x.shape[2:]]
-
-
 def cmd_infer(args):
     file_cfg = _load_config_file(args.config)
     cfg = _arch_from_args(args, file_cfg)
@@ -126,10 +117,7 @@ def cmd_infer(args):
     volume, _ = dio.load_case(args.case_dir)
     volume = dio.normalize(volume)
     x = volume[None].astype(np.float32)
-    padded, orig = _pad_to_divisible(x, cfg.downsample_factor)
-    logits = net.forward(padded, mode="eval")
-    labels = net_mod.predict_labels(logits)[0]
-    labels = labels[: orig[0], : orig[1], : orig[2]]
+    labels = net_mod.segment(net, x)[0]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())

@@ -274,3 +274,17 @@ def predict_labels(logits):
             f"logits have {logits.shape[1]} channels, expected {len(CLASS_LABELS)} classes")
     idx = logits.argmax(axis=1)
     return np.asarray(CLASS_LABELS, dtype=np.uint8)[idx]
+
+
+def segment(net, x):
+    """BraTS labels (n, d, h, w) for (n, c, d, h, w) volumes of any spatial size.
+
+    Zero-pads the high end of each spatial axis to a multiple of the net's
+    downsample factor, runs the eval forward, takes the argmax and crops the
+    labels back. A net without ``cfg`` (any object with ``forward``) is not padded.
+    """
+    f = net.cfg.downsample_factor if hasattr(net, "cfg") else 1
+    size = x.shape[2:]
+    pads = ((0, 0), (0, 0)) + tuple((0, -s % f) for s in size)
+    logits = net.forward(np.pad(x, pads), mode="eval")
+    return predict_labels(logits)[(Ellipsis,) + tuple(slice(0, s) for s in size)]

@@ -11,13 +11,19 @@ The three conv passes are im2col GEMMs over slabs of output voxels: per
 slab, the strided windows the kernel taps read from the padded input fill one
 (n, g, c_in/g * taps, voxels) column buffer, which one batched matmul contracts
 with the weight or the output gradient. The buffer holds at most SLAB_BYTES, so
-a pass's scratch is its padded input (or input gradient) plus one slab.
+a pass's scratch is its padded input (or input gradient) plus one slab. The
+input gradient is a transposed conv done as gathers: one stride-1 slab conv
+per stride phase over the zero-bordered output gradient.
+
+Trilinear upsampling multiplies each axis by an interpolation matrix M; its
+gradient multiplies by M^T, so it is the exact adjoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -166,44 +172,70 @@ def _slabs(spec, n, out_spatial, dtype):
             yield slice(first, first + size), windows, cols
 
 
+def _conv(x, weight, spec, out=None):
+    """conv3d without argument checks or bias, into ``out`` (C-contiguous) if given."""
+    n, g = x.shape[0], spec.groups
+    out_spatial = spec.out_spatial(x.shape[2:])
+    if out is None:
+        out = np.empty((n, spec.c_out) + out_spatial, dtype=x.dtype)
+    xg = _padded_groups(x, spec)
+    wk = weight.reshape(g, spec.c_out // g, -1)
+    flat = out.reshape(n, g, spec.c_out // g, -1)
+    # one column row per group makes an outer product, which BLAS does 5x slower
+    contract = np.multiply if wk.shape[2] == 1 else np.matmul
+    for vox, windows, cols in _slabs(spec, n, out_spatial, x.dtype):
+        for t, win in enumerate(windows):
+            cols[:, :, :, t] = xg[win]
+        contract(wk, cols.reshape(n, g, wk.shape[2], -1), out=flat[..., vox])
+    return out
+
+
 def conv3d(x, weight, spec, bias=None):
     """Grouped, strided, dilated 3D cross-correlation.
 
     x: (n, c_in, d, h, w); weight: (c_out, c_in/g, kd, kh, kw).
     Output channel group i reads only input channel group i.
     """
-    x = _check_conv_args(x, weight, spec)
-    n, g = x.shape[0], spec.groups
-    out_spatial = spec.out_spatial(x.shape[2:])
-    xg = _padded_groups(x, spec)
-    wk = weight.reshape(g, spec.c_out // g, -1)
-    out = np.empty((n, g, spec.c_out // g, int(np.prod(out_spatial))), dtype=x.dtype)
-    for vox, windows, cols in _slabs(spec, n, out_spatial, x.dtype):
-        for t, win in enumerate(windows):
-            cols[:, :, :, t] = xg[win]
-        np.matmul(wk, cols.reshape(n, g, wk.shape[2], -1), out=out[..., vox])
-    out = out.reshape(n, spec.c_out, *out_spatial)
+    out = _conv(_check_conv_args(x, weight, spec), weight, spec)
     if bias is not None:
         out = out + bias.reshape(1, -1, 1, 1, 1)
     return out
 
 
 def conv3d_input_grad(grad_out, weight, spec, input_shape):
-    """Gradient of conv3d w.r.t. its input (transposed convolution)."""
-    n, g = input_shape[0], spec.groups
-    go = grad_out.reshape(n, g, spec.c_out // g, -1)
-    wt = weight.reshape(g, spec.c_out // g, -1).swapaxes(1, 2)
-    padded = tuple(s + 2 * p for s, p in zip(input_shape[2:], spec.padding))
-    gxp = np.zeros((n, g, spec.c_in // g) + padded, dtype=grad_out.dtype)
-    # one output channel per group makes an outer product, which BLAS does 3x slower
-    contract = np.multiply if wt.shape[2] == 1 else np.matmul
-    for vox, windows, cols in _slabs(spec, n, grad_out.shape[2:], grad_out.dtype):
-        contract(wt, go[..., vox], out=cols.reshape(n, g, wt.shape[1], -1))
-        for t, win in enumerate(windows):
-            # one tap's window holds distinct voxels, so += is safe
-            gxp[win] += cols[:, :, :, t]
-    inner = (Ellipsis,) + tuple(slice(p, p + s) for p, s in zip(spec.padding, input_shape[2:]))
-    return gxp[inner].reshape(input_shape)
+    """Gradient of conv3d w.r.t. its input (transposed convolution), as gathers.
+
+    Input voxel s*q + r takes tap t from output q + (r + p - t*d)/s where that
+    is whole. So each stride phase r is one stride-1 conv over a window of the
+    zero-bordered grad_out, with the phase's taps flipped, the weight
+    group-transposed and dilation d/gcd(s, d); it fills gx[..., r::s].
+    """
+    g = spec.groups
+    # per axis, per stride phase r that some tap reaches: (r, its taps flipped,
+    # the first grad_out index it reads, its window length)
+    phases = []
+    for size, k, s, d, p in zip(input_shape[2:], spec.kernel, spec.stride, spec.dilation,
+                                spec.padding):
+        taps = [[t for t in range(k) if (r + p - t * d) % s == 0] for r in range(min(s, size))]
+        phases.append([(r, ts[::-1], (r + p - ts[-1] * d) // s,
+                        len(range(r, size, s)) + (len(ts) - 1) * d // gcd(s, d))
+                       for r, ts in enumerate(taps) if ts])
+    border = [(max(0, -min(a for _, _, a, _ in ph)), max(0, max(a + m for _, _, a, m in ph) - o))
+              for ph, o in zip(phases, grad_out.shape[2:])]
+    gp = np.pad(grad_out, ((0, 0), (0, 0), *border)) if any(map(any, border)) else grad_out
+    wt = weight.reshape(g, spec.c_out // g, spec.c_in // g, *spec.kernel).swapaxes(1, 2)
+    wt = wt.reshape(spec.c_in, spec.c_out // g, *spec.kernel)
+    dilation = tuple(d // gcd(s, d) for s, d in zip(spec.stride, spec.dilation))
+    gx = np.zeros(input_shape, dtype=grad_out.dtype)  # phases without taps stay 0
+    for phase in product(*phases):
+        taps = [ts for _, ts, _, _ in phase]
+        pspec = ConvSpec(spec.c_out, spec.c_in, tuple(map(len, taps)), dilation=dilation, groups=g)
+        window = tuple(slice(a + lo, a + lo + m) for (_, _, a, m), (lo, _) in zip(phase, border))
+        dst = gx[(Ellipsis,) + tuple(slice(r, None, s) for (r, *_), s in zip(phase, spec.stride))]
+        # a strided phase fills a scratch copy; stride 1 writes gx in place
+        buf = dst if dst.flags.c_contiguous else np.empty(dst.shape, dst.dtype)
+        dst[...] = _conv(gp[(Ellipsis,) + window], wt[(Ellipsis,) + np.ix_(*taps)], pspec, buf)
+    return gx
 
 
 def conv3d_weight_grad(x, grad_out, spec):
@@ -285,18 +317,27 @@ def relu(x):
     return np.maximum(x, 0)
 
 
-def _axis_interp_indices(size, scale):
-    """Source indices/weights for align-corners=false linear interpolation.
+def _interp_matrix(size, scale, dtype):
+    """(size*scale, size) matrix of align-corners=false linear interpolation.
 
     Output index i samples the source at (i + 0.5)/scale - 0.5, clamped.
     """
-    out = np.arange(size * scale, dtype=np.float64)
-    src = np.clip((out + 0.5) / scale - 0.5, 0.0, size - 1)
-    i0 = np.floor(src).astype(np.intp)
-    i0 = np.minimum(i0, size - 1)
-    i1 = np.minimum(i0 + 1, size - 1)
-    frac = src - i0
-    return i0, i1, frac
+    src = np.clip((np.arange(size * scale) + 0.5) / scale - 0.5, 0.0, size - 1)
+    i0 = np.floor(src)
+    frac = (src - i0)[:, None]
+    cols = np.arange(size)
+    return ((cols == i0[:, None]) * (1 - frac)
+            + (cols == np.minimum(i0 + 1, size - 1)[:, None]) * frac).astype(dtype)
+
+
+def _resample(x, mats):
+    """Apply one (out, in) matrix per spatial axis (d, h, w), one channel at a time."""
+    md, mh, mw = mats
+    out = np.empty(x.shape[:2] + (md.shape[0], mh.shape[0], mw.shape[0]), dtype=x.dtype)
+    for src, dst in zip(x.reshape(-1, *x.shape[2:]), out.reshape(-1, *out.shape[2:])):
+        np.matmul(md, (mh @ (src @ mw.T)).reshape(src.shape[0], -1),
+                  out=dst.reshape(md.shape[0], -1))
+    return out
 
 
 def trilinear_upsample(x, scale):
@@ -305,39 +346,14 @@ def trilinear_upsample(x, scale):
     scale = _triple(scale, "scale")
     if any(s < 1 for s in scale):
         raise ConfigError(f"scale must be >= 1 per axis, got {scale}")
-    out = x
-    for axis, s in zip((2, 3, 4), scale):
-        if s == 1:
-            continue
-        i0, i1, frac = _axis_interp_indices(out.shape[axis], s)
-        shape = [1] * out.ndim
-        shape[axis] = len(frac)
-        f = frac.astype(out.dtype).reshape(shape)
-        out = np.take(out, i0, axis=axis) * (1 - f) + np.take(out, i1, axis=axis) * f
-    return out
+    return _resample(x, [_interp_matrix(n, s, x.dtype) for n, s in zip(x.shape[2:], scale)])
 
 
 def trilinear_upsample_grad(grad_out, input_shape, scale):
-    """Transpose of :func:`trilinear_upsample` (scatter-add of the weights)."""
+    """Transpose of :func:`trilinear_upsample`: the same products with each matrix transposed."""
     scale = _triple(scale, "scale")
-    g = grad_out
-    # reverse the axis order so each scatter sees the dims the forward produced
-    for axis, s in reversed(list(zip((2, 3, 4), scale))):
-        if s == 1:
-            continue
-        in_size = input_shape[axis]
-        i0, i1, frac = _axis_interp_indices(in_size, s)
-        shape = [1] * g.ndim
-        shape[axis] = len(frac)
-        f = frac.astype(g.dtype).reshape(shape)
-        gm = np.moveaxis(g, axis, 0)
-        acc_shape = (in_size,) + gm.shape[1:]
-        acc = np.zeros(acc_shape, dtype=g.dtype)
-        fm = np.moveaxis(f, axis, 0)
-        np.add.at(acc, i0, gm * (1 - fm))
-        np.add.at(acc, i1, gm * fm)
-        g = np.moveaxis(acc, 0, axis)
-    return g
+    return _resample(grad_out, [_interp_matrix(n, s, grad_out.dtype).T
+                                for n, s in zip(input_shape[2:], scale)])
 
 
 def concat_channels(a, b):

@@ -19,7 +19,7 @@ from . import autograd as ag
 from . import data as dio
 from .errors import ConfigError, GradientError, TrainingDiverged
 from .losses import dice_region, generalized_dice_loss, region_specs
-from .network import predict_labels
+from .network import segment
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,7 @@ def evaluate(net, dataset, case_ids=None, et_labels=frozenset({4})):
     records = []
     for i, (vol, lab) in enumerate(dataset):
         case_id = case_ids[i] if case_ids is not None else f"case{i:03d}"
-        x = vol[None].astype(net.dtype)
-        logits = net.forward(x, mode="eval")
-        pred = predict_labels(logits)[0]
+        pred = segment(net, vol[None].astype(net.dtype))[0]
         rec = {"case_id": str(case_id)}
         for region in regions:
             rec[f"dice_{region.name.lower()}"] = dice_region(pred, lab, region)

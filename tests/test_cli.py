@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmfnet import cli, data as dio, network as net_mod
+from dmfnet import cli, data as dio, network as net_mod, training
 
 from oracles import make_tumor_case
 
@@ -114,6 +114,25 @@ class TestTrainInferEvaluate:
                        "--case-dir", str(case), "--out", str(seg)])
         assert rc == 0
         assert len(seg.read_bytes()) == 12 ** 3
+
+    def test_evaluate_pads_like_infer(self, tmp_path, toy_config_file, monkeypatch):
+        ckpt = tmp_path / "ckpt.bin"
+        dio.save_params(net_mod.build_network(net_mod.toy_config(**TOY_ARCH), seed=1), ckpt)
+        # 20^3 is not divisible by the toy net's downsample factor of 16
+        vol, lab = make_tumor_case(size=20, seed=2)
+        case = tmp_path / "data" / "case_c"
+        dio.save_case(case, vol, lab)
+        common = ["--config", toy_config_file, "--arch", "toy", "--checkpoint", str(ckpt)]
+        seg = tmp_path / "pred.u8"
+        assert cli.main(["infer", *common, "--case-dir", str(case), "--out", str(seg)]) == 0
+        infer_labels = np.frombuffer(seg.read_bytes(), dtype=np.uint8).reshape(20, 20, 20)
+
+        seen = []
+        monkeypatch.setattr(training, "segment",
+                            lambda net, x: seen.append(net_mod.segment(net, x)) or seen[-1])
+        assert cli.main(["evaluate", *common, "--data-dir", str(case.parent)]) == 0
+        assert len(seen) == 1 and seen[0].shape == (1, 20, 20, 20)
+        np.testing.assert_array_equal(seen[0][0], infer_labels)
 
     def test_missing_data_dir_exits_1(self, tmp_path, toy_config_file):
         empty = tmp_path / "nothing"

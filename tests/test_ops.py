@@ -179,6 +179,33 @@ class TestConvBackwardKernels:
         assert (np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)).max() < 1e-5
         _assert_adjoint(x, w, spec)
 
+    # each case reaches a tap-selection branch of the input gradient's stride
+    # phases: stride 3, per-axis stride, a non-cubic kernel, no padding and
+    # padding past same_padding (outputs that read only the zero border)
+    @pytest.mark.parametrize("kernel,stride,dilation,padding", [
+        (3, 3, 1, 1), (3, 3, 2, 2), ((3, 3, 3), (2, 1, 2), 1, 1), ((3, 1, 3), 2, (2, 1, 1), 0),
+        (3, 2, 1, 0), (3, 1, 2, 0), (3, 2, 1, 3), ((3, 1, 3), 1, 1, (2, 1, 3))])
+    def test_phase_split_adjoint_identities(self, kernel, stride, dilation, padding):
+        rng = np.random.default_rng(5)
+        spec = ops.ConvSpec(4, 6, kernel=kernel, stride=stride, dilation=dilation,
+                            padding=padding, groups=2)
+        x = rng.standard_normal((2, 4, 11, 8, 10))
+        w = rng.standard_normal(spec.weight_shape)
+        _assert_adjoint(x, w, spec)
+
+    def test_input_rows_read_by_no_output_get_zero_gradient(self):
+        rng = np.random.default_rng(6)
+        # (10 - 3) // 2 + 1 = 4 outputs read rows 0..8 on every axis; row 9 is never read
+        spec = ops.ConvSpec(4, 4, kernel=3, stride=2, padding=0, groups=2)
+        x = rng.standard_normal((1, 4, 10, 10, 10))
+        w = rng.standard_normal(spec.weight_shape)
+        g = rng.standard_normal((1, 4) + spec.out_spatial(x.shape[2:]))
+        gx = ops.conv3d_input_grad(g, w, spec, x.shape)
+        for axis in (2, 3, 4):
+            assert np.all(np.take(gx, 9, axis=axis) == 0.0)
+        assert np.all(gx[..., :9, :9, :9] != 0.0)
+        _assert_adjoint(x, w, spec)
+
     def test_scratch_memory_is_bounded(self):
         # the largest 3x3x3 conv of the 1x4x128^3 DMFNet forward (dec3.conv1)
         spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
@@ -193,6 +220,21 @@ class TestConvBackwardKernels:
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + padded_bytes + ops.SLAB_BYTES + (1 << 20)
+
+    def test_input_grad_scratch_memory_is_bounded(self):
+        # the input gradient of the same conv: gx plus the zero-bordered grad_out
+        spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((1, 16, 64, 64, 64), dtype=np.float32)
+        w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        bordered_bytes = g.nbytes // 64 ** 3 * 66 ** 3
+        tracemalloc.start()
+        try:
+            gx = ops.conv3d_input_grad(g, w, spec, (1, 96, 64, 64, 64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gx.nbytes + bordered_bytes + ops.SLAB_BYTES + (1 << 20)
 
 
 class TestBatchNorm:
@@ -280,6 +322,29 @@ class TestTrilinearUpsample:
         got = ops.trilinear_upsample(x, scale)
         ref = trilinear_reference(x, scale)
         assert np.abs(got - ref).max() < 1e-6
+
+    @pytest.mark.parametrize("scale", [2, 3, (1, 2, 3)])
+    def test_grad_is_exact_adjoint(self, scale):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 3, 5, 3, 7))
+        y = ops.trilinear_upsample(x, scale)
+        g = rng.standard_normal(y.shape)
+        gx = ops.trilinear_upsample_grad(g, x.shape, scale)
+        assert gx.shape == x.shape
+        np.testing.assert_allclose(np.vdot(x, gx), np.vdot(y, g), rtol=1e-12)
+
+    def test_grad_scratch_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((1, 16, 64, 64, 64), dtype=np.float32)
+        # one channel after its w product: (64, 64, 32)
+        intermediate = g.itemsize * 64 * 64 * 32
+        tracemalloc.start()
+        try:
+            gx = ops.trilinear_upsample_grad(g, (1, 16, 32, 32, 32), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gx.nbytes + intermediate + (1 << 20)
 
     def test_preserves_bounds(self, rng):
         x = rng.standard_normal((1, 3, 4, 4, 4))
