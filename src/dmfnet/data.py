@@ -68,8 +68,14 @@ def load_case(case_dir):
     meta_path = case_dir / META_NAME
     if not meta_path.is_file():
         raise DataError(f"missing {META_NAME} in {case_dir}")
-    meta = json.loads(meta_path.read_text())
-    dims = tuple(int(v) for v in meta["dims"])
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
+    try:
+        dims = tuple(int(v) for v in meta["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path} needs 'dims', a list of integers") from exc
     count = int(np.prod(dims))
     channels = []
     for name in meta.get("channels", MODALITIES):
@@ -95,6 +101,8 @@ def load_case(case_dir):
 def list_cases(data_dir):
     """Case subdirectories of data_dir (those containing meta.json), sorted."""
     data_dir = Path(data_dir)
+    if not data_dir.is_dir():
+        raise DataError(f"data directory {data_dir} does not exist or is not a directory")
     return sorted(p for p in data_dir.iterdir() if (p / META_NAME).is_file())
 
 

@@ -7,13 +7,20 @@ default. Every kernel is a pure function of its inputs (batch_norm's running
 statistics are updated by the caller, see :func:`batch_norm`), deterministic,
 and safe to call concurrently on distinct arrays.
 
-The three conv passes are im2col GEMMs over slabs of output voxels: per
-slab, the strided windows the kernel taps read from the padded input fill one
-(n, g, c_in/g * taps, voxels) column buffer, which one batched matmul contracts
-with the weight or the output gradient. The buffer holds at most SLAB_BYTES, so
-a pass's scratch is its padded input (or input gradient) plus one slab. The
-input gradient is a transposed conv done as gathers: one stride-1 slab conv
-per stride phase over the zero-bordered output gradient.
+Each conv pass contracts on its narrow side, chosen from the spec's shapes
+(see _narrowing). By default it is an im2col GEMM over slabs of output voxels:
+per slab, the strided windows the kernel taps read from the padded input fill
+one (n, g, c_in/g * taps, voxels) column buffer, which one batched matmul
+contracts with the weight or the output gradient. A stride-1 conv with at most
+half as many output as input channels runs as kn2row instead: per slab and
+kernel plane one GEMM Y = W @ x reads the padded input in place, and the
+output accumulates the window of Y that each tap shifts into place. Its weight
+gradient copies shifted output-gradient columns and reads the padded input in
+place. Either buffer holds at most SLAB_BYTES, so a pass's scratch is its
+padded input (or input gradient) plus one slab. A 1x1x1 stride-1 unpadded conv
+copies nothing: its operand is its columns. The input gradient is a transposed
+conv done as gathers: one stride-1 conv per stride phase over the
+zero-bordered output gradient, so a widening conv's phases run as kn2row.
 
 Trilinear upsampling multiplies each axis by an interpolation matrix M; its
 gradient multiplies by M^T, so it is the exact adjoint.
@@ -132,8 +139,19 @@ def _check_conv_args(x, weight, spec):
     return x
 
 
-# Bytes of im2col columns a conv pass holds at once (one output row at least).
+# Bytes of scratch a conv pass holds at once: im2col columns, or the kn2row
+# GEMM output Y (one output row at least).
 SLAB_BYTES = 8 << 20
+
+
+def _slab_extent(line_bytes, out_planes, out_rows, halo=0):
+    """(planes, rows) of output per slab. A slab is whole planes or, if one
+    plane does not fit, rows of one plane; it holds ``line_bytes`` of scratch
+    per row it reads, which is its own rows plus ``halo`` per plane."""
+    lines = max(1, SLAB_BYTES // line_bytes)
+    if lines >= out_rows + halo:
+        return min(out_planes, lines // (out_rows + halo)), out_rows
+    return 1, max(1, lines - halo)
 
 
 def _padded_groups(x, spec):
@@ -156,8 +174,7 @@ def _slabs(spec, n, out_spatial, dtype):
     do, ho, wo = out_spatial
     taps = int(np.prod(spec.kernel))
     line_elems = n * spec.c_in * taps * wo
-    lines = max(1, SLAB_BYTES // (line_elems * dtype.itemsize))
-    dz, dy = (min(do, lines // ho), ho) if lines >= ho else (1, lines)
+    dz, dy = _slab_extent(line_elems * dtype.itemsize, do, ho)
     buf = np.empty(line_elems * dz * dy, dtype=dtype)
     for z0 in range(0, do, dz):
         for y0 in range(0, ho, dy):
@@ -172,6 +189,59 @@ def _slabs(spec, n, out_spatial, dtype):
             yield slice(first, first + size), windows, cols
 
 
+def _pointwise(spec):
+    """A 1x1x1 stride-1 unpadded conv, whose columns are its operand itself."""
+    return spec.kernel == (1, 1, 1) and spec.stride == (1, 1, 1) and not any(spec.padding)
+
+
+def _narrowing(spec, span=1):
+    """Whether a stride-1 conv pass contracts on its output side: when that
+    side copies at most half of what the input side would. Per voxel they copy
+    c_out/g and c_in/g rows; the output side's copies cover ``span`` times
+    as many voxels."""
+    return spec.stride == (1, 1, 1) and 2 * spec.c_out * span <= spec.c_in
+
+
+def _kn2row(xg, weight, spec, out):
+    """Stride-1 conv as kn2row: per slab and kernel plane a, one GEMM
+    Y = W[a] @ x over the input rows the slab reads, with no column copy, then
+    out += the kh*kw windows of Y that the plane's taps shift into place.
+
+    Y holds c_out/g * kh * kw rows per input voxel and at most SLAB_BYTES.
+    """
+    n, g, cig = xg.shape[:3]
+    cog = spec.c_out // g
+    kd, kh, kw = spec.kernel
+    dd, dh, dw = spec.dilation
+    hp, wp = xg.shape[4:]
+    do, ho, wo = out.shape[2:]
+    xf = xg.reshape(n, g, cig, -1)
+    # (kd, g, kh*kw*c_out/g, c_in/g): the taps of one kernel plane stacked as rows
+    wk = weight.reshape(g, cog, cig, kd, kh * kw).transpose(3, 0, 4, 1, 2)
+    wk = wk.reshape(kd, g, -1, cig)
+    dst = out.reshape(n, g, cog, do, ho, wo)
+    row_elems = n * spec.c_out * kh * kw * wp
+    dz, dy = _slab_extent(row_elems * xg.itemsize, do, ho, dh * (kh - 1))
+    buf = np.empty(row_elems * dz * (dy + dh * (kh - 1)), dtype=xg.dtype)
+    for z0 in range(0, do, dz):
+        for y0 in range(0, ho, dy):
+            ez, ey = min(dz, do - z0), min(dy, ho - y0)
+            ry = ey + dh * (kh - 1)  # input rows read; hp for whole planes
+            y = buf[: row_elems * ez * ry].reshape(n, g, -1, ez * ry * wp)
+            taps = y.reshape(n, g, kh, kw, cog, ez, ry, wp)
+            acc = dst[:, :, :, z0:z0 + ez, y0:y0 + ey]
+            for a in range(kd):
+                start = ((z0 + a * dd) * hp + y0) * wp
+                np.matmul(wk[a], xf[..., start:start + y.shape[-1]], out=y)
+                for b, c in product(range(kh), range(kw)):
+                    win = taps[:, :, b, c, :, :, b * dh:b * dh + ey, c * dw:c * dw + wo]
+                    if a or b or c:
+                        acc += win
+                    else:
+                        acc[...] = win
+    return out
+
+
 def _conv(x, weight, spec, out=None):
     """conv3d without argument checks or bias, into ``out`` (C-contiguous) if given."""
     n, g = x.shape[0], spec.groups
@@ -183,10 +253,15 @@ def _conv(x, weight, spec, out=None):
     flat = out.reshape(n, g, spec.c_out // g, -1)
     # one column row per group makes an outer product, which BLAS does 5x slower
     contract = np.multiply if wk.shape[2] == 1 else np.matmul
-    for vox, windows, cols in _slabs(spec, n, out_spatial, x.dtype):
-        for t, win in enumerate(windows):
-            cols[:, :, :, t] = xg[win]
-        contract(wk, cols.reshape(n, g, wk.shape[2], -1), out=flat[..., vox])
+    if _pointwise(spec):
+        contract(wk, xg.reshape(n, g, wk.shape[2], -1), out=flat)
+    elif _narrowing(spec):
+        _kn2row(np.ascontiguousarray(xg), weight, spec, out)
+    else:
+        for vox, windows, cols in _slabs(spec, n, out_spatial, x.dtype):
+            for t, win in enumerate(windows):
+                cols[:, :, :, t] = xg[win]
+            contract(wk, cols.reshape(n, g, wk.shape[2], -1), out=flat[..., vox])
     return out
 
 
@@ -239,16 +314,31 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
 
 
 def conv3d_weight_grad(x, grad_out, spec):
-    """Gradient of conv3d w.r.t. its weight tensor."""
+    """Gradient of conv3d w.r.t. its weight tensor, with the columns copied
+    from the input or, for a narrowing conv, from grad_out."""
     x = check_volume5d(x)
-    n, g = x.shape[0], spec.groups
+    n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
     xg = _padded_groups(x, spec)
     go = grad_out.reshape(n, g, spec.c_out // g, -1)
-    gw = np.zeros((g, spec.c_out // g, int(np.prod(spec.weight_shape[1:]))), dtype=grad_out.dtype)
-    for vox, windows, cols in _slabs(spec, n, grad_out.shape[2:], x.dtype):
+    if _pointwise(spec):
+        return np.matmul(go, xg.reshape(n, g, cig, -1).swapaxes(2, 3)).sum(0).reshape(spec.weight_shape)
+    narrow = _narrowing(spec, np.prod(xg.shape[3:]) / np.prod(grad_out.shape[2:]))
+    if narrow:
+        # padded input voxel v takes tap t from grad_out at v - t*d, so the
+        # columns are im2col of grad_out zero-bordered by d*(k-1), over the
+        # padded input's extent, with the taps flipped
+        cspec = ConvSpec(spec.c_out, spec.c_in, spec.kernel, dilation=spec.dilation, groups=g,
+                         padding=tuple(d * (k - 1) for k, d in zip(spec.kernel, spec.dilation)))
+        src, rows, extent = _padded_groups(grad_out, cspec), xg.reshape(n, g, cig, -1), xg.shape[3:]
+    else:
+        cspec, src, rows, extent = spec, xg, go, grad_out.shape[2:]
+    gw = 0
+    for vox, windows, cols in _slabs(cspec, n, extent, x.dtype):
         for t, win in enumerate(windows):
-            cols[:, :, :, t] = xg[win]
-        gw += np.matmul(go[..., vox], cols.reshape(n, g, gw.shape[2], -1).swapaxes(2, 3)).sum(0)
+            cols[:, :, :, t] = src[win]
+        gw += np.matmul(rows[..., vox], cols.reshape(n, g, -1, vox.stop - vox.start).swapaxes(2, 3)).sum(0)
+    if narrow:  # (g, c_in/g, c_out/g, *kernel) with the taps flipped
+        gw = gw.reshape(g, cig, -1, *spec.kernel)[..., ::-1, ::-1, ::-1].swapaxes(1, 2)
     return gw.reshape(spec.weight_shape)
 
 
@@ -284,9 +374,13 @@ def batch_norm_stats(x):
 
 
 def batch_norm_apply(x, mean, var, gamma, beta, eps):
+    """gamma * (x - mean) / sqrt(var + eps) + beta, as one per-channel scale
+    and shift: one full-volume product, then an in-place add."""
     shape = (1, -1, 1, 1, 1)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (x - mean.reshape(shape)) * (gamma * inv).reshape(shape) + beta.reshape(shape)
+    scale = gamma / np.sqrt(var + eps)
+    out = x * scale.reshape(shape)
+    out += (beta - mean * scale).reshape(shape)
+    return out
 
 
 def batch_norm(x, params, mode="train"):

@@ -193,6 +193,26 @@ class TestBadInputs:
         assert section in line and key in line
         assert not (tmp_path / "run").exists()
 
+    def _train(self, tmp_path, config, data_dir):
+        return cli.main(["train", "--config", config, "--arch", "toy",
+                         "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("meta,expect", [('{"dims": [16, 16,', "not valid JSON"),
+                                             ('{"dtype": "float32"}', "dims")],
+                             ids=["not-json", "no-dims"])
+    def test_bad_case_meta_exits_1(self, tmp_path, toy_config_file, case_dir, capsys,
+                                   meta, expect):
+        meta_path = case_dir / dio.META_NAME
+        meta_path.write_text(meta)
+        assert self._train(tmp_path, toy_config_file, case_dir.parent) == 1
+        line = _error_line(capsys)
+        assert str(meta_path) in line and expect in line
+
+    def test_missing_data_dir_exits_1(self, tmp_path, toy_config_file, capsys):
+        missing = tmp_path / "no-such-data"
+        assert self._train(tmp_path, toy_config_file, missing) == 1
+        assert str(missing) in _error_line(capsys)
+
     def test_unknown_config_section_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"trian": {"lr": 0.1}}))

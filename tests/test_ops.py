@@ -36,6 +36,14 @@ class TestConvSpec:
             ops.same_padding(2)
 
 
+def _assert_matches_oracle(x, w, spec):
+    got = ops.conv3d(x, w, spec)
+    ref = conv3d_reference(x.astype(np.float64), w.astype(np.float64), stride=spec.stride,
+                           dilation=spec.dilation, padding=spec.padding, groups=spec.groups)
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)).max() < 1e-5
+
+
 class TestConv3d:
     def test_all_ones_sums_to_27(self):
         x = np.ones((1, 1, 3, 3, 3), dtype=np.float32)
@@ -81,13 +89,7 @@ class TestConv3d:
         size = 8 if dilation > 1 or stride > 1 else 6
         x = rng.standard_normal((1, 4, size, size, size)).astype(np.float32)
         w = rng.standard_normal(spec.weight_shape).astype(np.float32)
-        got = ops.conv3d(x, w, spec)
-        ref = conv3d_reference(x.astype(np.float64), w.astype(np.float64),
-                               stride=spec.stride, dilation=spec.dilation,
-                               padding=spec.padding, groups=groups)
-        assert got.shape == ref.shape
-        denom = np.maximum(np.abs(ref), 1.0)
-        assert (np.abs(got - ref) / denom).max() < 1e-5
+        _assert_matches_oracle(x, w, spec)
 
     def test_groups_equal_independent_convs(self, rng):
         g = 4
@@ -173,10 +175,7 @@ class TestConvBackwardKernels:
         assert len(slabs) > 2
         assert slabs[-1][0].stop - slabs[-1][0].start < slabs[0][0].stop - slabs[0][0].start
 
-        got = ops.conv3d(x, w, spec)
-        ref = conv3d_reference(x, w, stride=spec.stride, dilation=spec.dilation,
-                               padding=spec.padding, groups=spec.groups)
-        assert (np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)).max() < 1e-5
+        _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
 
     # each case reaches a tap-selection branch of the input gradient's stride
@@ -235,6 +234,105 @@ class TestConvBackwardKernels:
         finally:
             tracemalloc.stop()
         assert peak <= gx.nbytes + bordered_bytes + ops.SLAB_BYTES + (1 << 20)
+
+
+def _flip_side(monkeypatch):
+    """Make every stride-1 conv pass contract on the side the rule does not pick."""
+    rule = ops._narrowing
+    monkeypatch.setattr(ops, "_narrowing", lambda spec, span=1:
+                        spec.stride == (1, 1, 1) and not rule(spec, span))
+
+
+class TestContractionSide:
+    """Each conv pass contracts on its narrow side: kn2row for a narrowing
+    stride-1 conv, im2col otherwise, and no columns for a 1x1x1 stride-1
+    unpadded conv. Both sides must give the same convolution."""
+
+    # (c_in, c_out, groups, stride, span, output side?): the DMFNet and toy
+    # convs the rule sends to kn2row, and those that stay on im2col
+    @pytest.mark.parametrize("c_in,c_out,groups,stride,span,narrow", [
+        (96, 16, 16, 1, 1, True), (272, 64, 16, 1, 1, True), (704, 144, 16, 1, 1, True),
+        (128, 32, 16, 1, 1, True), (272, 128, 16, 1, 1, True), (24, 8, 4, 1, 1, True),
+        (128, 128, 16, 1, 1, False), (32, 128, 16, 1, 1, False), (432, 272, 16, 1, 1, False),
+        (96, 16, 16, 2, 1, False),
+        # the weight gradient's output side spans the padded input, which at
+        # 4^3 is 6^3 / 4^3 times the voxels: too many for 56 -> 16
+        (96, 16, 16, 1, 34 ** 3 / 32 ** 3, True), (56, 16, 4, 1, 6 ** 3 / 4 ** 3, False)])
+    def test_side_rule(self, c_in, c_out, groups, stride, span, narrow):
+        spec = ops.ConvSpec(c_in, c_out, kernel=3, stride=stride, padding=1, groups=groups)
+        assert ops._narrowing(spec, span) == narrow
+
+    @pytest.mark.parametrize("c_in,c_out", [(8, 4), (4, 4), (4, 8)],
+                             ids=["narrowing", "square", "widening"])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_both_sides_match_oracle_and_adjoints(self, monkeypatch, c_in, c_out, groups,
+                                                  dilation, stride, kernel):
+        rng = np.random.default_rng(groups * 100 + dilation * 10 + stride + kernel + c_in)
+        spec = ops.ConvSpec(c_in, c_out, kernel=kernel, stride=stride, dilation=dilation,
+                            padding=ops.same_padding(kernel, dilation), groups=groups)
+        x = rng.standard_normal((2, c_in, 7, 6, 5) if stride == 1 else (1, c_in, 9, 8, 7))
+        w = rng.standard_normal(spec.weight_shape)
+        _assert_matches_oracle(x, w, spec)
+        _assert_adjoint(x, w, spec)
+        _flip_side(monkeypatch)
+        _assert_matches_oracle(x, w, spec)
+        _assert_adjoint(x, w, spec)
+
+    # a 1x1x1 conv that is strided or padded has columns other than its operand
+    @pytest.mark.parametrize("c_in,c_out,stride,padding", [
+        (8, 4, 2, 0), (4, 8, 2, 0), (8, 4, 1, 1), (4, 8, 1, (1, 0, 2))])
+    def test_strided_or_padded_pointwise_convs(self, monkeypatch, c_in, c_out, stride, padding):
+        rng = np.random.default_rng(3)
+        spec = ops.ConvSpec(c_in, c_out, kernel=1, stride=stride, padding=padding, groups=2)
+        assert not ops._pointwise(spec)
+        x = rng.standard_normal((2, c_in, 7, 6, 5))
+        w = rng.standard_normal(spec.weight_shape)
+        _assert_matches_oracle(x, w, spec)
+        _assert_adjoint(x, w, spec)
+        _flip_side(monkeypatch)
+        _assert_matches_oracle(x, w, spec)
+        _assert_adjoint(x, w, spec)
+
+    # float64 budgets for kn2row's Y, in input rows: two planes and a row, or
+    # less than a plane, which leaves two output rows (and their halo) per slab
+    @pytest.mark.parametrize("budget_rows", [lambda hp, halo: 2 * hp + 1, lambda hp, halo: halo + 2],
+                             ids=["planes", "rows"])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_kn2row_slabs_match_oracle_and_adjoints(self, monkeypatch, budget_rows, dilation):
+        rng = np.random.default_rng(12)
+        spec = ops.ConvSpec(12, 4, kernel=3, dilation=dilation,
+                            padding=ops.same_padding(3, dilation), groups=2)
+        assert ops._narrowing(spec)
+        x = rng.standard_normal((1, 12, 9, 7, 6))
+        w = rng.standard_normal(spec.weight_shape)
+        do, ho, wo = spec.out_spatial(x.shape[2:])
+        halo = 2 * dilation
+        row_bytes = x.shape[0] * spec.c_out * 9 * (wo + halo) * x.itemsize
+        monkeypatch.setattr(ops, "SLAB_BYTES", budget_rows(ho + halo, halo) * row_bytes)
+        assert ops._slab_extent(row_bytes, do, ho, halo) in [(2, ho), (1, 2)]
+        _assert_matches_oracle(x, w, spec)
+        _assert_adjoint(x, w, spec)
+
+    def test_narrowing_weight_grad_scratch_memory_is_bounded(self):
+        # dec3.conv1 at the 64^3 training crop: columns come from the
+        # zero-bordered grad_out and the padded input is contracted in place
+        spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
+        assert ops._narrowing(spec, 34 ** 3 / 32 ** 3)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 96, 32, 32, 32), dtype=np.float32)
+        g = rng.standard_normal((1, 16, 32, 32, 32), dtype=np.float32)
+        padded_bytes = x.nbytes // 32 ** 3 * 34 ** 3
+        bordered_bytes = g.nbytes // 32 ** 3 * 36 ** 3
+        tracemalloc.start()
+        try:
+            gw = ops.conv3d_weight_grad(x, g, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gw.nbytes + padded_bytes + bordered_bytes + ops.SLAB_BYTES + (1 << 20)
 
 
 class TestBatchNorm:
