@@ -22,7 +22,7 @@ from .data import AugmentConfig, augment, load_case, load_params, normalize, sav
 from .losses import RegionSpec, dice_region, generalized_dice_loss, one_hot, region_specs
 from .network import (ArchConfig, Network, build_network, dmfnet_config, mfnet_075_config,
                       mfnet_config, predict_labels, toy_config)
-from .ops import BNParams, ConvSpec, Volume5D
+from .ops import BNParams, ConvSpec
 from .training import TrainConfig, TrainLog, adam_step, evaluate, train
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "ArchConfig", "AugmentConfig", "BNParams", "CheckReport", "ComplexityReport",
     "ConvSpec", "DMFUnit", "DMFUnitConfig", "GradTape", "MFUnit", "MFUnitConfig",
     "Multiplexer", "Network", "Parameter", "RegionSpec", "TrainConfig", "TrainLog",
-    "Volume5D",
     "adam_step", "augment", "backward", "block_complexity", "build_dmf_unit",
     "build_mf_unit", "build_multiplexer", "build_network", "count_flops",
     "count_params", "dice_region", "dmfnet_config", "evaluate", "finite_diff_check",

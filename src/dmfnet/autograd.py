@@ -1,10 +1,13 @@
 """Reverse-mode differentiation over the fixed kernel vocabulary of
 :mod:`dmfnet.ops`, plus an independent finite-difference verifier.
 
-A :class:`GradTape` records a forward pass as a topologically ordered list of
-nodes (define-by-run order is already topological). Each node stores its
-output snapshot, its parents and a backward rule; :func:`backward` walks the
-list in reverse, accumulating gradients into parents and into every trainable
+Every traced op (``t_*``) has one path: it computes its forward once and
+builds its backward rule, and only when a tape is given does it record a
+node; without one it returns the bare array and keeps nothing. A
+:class:`GradTape` holds the recorded forward pass as a topologically ordered
+list of nodes (define-by-run order is already topological). Each node stores
+its output, its parents and a backward rule; :func:`backward` walks the list
+in reverse, accumulating gradients into parents and into every trainable
 :class:`Parameter` touched by the pass. Tapes are single-use.
 """
 
@@ -40,15 +43,14 @@ class Parameter:
 class Var:
     """One recorded value in a tape."""
 
-    __slots__ = ("data", "grad", "op", "parents", "backward_fn", "recompute_fn", "param")
+    __slots__ = ("data", "grad", "op", "parents", "backward_fn", "param")
 
-    def __init__(self, data, op="leaf", parents=(), backward_fn=None, recompute_fn=None, param=None):
+    def __init__(self, data, op="leaf", parents=(), backward_fn=None, param=None):
         self.data = data
         self.grad = None
         self.op = op
         self.parents = parents
         self.backward_fn = backward_fn
-        self.recompute_fn = recompute_fn
         self.param = param
 
 
@@ -79,25 +81,10 @@ class GradTape:
             self._param_vars[key] = self.leaf(param.data, param=param)
         return self._param_vars[key]
 
-    def node(self, data, op, parents, backward_fn, recompute_fn=None):
-        v = Var(data, op=op, parents=tuple(parents), backward_fn=backward_fn,
-                recompute_fn=recompute_fn)
+    def node(self, data, op, parents, backward_fn):
+        v = Var(data, op=op, parents=tuple(parents), backward_fn=backward_fn)
         self.nodes.append(v)
         return v
-
-    def replay(self):
-        """Re-execute every recorded op in order and verify the snapshots.
-
-        Pure per node (no running-stat updates). Returns the output array.
-        Assumes parameters have not been mutated since recording.
-        """
-        for v in self.nodes:
-            if v.recompute_fn is None:
-                continue
-            again = v.recompute_fn()
-            if not np.array_equal(again, v.data):
-                raise AssertionError(f"tape replay diverged at op {v.op!r}")
-        return self.output_var.data
 
 
 def forward_record(block, x, mode="train"):
@@ -106,7 +93,6 @@ def forward_record(block, x, mode="train"):
     Returns (output array, tape). The output equals the plain forward
     bit-exactly; the tape captures every parameterized op.
     """
-    x = np.asarray(x)
     tape = GradTape()
     xv = tape.leaf(x)
     tape.input_var = xv
@@ -136,8 +122,6 @@ def backward(tape, output_grad):
         if v.grad is None or v.backward_fn is None:
             continue
         for parent, g in zip(v.parents, v.backward_fn(v.grad)):
-            if g is None:
-                continue
             parent.grad = g if parent.grad is None else parent.grad + g
 
     grads = {}
@@ -152,83 +136,69 @@ def backward(tape, output_grad):
 
 
 # ---------------------------------------------------------------------------
-# Traced ops. Each mirrors one ops.* kernel: plain dispatch when tape is None,
-# record + backward rule otherwise.
+# Traced ops. Each reads its inputs (arrays or Vars) through _data, computes
+# its forward once with the ops.* kernels and builds its backward rule; _record
+# returns the bare array without a tape and records a node under one.
 # ---------------------------------------------------------------------------
 
 
-def _eff_weight(weight, transpose_weight):
-    # channel-transposed view shares storage with the parameter (tied convs)
-    return weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
+def _data(x):
+    """The array behind a Var or Parameter; anything else as it is."""
+    return x.data if isinstance(x, (Var, Parameter)) else x
+
+
+def _record(tape, data, op, parents, bwd):
+    """``data`` itself when there is no tape. Otherwise a node on the tape
+    whose parents are ``parents`` with each Parameter mapped to its leaf Var
+    and each None dropped; ``bwd`` returns one gradient per kept parent."""
+    if tape is None:
+        return data
+    parents = [tape.param_var(p) if isinstance(p, Parameter) else p
+               for p in parents if p is not None]
+    return tape.node(data, op, parents, bwd)
 
 
 def t_conv3d(tape, x, weight, spec, bias=None, transpose_weight=False):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
     gradient is transposed back before accumulating into the parameter."""
-    if tape is None:
-        return ops.conv3d(x, _eff_weight(weight, transpose_weight), spec,
-                          bias.data if bias is not None else None)
-    xv = x
-    wv = tape.param_var(weight)
-    parents = [xv, wv]
-    bv = None
-    if bias is not None:
-        bv = tape.param_var(bias)
-        parents.append(bv)
-
-    def w_eff():
-        return _eff_weight(weight, transpose_weight)
-
-    data = ops.conv3d(xv.data, w_eff(), spec, bv.data if bv is not None else None)
-    x_shape = xv.data.shape
+    xd = _data(x)
+    # channel-transposed view shares storage with the parameter (tied convs)
+    w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
+    data = ops.conv3d(xd, w, spec, _data(bias))
 
     def bwd(g):
-        gx = ops.conv3d_input_grad(g, w_eff(), spec, x_shape)
-        gw = ops.conv3d_weight_grad(xv.data, g, spec)
+        gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
+        gw = ops.conv3d_weight_grad(xd, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        if bv is None:
+        if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3, 4))
 
-    def redo():
-        return ops.conv3d(xv.data, w_eff(), spec, bv.data if bv is not None else None)
-
-    return tape.node(data, "conv3d", parents, bwd, redo)
+    return _record(tape, data, "conv3d", (x, weight, bias), bwd)
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
     """bn is a BatchNorm3d block (gamma/beta Parameters plus running buffers)."""
-    if tape is None:
-        return ops.batch_norm(x, bn.params, mode)
-    xv = x
-    gv = tape.param_var(bn.gamma)
-    bv = tape.param_var(bn.beta)
+    xd = ops.check_volume5d(_data(x))
     p = bn.params
+    mean, var = ops.batch_norm_moments(xd, p, mode)
     train = mode == "train"
-    if train:
-        mean, var = ops.batch_norm_stats(xv.data)
-        m = p.momentum
-        p.running_mean[:] = (1 - m) * p.running_mean + m * mean
-        p.running_var[:] = (1 - m) * p.running_var + m * var
-    elif mode == "eval":
-        mean, var = p.running_mean.copy(), p.running_var.copy()
-    else:
-        raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    data = ops.batch_norm_apply(xv.data, mean, var, gv.data, bv.data, p.eps)
+    gamma = bn.gamma.data
+    data = ops.batch_norm_apply(xd, mean, var, gamma, bn.beta.data, p.eps)
 
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
     inv = 1.0 / np.sqrt(var + p.eps)
-    count = xv.data.size // xv.data.shape[1]
+    count = xd.size // xd.shape[1]
 
     def bwd(g):
-        xm = xv.data - mean.reshape(shape)
+        xm = xd - mean.reshape(shape)
         xhat = xm * inv.reshape(shape)
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        dxhat = g * gv.data.reshape(shape)
+        dxhat = g * gamma.reshape(shape)
         if not train:
             # eval-mode BN is an affine map in x
             return dxhat * inv.reshape(shape), dgamma, dbeta
@@ -240,113 +210,74 @@ def t_batch_norm(tape, x, bn, mode="train"):
               + dmean.reshape(shape) / count)
         return dx, dgamma, dbeta
 
-    def redo():
-        if train:
-            m2, v2 = ops.batch_norm_stats(xv.data)
-        else:
-            m2, v2 = mean, var
-        return ops.batch_norm_apply(xv.data, m2, v2, gv.data, bv.data, p.eps)
-
-    return tape.node(data, "batch_norm", (xv, gv, bv), bwd, redo)
+    return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta), bwd)
 
 
 def t_relu(tape, x):
-    if tape is None:
-        return ops.relu(x)
-    xv = x
-    data = ops.relu(xv.data)
+    xd = _data(x)
 
     def bwd(g):
         # subgradient at exactly 0 is defined as 0
-        return (g * (xv.data > 0),)
+        return (g * (xd > 0),)
 
-    return tape.node(data, "relu", (xv,), bwd, lambda: ops.relu(xv.data))
+    return _record(tape, ops.relu(xd), "relu", (x,), bwd)
 
 
 def t_add(tape, a, b):
-    if tape is None:
-        return ops.add(a, b)
-    data = ops.add(a.data, b.data)
-    return tape.node(data, "add", (a, b), lambda g: (g, g),
-                     lambda: ops.add(a.data, b.data))
+    return _record(tape, ops.add(_data(a), _data(b)), "add", (a, b), lambda g: (g, g))
 
 
 def t_concat_channels(tape, a, b):
-    if tape is None:
-        return ops.concat_channels(a, b)
-    data = ops.concat_channels(a.data, b.data)
-    ca = a.data.shape[1]
+    ad = _data(a)
 
     def bwd(g):
-        return g[:, :ca], g[:, ca:]
+        return g[:, :ad.shape[1]], g[:, ad.shape[1]:]
 
-    return tape.node(data, "concat_channels", (a, b), bwd,
-                     lambda: ops.concat_channels(a.data, b.data))
+    return _record(tape, ops.concat_channels(ad, _data(b)), "concat_channels", (a, b), bwd)
 
 
 def t_trilinear_upsample(tape, x, scale):
-    if tape is None:
-        return ops.trilinear_upsample(x, scale)
-    xv = x
-    data = ops.trilinear_upsample(xv.data, scale)
-    in_shape = xv.data.shape
+    xd = _data(x)
 
     def bwd(g):
-        return (ops.trilinear_upsample_grad(g, in_shape, scale),)
+        return (ops.trilinear_upsample_grad(g, xd.shape, scale),)
 
-    return tape.node(data, "trilinear_upsample", (xv,), bwd,
-                     lambda: ops.trilinear_upsample(xv.data, scale))
+    return _record(tape, ops.trilinear_upsample(xd, scale), "trilinear_upsample", (x,), bwd)
 
 
 def t_softmax_channels(tape, x):
-    if tape is None:
-        return ops.softmax_channels(x)
-    xv = x
-    data = ops.softmax_channels(xv.data)
+    data = ops.softmax_channels(_data(x))
 
     def bwd(g):
         dot = (g * data).sum(axis=1, keepdims=True)
         return (data * (g - dot),)
 
-    return tape.node(data, "softmax_channels", (xv,), bwd,
-                     lambda: ops.softmax_channels(xv.data))
+    return _record(tape, data, "softmax_channels", (x,), bwd)
 
 
 def t_branch_weighted_sum(tape, branches, omega):
     """sum_i omega[i] * branches[i] with learnable scalar weights.
 
     d(omega_i) is the inner product of branch i's output with the upstream
-    gradient; branch gradients are omega_i * upstream.
+    gradient; branch gradients are omega_i * upstream. A frozen omega gets
+    no gradient and no tape node.
     """
-    if tape is None:
-        acc = omega.data[0] * branches[0]
-        for i in range(1, len(branches)):
-            acc = acc + omega.data[i] * branches[i]
-        return acc
-    if omega.data.shape != (len(branches),):
-        raise ShapeError(
-            f"omega has shape {omega.data.shape}, expected ({len(branches)},)")
-    parents = list(branches)
-    ov = tape.param_var(omega) if omega.trainable else None
-    if ov is not None:
-        parents.append(ov)
     w = omega.data
-
-    def compute():
-        acc = w[0] * branches[0].data
-        for i in range(1, len(branches)):
-            acc = acc + w[i] * branches[i].data
-        return acc
-
-    data = compute()
+    if w.shape != (len(branches),):
+        raise ShapeError(f"omega has shape {w.shape}, expected ({len(branches)},)")
+    ys = [_data(b) for b in branches]
+    data = w[0] * ys[0]
+    for i in range(1, len(ys)):
+        data = data + w[i] * ys[i]
 
     def bwd(g):
-        grads = [w[i] * g for i in range(len(branches))]
-        if ov is not None:
-            grads.append(np.array([(b.data * g).sum() for b in branches], dtype=w.dtype))
+        grads = [w[i] * g for i in range(len(ys))]
+        if omega.trainable:
+            grads.append(np.array([(y * g).sum() for y in ys], dtype=w.dtype))
         return grads
 
-    return tape.node(data, "branch_weighted_sum", parents, bwd, compute)
+    parents = [*branches, omega if omega.trainable else None]
+    return _record(tape, data, "branch_weighted_sum", parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,6 @@ def _augment_cfg_from_args(args, file_cfg):
     overrides = _section(file_cfg, "augment")
     if getattr(args, "crop_size", None) is not None:
         overrides["crop_size"] = args.crop_size
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     cfg = dio.AugmentConfig(**overrides)
     _echo_config("augment", cfg)
     return cfg
@@ -280,7 +278,7 @@ def cmd_augment_preview(args):
         raise DMFNetError("augment-preview needs augmentation enabled")
     volume, labels = dio.load_case(args.case_dir)
     volume = dio.normalize(volume)
-    rng = np.random.default_rng(aug_cfg.seed)
+    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     out_vol, out_lab = dio.augment(volume, labels, aug_cfg, rng)
     dio.save_case(args.out_dir, out_vol, out_lab)
     _log(f"wrote augmented case to {args.out_dir}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,7 +132,6 @@ class AugmentConfig:
     rotate_degrees: tuple = (-10.0, 10.0)
     intensity_shift: tuple = (-0.1, 0.1)
     intensity_scale: tuple = (0.9, 1.1)
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "crop_size", tuple(int(s) for s in self.crop_size))
@@ -143,11 +141,6 @@ class AugmentConfig:
                 raise ConfigError(f"{name} range ({lo}, {hi}) is not well ordered")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
-
-
-def rng_for_case(seed, case_id):
-    """Independent deterministic stream per (seed, case id)."""
-    return np.random.default_rng([seed, zlib.crc32(str(case_id).encode())])
 
 
 def random_crop(volume, labels, size, rng):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .autograd import _data, _record
 from .errors import DataError, ShapeError
 from .network import CLASS_LABELS
 
@@ -86,9 +87,7 @@ def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
     well-defined. ``probs`` must be softmax outputs; ``target`` a label
     volume. Differentiable through probs when recorded on a tape.
     """
-    pv = probs
-    p = pv.data if tape is not None else np.asarray(probs)
-    ops.check_volume5d(p, "probs")
+    p = ops.check_volume5d(_data(probs), "probs")
     if p.shape[2:] != np.asarray(target).shape[1:] or p.shape[0] != np.asarray(target).shape[0]:
         raise ShapeError(f"probs shape {p.shape} does not match target {np.asarray(target).shape}")
     sums = p.sum(axis=1)
@@ -97,13 +96,6 @@ def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
     if np.abs(sums - 1.0).max() > 1e-3:
         raise ShapeError("probs do not sum to 1 over channels; apply softmax_channels first")
     r = one_hot(target, num_classes=p.shape[1], dtype=p.dtype)
-
-    def value(p_arr):
-        _, num, den = _gdl_terms(p_arr, r, eps)
-        return np.asarray(1.0 - 2.0 * num / (den + eps), dtype=p_arr.dtype)
-
-    if tape is None:
-        return float(value(p))
 
     w, num, den = _gdl_terms(p, r, eps)
     data = np.asarray(1.0 - 2.0 * num / (den + eps), dtype=p.dtype)
@@ -117,7 +109,8 @@ def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
         grad = -2.0 * (dnum * denom - num * dden) / (denom * denom)
         return (g * grad.astype(p.dtype),)
 
-    return tape.node(data, "generalized_dice_loss", (pv,), bwd, lambda: value(pv.data))
+    out = _record(tape, data, "generalized_dice_loss", (probs,), bwd)
+    return float(out) if tape is None else out
 
 
 def dice_region(pred, gt, region):

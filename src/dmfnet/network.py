@@ -162,8 +162,7 @@ class Network:
 
     def forward(self, x, mode="eval", tape=None):
         """Logits with the input's spatial dims and num_classes channels."""
-        data = x.data if isinstance(x, ag.Var) else x
-        self._check_input(data.shape)
+        self._check_input(ag._data(x).shape)
         h = self.stem.forward(x, mode, tape)
         skips = [h]
         for stage in self.stages:

@@ -3,9 +3,10 @@ batch norm, ReLU, trilinear upsampling, channel concat, residual add and
 per-voxel softmax.
 
 Volumes are C-contiguous numpy arrays of shape (n, c, d, h, w), float32 by
-default. Every kernel is a pure function of its inputs (batch_norm's running
-statistics are updated by the caller, see :func:`batch_norm`), deterministic,
-and safe to call concurrently on distinct arrays.
+default. Every kernel is a pure function of its inputs (except that train-mode
+batch norm updates the running statistics in place, see
+:func:`batch_norm_moments`), deterministic, and safe to call concurrently on
+distinct arrays.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
 (see _narrowing). By default it is an im2col GEMM over slabs of output voxels:
@@ -37,9 +38,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 AXES = ("d", "h", "w")
-
-# volumes are plain numpy arrays; the alias documents the (n, c, d, h, w) contract
-Volume5D = np.ndarray
 
 
 def _triple(v, name="value"):
@@ -383,13 +381,13 @@ def batch_norm_apply(x, mean, var, gamma, beta, eps):
     return out
 
 
-def batch_norm(x, params, mode="train"):
-    """Batch normalization over (n, d, h, w) per channel.
+def batch_norm_moments(x, params, mode):
+    """The per-channel (mean, var) that batch norm normalizes ``x`` with.
 
-    Train mode normalizes with batch statistics and updates
-    ``params.running_mean/var`` in place; eval mode uses the running stats.
+    Train mode returns the batch statistics and updates
+    ``params.running_mean/var`` in place; eval mode returns copies of the
+    running stats.
     """
-    x = check_volume5d(x)
     if x.shape[1] != params.gamma.shape[0]:
         raise ShapeError(
             f"input has {x.shape[1]} channels, batch norm expects {params.gamma.shape[0]}"
@@ -399,10 +397,17 @@ def batch_norm(x, params, mode="train"):
         m = params.momentum
         params.running_mean[:] = (1 - m) * params.running_mean + m * mean
         params.running_var[:] = (1 - m) * params.running_var + m * var
-    elif mode == "eval":
-        mean, var = params.running_mean, params.running_var
-    else:
-        raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+        return mean, var
+    if mode == "eval":
+        return params.running_mean.copy(), params.running_var.copy()
+    raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+
+
+def batch_norm(x, params, mode="train"):
+    """Batch normalization over (n, d, h, w) per channel, with the statistics
+    of :func:`batch_norm_moments`."""
+    x = check_volume5d(x)
+    mean, var = batch_norm_moments(x, params, mode)
     return batch_norm_apply(x, mean, var, params.gamma, params.beta, params.eps)
 
 

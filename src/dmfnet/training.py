@@ -90,11 +90,10 @@ def adam_step(params, grads, state, cfg, lr=None):
 
 @dataclass
 class TrainLog:
-    """Per-step losses, per-epoch omega snapshots, optional metric snapshots."""
+    """Per-step losses and per-epoch omega snapshots."""
 
     steps: list = field(default_factory=list)
     omega: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
 
     @property
     def losses(self):
@@ -108,8 +107,6 @@ class TrainLog:
                 fh.write(json.dumps({"record": "step", **rec}, sort_keys=True) + "\n")
             for rec in self.omega:
                 fh.write(json.dumps({"record": "omega", **rec}, sort_keys=True) + "\n")
-            for rec in self.metrics:
-                fh.write(json.dumps({"record": "metrics", **rec}, sort_keys=True) + "\n")
 
     def save_omega_csv(self, path):
         """Branch-weight trajectories, one row per (epoch, unit)."""

@@ -1,8 +1,12 @@
 """Parameter and FLOPs accounting."""
 
 import json
+from math import prod
 
-from dmfnet import analysis, blocks, network, ops
+import numpy as np
+import pytest
+
+from dmfnet import analysis, autograd as ag, blocks, network, ops
 
 
 def conv_layer(spec, rng):
@@ -69,6 +73,24 @@ class TestCountFlops:
         rep = analysis.block_complexity(bn, (1, 4, 8, 8, 8))
         assert rep.total_flops == 0
         assert rep.total_params == 8
+
+
+class TestAccountingMatchesExecutedGraph:
+    """count_flops describes the graph by hand; pin it to what forward runs."""
+
+    @pytest.mark.parametrize("dilated,nodes,macs", [(6, 68, 44_925_504), (0, 56, 37_128_768)],
+                             ids=["dmfnet-toy", "mfnet-toy"])
+    def test_conv_nodes_and_macs(self, dilated, nodes, macs):
+        shape = (2, 4, 16, 32, 48)
+        net = network.build_network(network.toy_config(dilated_unit_count=dilated), seed=0)
+        _, tape = ag.forward_record(net, np.zeros(shape, np.float32), mode="train")
+        convs = [v for v in tape.nodes if v.op == "conv3d"]
+        # weight size times output voxels; parents[1] is the weight's leaf
+        traced = sum(v.parents[1].data.size * v.data.shape[0] * prod(v.data.shape[2:])
+                     for v in convs)
+        rep = analysis.count_flops(net, shape)
+        assert traced == rep.total_flops == macs
+        assert len(convs) == sum(r.kind == "conv" for r in rep.rows) == nodes
 
 
 class TestPublishedTotals:

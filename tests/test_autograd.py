@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dmfnet import autograd as ag, blocks, ops
+from dmfnet import autograd as ag, blocks, losses, ops
 from dmfnet.errors import ConfigError, ShapeError
+from dmfnet.network import CLASS_LABELS
 
 
 class ReluBlock:
@@ -77,12 +78,6 @@ class TestForwardRecord:
         z = ops.conv3d(z, unit.conv2.conv.weight.data, unit.conv2.conv.spec)
         manual = ops.add(z, x)
         np.testing.assert_array_equal(recorded, manual)
-
-    def test_replay_reproduces_outputs(self, rng):
-        layer = conv_layer(rng)
-        x = rng.standard_normal((1, 2, 4, 4, 4))
-        out, tape = ag.forward_record(layer, x)
-        np.testing.assert_array_equal(tape.replay(), out)
 
 
 class TestBackward:
@@ -223,6 +218,83 @@ class TestTracedOps:
         out, tape = ag.forward_record(Mix(), x)
         _, grads = ag.backward(tape, np.ones_like(out))
         assert "omega" not in grads
+
+
+def _op_cases(rng):
+    """name -> (fn(tape, *inputs), input arrays) for every traced op and the GDL."""
+    def v(*shape):
+        return rng.standard_normal(shape)
+
+    spec = ops.ConvSpec(4, 2, kernel=3, padding=1, groups=2, has_bias=True)
+    conv = blocks.Conv3dLayer("c", spec, rng, dtype=np.float64)
+    conv.bias.data[:] = v(2)
+    mux = blocks.build_multiplexer(4, rng=rng, dtype=np.float64)
+    bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
+    bn.params.running_mean[:] = v(3)
+    omega = ag.Parameter("omega", v(3))
+    frozen = ag.Parameter("frozen", v(2), trainable=False)
+    target = rng.choice(CLASS_LABELS, size=(1, 3, 3, 3)).astype(np.uint8)
+    return {
+        "conv3d": (lambda t, x: ag.t_conv3d(t, x, conv.weight, spec, conv.bias),
+                   [v(1, 4, 4, 4, 4)]),
+        "conv3d_transposed": (lambda t, x: ag.t_conv3d(t, x, mux.weight, mux.inflate_spec,
+                                                       transpose_weight=True),
+                              [v(1, 2, 3, 3, 3)]),
+        "batch_norm_train": (lambda t, x: ag.t_batch_norm(t, x, bn, "train"), [v(2, 3, 3, 3, 3)]),
+        "batch_norm_eval": (lambda t, x: ag.t_batch_norm(t, x, bn, "eval"), [v(2, 3, 3, 3, 3)]),
+        "relu": (ag.t_relu, [v(1, 2, 3, 3, 3)]),
+        "add": (ag.t_add, [v(1, 2, 3, 3, 3), v(1, 2, 3, 3, 3)]),
+        "concat_channels": (ag.t_concat_channels, [v(1, 2, 3, 3, 3), v(1, 3, 3, 3, 3)]),
+        "trilinear_upsample": (lambda t, x: ag.t_trilinear_upsample(t, x, 2), [v(1, 2, 2, 3, 2)]),
+        "softmax_channels": (ag.t_softmax_channels, [v(1, 4, 3, 3, 3)]),
+        "branch_weighted_sum": (lambda t, *ys: ag.t_branch_weighted_sum(t, list(ys), omega),
+                                [v(1, 2, 3, 3, 3) for _ in range(3)]),
+        "branch_weighted_sum_frozen": (lambda t, *ys: ag.t_branch_weighted_sum(t, list(ys), frozen),
+                                       [v(1, 2, 3, 3, 3) for _ in range(2)]),
+        "generalized_dice_loss": (lambda t, p: losses.generalized_dice_loss(p, target, tape=t),
+                                  [ops.softmax_channels(v(1, 4, 3, 3, 3))]),
+    }
+
+
+def _bad_cases(rng):
+    """name -> (fn(tape, *inputs), input arrays) for inputs each op must reject."""
+    bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
+    ys = [rng.standard_normal((1, 2, 3, 3, 3)) for _ in range(3)]
+    cases = {f"batch_norm_{mode}_channels": (
+        lambda t, x, mode=mode: ag.t_batch_norm(t, x, bn, mode), [ys[0]])
+        for mode in ("train", "eval")}
+    for n in (2, 4):
+        omega = ag.Parameter("omega", np.ones(n))
+        cases[f"omega_length_{n}"] = (
+            lambda t, *b, omega=omega: ag.t_branch_weighted_sum(t, list(b), omega), ys)
+    return cases
+
+
+def _on_tape(tape, inputs):
+    return inputs if tape is None else [tape.leaf(x) for x in inputs]
+
+
+class TestOnePath:
+    """Each traced op has one body: untraced it returns what a tape records,
+    and it rejects the same inputs with or without a tape."""
+
+    @pytest.mark.parametrize("name", sorted(_op_cases(np.random.default_rng(0))))
+    def test_untraced_call_equals_recorded_node(self, rng, name):
+        fn, inputs = _op_cases(rng)[name]
+        plain = fn(None, *inputs)
+        tape = ag.GradTape()
+        node = fn(tape, *_on_tape(tape, inputs))
+        assert type(plain) is (float if name == "generalized_dice_loss" else np.ndarray)
+        assert node is tape.nodes[-1]
+        np.testing.assert_array_equal(plain, node.data)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("name", sorted(_bad_cases(np.random.default_rng(0))))
+    def test_bad_input_raises_shape_error(self, rng, name, traced):
+        fn, inputs = _bad_cases(rng)[name]
+        tape = ag.GradTape() if traced else None
+        with pytest.raises(ShapeError):
+            fn(tape, *_on_tape(tape, inputs))
 
 
 class TestFiniteDiffCheck:

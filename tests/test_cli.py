@@ -182,7 +182,7 @@ class TestBadInputs:
         assert str(missing) in _error_line(capsys)
 
     @pytest.mark.parametrize("section,key", [("arch", "widths"), ("train", "learning_rate"),
-                                             ("augment", "flip")])
+                                             ("augment", "flip"), ("augment", "seed")])
     def test_unknown_config_key_exits_1(self, tmp_path, case_dir, capsys, section, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"arch": TOY_ARCH, section: {key: 1}}))

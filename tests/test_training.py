@@ -161,7 +161,7 @@ class TestTrainLoop:
         from dmfnet import data as dio
         vol, lab = make_balanced_case(size=24, seed=3)
         net = toy_net(seed=0)
-        aug = dio.AugmentConfig(crop_size=(16, 16, 16), seed=0)
+        aug = dio.AugmentConfig(crop_size=(16, 16, 16))
         cfg = training.TrainConfig(epochs=3, lr=1e-3, seed=0)
         log = training.train(net, [(vol, lab)], cfg, aug_cfg=aug)
         assert len(log.losses) == 3
