@@ -2,9 +2,10 @@
 """Static parameter/FLOPs accounting over the shipped network variants.
 
 FLOPs are multiply-add pairs of convolution layers at a 4x128^3 input
-(BN, ReLU, interpolation and softmax excluded). No tensor math runs here;
-the traversal propagates shapes only, so this is instant even for the
-full-scale networks.
+(BN, ReLU, interpolation and softmax excluded). They are read from a
+recorded eval forward at the smallest legal input (1x4x16^3) and scaled to
+the requested shape, so even the full-scale networks take well under a
+second.
 """
 
 from dmfnet import analysis, network

@@ -1,22 +1,33 @@
-"""Static parameter and FLOPs accounting over built blocks and networks.
+"""Parameter and FLOPs accounting over built blocks and networks.
 
 Conventions: parameters are exact integer counts of learnable scalars
-(conv weights, optional biases, batch-norm gamma/beta, branch weights).
-FLOPs count multiply-add pairs of convolution layers only, i.e.
-k_d*k_h*k_w*c_in*c_out/g per output voxel; BN, ReLU, interpolation and
-softmax are excluded. Totals are reported in millions / units of 1e9.
+(conv weights, optional biases, batch-norm gamma/beta, branch weights),
+one row per Parameter in ``parameters()`` order. FLOPs count multiply-add
+pairs of convolution layers only, i.e. k_d*k_h*k_w*c_in*c_out/g per output
+voxel; BN, ReLU, interpolation and softmax are excluded. Totals are
+reported in millions / units of 1e9.
+
+FLOPs are read from the conv nodes of a recorded eval forward of zeros, so
+the forward pass is the only description of the graph. A Network is probed
+at its smallest legal input, 1 x c x f^3 for its downsample factor f, and
+the multiply-adds are scaled by n*d*h*w / f^3. That is exact: every layer's
+extent is the input's divided by a power of two that divides f.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
-from .blocks import BatchNorm3d, Conv3dLayer, DMFUnit, MFUnit, Multiplexer, PreActConv
-from .errors import ConfigError
+from . import autograd as ag
 from .network import Network
+
+# a Parameter's last name component gives its row kind
+_KINDS = {"weight": "conv", "bias": "conv", "gamma": "bn", "beta": "bn", "omega": "omega"}
 
 
 @dataclass(frozen=True)
@@ -73,105 +84,48 @@ class ComplexityReport:
         }, indent=2)
 
 
-def _voxels(spatial, n):
-    return n * int(np.prod(spatial))
-
-
-def _conv_rows(layer, spatial, n, rows):
-    spec = layer.spec
-    out_sp = None if spatial is None else spec.out_spatial(spatial)
-    macs = layer.weight.data.size
-    params = macs + (spec.c_out if layer.bias is not None else 0)
-    flops = 0 if out_sp is None else macs * _voxels(out_sp, n)
-    rows.append(LayerRow(layer.name, "conv", int(params), int(flops)))
-    return out_sp
-
-
-def _bn_rows(layer, rows):
-    rows.append(LayerRow(layer.name, "bn", 2 * layer.gamma.data.size, 0))
-
-
-def _block_rows(block, spatial, n, rows):
-    """Append rows for a block; returns the output spatial dims (or None)."""
-    if isinstance(block, Conv3dLayer):
-        return _conv_rows(block, spatial, n, rows)
-    if isinstance(block, BatchNorm3d):
-        _bn_rows(block, rows)
-        return spatial
-    if isinstance(block, PreActConv):
-        _bn_rows(block.bn, rows)
-        return _conv_rows(block.conv, spatial, n, rows)
-    if isinstance(block, Multiplexer):
-        _bn_rows(block.bn_squeeze, rows)
-        macs = block.weight.data.size
-        vox = 0 if spatial is None else _voxels(spatial, n)
-        rows.append(LayerRow(f"{block.name}.squeeze", "conv", macs, macs * vox))
-        _bn_rows(block.bn_inflate, rows)
-        # inflate shares the squeeze weights; parameters counted once
-        rows.append(LayerRow(f"{block.name}.inflate", "conv", 0, macs * vox))
-        return spatial
-    if isinstance(block, MFUnit):
-        sp = _block_rows(block.mux, spatial, n, rows)
-        sp = _block_rows(block.conv1, sp, n, rows)
-        sp = _block_rows(block.conv2, sp, n, rows)
-        if block.shortcut is not None:
-            _conv_rows(block.shortcut, spatial, n, rows)
-        return sp
-    if isinstance(block, DMFUnit):
-        sp = _block_rows(block.mux, spatial, n, rows)
-        _bn_rows(block.bn1, rows)
-        out_sp = sp
-        for branch in block.branches:
-            out_sp = _conv_rows(branch, sp, n, rows)
-        rows.append(LayerRow(block.omega.name, "omega", block.omega.data.size, 0))
-        out_sp = _block_rows(block.conv2, out_sp, n, rows)
-        if block.shortcut is not None:
-            _conv_rows(block.shortcut, spatial, n, rows)
-        return out_sp
-    if isinstance(block, Network):
-        return _network_rows(block, spatial, n, rows)
-    raise ConfigError(f"no complexity rule for block type {type(block).__name__}")
-
-
-def _network_rows(net, spatial, n, rows):
-    sp = _block_rows(net.stem, spatial, n, rows)
-    skips = [sp]
-    for stage in net.stages:
-        for unit in stage:
-            sp = _block_rows(unit, sp, n, rows)
-        skips.append(sp)
-    for unit, skip_sp in zip(net.decoder, reversed(skips[:-1])):
-        if sp is not None:
-            sp = tuple(2 * s for s in sp)
-            if skip_sp != sp:
-                raise ConfigError(
-                    f"skip spatial dims {skip_sp} do not match upsampled dims {sp}")
-        sp = _block_rows(unit, sp, n, rows)
-    if net.cfg.stem_stride != 1 and sp is not None:
-        sp = tuple(net.cfg.stem_stride * s for s in sp)
-    return _block_rows(net.classifier, sp, n, rows)
+def _conv_macs(block, shape):
+    """Multiply-adds per conv weight Parameter (keyed by id) of an eval
+    forward of zeros at ``shape``. A tied weight sums all its convs."""
+    dtype = block.parameters()[0].data.dtype
+    _, tape = ag.forward_record(block, np.zeros(shape, dtype), mode="eval")
+    macs = Counter()
+    for v in tape.nodes:
+        if v.op == "conv3d":
+            w = v.parents[1]  # the weight's leaf; parents[0] is the input
+            macs[id(w.param)] += w.data.size * v.data.shape[0] * prod(v.data.shape[2:])
+    return macs
 
 
 def block_complexity(block, input_shape=None):
-    """Accounting for any single block; input_shape (n, c, d, h, w) enables FLOPs."""
-    rows = []
-    if input_shape is None:
-        _block_rows(block, None, 1, rows)
-        return ComplexityReport(rows=rows, input_shape=None)
-    n = input_shape[0]
-    _block_rows(block, tuple(input_shape[2:]), n, rows)
-    return ComplexityReport(rows=rows, input_shape=tuple(input_shape))
+    """Accounting for any block or network; input_shape (n, c, d, h, w) enables FLOPs."""
+    macs, scale, div = Counter(), 1, 1
+    if input_shape is not None:
+        input_shape = tuple(input_shape)
+        probe = input_shape
+        if isinstance(block, Network):
+            block._check_input(input_shape)
+            f = block.cfg.downsample_factor
+            probe = (1, input_shape[1], f, f, f)
+            scale, div = input_shape[0] * prod(input_shape[2:]), f ** 3
+        macs = _conv_macs(block, probe)
+    rows = [LayerRow(p.name, _KINDS[p.name.rpartition(".")[2]], p.data.size,
+                     macs[id(p)] * scale // div)
+            for p in block.parameters()]
+    return ComplexityReport(rows=rows, input_shape=input_shape)
 
 
 def count_params(net):
-    """Exact per-layer parameter counts; independent of input shape."""
+    """Exact per-Parameter counts; independent of input shape."""
     return block_complexity(net, None)
 
 
 def count_flops(net, input_shape=(1, 4, 128, 128, 128)):
-    """Parameter and conv multiply-add accounting at the given input shape."""
-    if isinstance(net, Network):
-        net._check_input(input_shape)
+    """Parameter and conv multiply-add accounting at the given input shape.
+
+    A Network raises ShapeError for a shape it could not run: not five
+    positive sizes, the wrong channel count or indivisible spatial dims.
+    """
     return block_complexity(net, input_shape)
 
 

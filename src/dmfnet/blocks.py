@@ -11,6 +11,11 @@ convs and its own residual shortcut. A DMF unit replaces the first grouped
 conv with three parallel dilated branches (rates 1, 2, 3 by default) combined
 by a weighted sum with one-initialized scalar weights.
 
+Every layer and unit lists its sublayers once, as attributes set in
+``__init__``: :class:`Block` walks them in definition order to give the
+parameters and running statistics, so that order is also the checkpoint
+layout. The forward pass is the only description of how they connect.
+
 Blocks are immutable after construction except for parameter updates; forward
 is reentrant for distinct activation buffers.
 """
@@ -68,7 +73,40 @@ class DMFUnitConfig(MFUnitConfig):
             raise ConfigError(f"weight_mode must be 'learnable' or 'fixed_equal', got {self.weight_mode!r}")
 
 
-class Conv3dLayer:
+class Block:
+    """Base of every layer, unit and network: one walk over the attributes.
+
+    ``vars(self)`` is read in definition order; a Parameter is taken, a
+    Block is recursed into and a list (``branches``, ``stages``) is
+    flattened. Anything else (specs, configs, names) is skipped.
+    """
+
+    def _members(self, values=None):
+        for v in vars(self).values() if values is None else values:
+            if isinstance(v, list):
+                yield from self._members(v)
+            elif isinstance(v, (Parameter, Block)):
+                yield v
+
+    def parameters(self):
+        out = []
+        for v in self._members():
+            if isinstance(v, Block):
+                out += v.parameters()
+            else:
+                out.append(v)
+        return out
+
+    def buffers(self):
+        """(name, array) running statistics; only batch norm holds any."""
+        out = []
+        for v in self._members():
+            if isinstance(v, Block):
+                out += v.buffers()
+        return out
+
+
+class Conv3dLayer(Block):
     """Bare convolution layer owning its weight (and optional bias)."""
 
     def __init__(self, name, spec, rng, dtype=np.float32):
@@ -83,17 +121,8 @@ class Conv3dLayer:
     def forward(self, x, mode="train", tape=None):
         return ag.t_conv3d(tape, x, self.weight, self.spec, self.bias)
 
-    def parameters(self):
-        out = [self.weight]
-        if self.bias is not None:
-            out.append(self.bias)
-        return out
 
-    def buffers(self):
-        return []
-
-
-class BatchNorm3d:
+class BatchNorm3d(Block):
     """Pre-activation batch norm with learnable gamma/beta and running stats."""
 
     def __init__(self, name, channels, dtype=np.float32, eps=1e-5, momentum=0.1):
@@ -115,9 +144,6 @@ class BatchNorm3d:
         self.params.beta = self.beta.data
         return ag.t_batch_norm(tape, x, self, mode)
 
-    def parameters(self):
-        return [self.gamma, self.beta]
-
     def buffers(self):
         return [
             (f"{self.name}.running_mean", self.params.running_mean),
@@ -125,7 +151,7 @@ class BatchNorm3d:
         ]
 
 
-class PreActConv:
+class PreActConv(Block):
     """BN -> ReLU -> conv, the ordering used inside MF/DMF units."""
 
     def __init__(self, name, spec, rng, dtype=np.float32):
@@ -138,14 +164,8 @@ class PreActConv:
         h = ag.t_relu(tape, h)
         return self.conv.forward(h, mode, tape)
 
-    def parameters(self):
-        return self.bn.parameters() + self.conv.parameters()
 
-    def buffers(self):
-        return self.bn.buffers()
-
-
-class Multiplexer:
+class Multiplexer(Block):
     """Squeeze-then-inflate 1x1x1 conv pair with a residual shortcut.
 
     Routes information across fibers: channels go c_in -> c_in/2 -> c_in with
@@ -161,11 +181,12 @@ class Multiplexer:
         self.c_in = c_in
         self.squeeze_spec = ops.ConvSpec(c_in, c_in // 2, kernel=1, padding=0)
         self.inflate_spec = ops.ConvSpec(c_in // 2, c_in, kernel=1, padding=0)
+        # attribute order is the checkpoint order: squeeze BN, weight, inflate BN
         self.bn_squeeze = BatchNorm3d(f"{name}.bn_squeeze", c_in, dtype=dtype)
-        self.bn_inflate = BatchNorm3d(f"{name}.bn_inflate", c_in // 2, dtype=dtype)
         self.weight = Parameter(f"{name}.weight",
                                 kaiming_normal(rng, self.squeeze_spec.weight_shape,
                                                c_in, dtype))
+        self.bn_inflate = BatchNorm3d(f"{name}.bn_inflate", c_in // 2, dtype=dtype)
 
     def forward(self, x, mode="train", tape=None):
         h = ag.t_relu(tape, self.bn_squeeze.forward(x, mode, tape))
@@ -173,13 +194,6 @@ class Multiplexer:
         h = ag.t_relu(tape, self.bn_inflate.forward(h, mode, tape))
         h = ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True)
         return ag.t_add(tape, h, x)
-
-    def parameters(self):
-        return (self.bn_squeeze.parameters() + [self.weight]
-                + self.bn_inflate.parameters())
-
-    def buffers(self):
-        return self.bn_squeeze.buffers() + self.bn_inflate.buffers()
 
 
 def _shortcut_layer(name, cfg, rng, dtype):
@@ -195,7 +209,7 @@ def _shortcut_layer(name, cfg, rng, dtype):
     return Conv3dLayer(name, spec, rng, dtype)
 
 
-class MFUnit:
+class MFUnit(Block):
     """Multi-fiber unit: multiplexer + two grouped 3x3x3 convs + outer shortcut."""
 
     def __init__(self, name, cfg, rng, dtype=np.float32):
@@ -223,20 +237,8 @@ class MFUnit:
         s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
         return ag.t_add(tape, h, s)
 
-    def parameters(self):
-        out = self.mux.parameters() + self.conv1.parameters() + self.conv2.parameters()
-        if self.shortcut is not None:
-            out += self.shortcut.parameters()
-        return out
 
-    def buffers(self):
-        out = self.mux.buffers() + self.conv1.buffers() + self.conv2.buffers()
-        if self.shortcut is not None:
-            out += self.shortcut.buffers()
-        return out
-
-
-class DMFUnit:
+class DMFUnit(Block):
     """MF unit whose first grouped conv is split into parallel dilated branches.
 
     All branches share one pre-activation BN+ReLU, are same-padded so their
@@ -276,25 +278,6 @@ class DMFUnit:
         h = self.conv2.forward(h, mode, tape)
         s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
         return ag.t_add(tape, h, s)
-
-    def parameters(self):
-        out = self.mux.parameters() + self.bn1.parameters()
-        for branch in self.branches:
-            out += branch.parameters()
-        out.append(self.omega)
-        out += self.conv2.parameters()
-        if self.shortcut is not None:
-            out += self.shortcut.parameters()
-        return out
-
-    def buffers(self):
-        out = self.mux.buffers() + self.bn1.buffers()
-        for branch in self.branches:
-            out += branch.buffers()
-        out += self.conv2.buffers()
-        if self.shortcut is not None:
-            out += self.shortcut.buffers()
-        return out
 
 
 def build_multiplexer(c_in, rng=None, name="mux", dtype=np.float32):

@@ -191,21 +191,14 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 
 
-class _OpBlock:
+class _OpBlock(blocks.Block):
     """Adapter exposing a traced-op closure as a checkable block."""
 
-    def __init__(self, fn, params=()):
+    def __init__(self, fn):
         self._fn = fn
-        self._params = list(params)
 
     def forward(self, x, mode="train", tape=None):
         return self._fn(tape, x, mode)
-
-    def parameters(self):
-        return self._params
-
-    def buffers(self):
-        return []
 
 
 def _conv_case(rng, groups, dilation, stride):

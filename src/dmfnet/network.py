@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import ops
-from .blocks import Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig
+from .blocks import Block, Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig
 from .errors import ConfigError, ShapeError
 
 # BraTS label alphabet; class index i maps to CLASS_LABELS[i]
@@ -137,7 +137,7 @@ def _unit_cfg(kind, cfg, c_in, c_out, stride):
     return MFUnitConfig(c_in=c_in, c_mid=c_mid, c_out=c_out, g=cfg.groups, stride=stride)
 
 
-class Network:
+class Network(Block):
     """Realized layer graph with its parameter store."""
 
     def __init__(self, cfg, stem, stages, decoder, classifier, dtype):
@@ -151,6 +151,9 @@ class Network:
     # -- forward ----------------------------------------------------------
 
     def _check_input(self, shape):
+        if len(shape) != 5 or any(s <= 0 for s in shape):
+            raise ShapeError(
+                f"input shape must be five positive sizes (n, c, d, h, w), got {tuple(shape)}")
         if shape[1] != self.cfg.input_channels:
             raise ShapeError(
                 f"input has {shape[1]} channels, network expects {self.cfg.input_channels}")
@@ -180,32 +183,10 @@ class Network:
 
     # -- parameter access --------------------------------------------------
 
-    def _blocks(self):
-        yield self.stem
-        for stage in self.stages:
-            yield from stage
-        yield from self.decoder
-        yield self.classifier
-
-    def parameters(self):
-        out = []
-        for block in self._blocks():
-            out += block.parameters()
-        return out
-
-    def buffers(self):
-        out = []
-        for block in self._blocks():
-            out += block.buffers()
-        return out
-
     def omega_parameters(self):
         """(unit name, omega Parameter) for every DMF unit, encoder order."""
-        out = []
-        for block in self._blocks():
-            if isinstance(block, DMFUnit):
-                out.append((block.name, block.omega))
-        return out
+        return [(p.name.removesuffix(".omega"), p) for p in self.parameters()
+                if p.name.endswith(".omega")]
 
     def state_items(self):
         """Ordered (name, array) pairs: parameters then running statistics."""

@@ -109,23 +109,22 @@ class TrainLog:
                 fh.write(json.dumps({"record": "omega", **rec}, sort_keys=True) + "\n")
 
     def save_omega_csv(self, path):
-        """Branch-weight trajectories, one row per (epoch, unit)."""
+        """Branch-weight trajectories, one row per (epoch, unit) and one
+        column w1..wk per dilation rate."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        cols = list(self.omega[0]) if self.omega else ["epoch", "unit"]
         with open(path, "w") as fh:
-            fh.write("epoch,unit,w1,w2,w3\n")
+            fh.write(",".join(cols) + "\n")
             for rec in self.omega:
-                fh.write(f"{rec['epoch']},{rec['unit']},"
-                         f"{rec['w1']!r},{rec['w2']!r},{rec['w3']!r}\n")
+                values = [str(rec["epoch"]), rec["unit"]] + [repr(rec[c]) for c in cols[2:]]
+                fh.write(",".join(values) + "\n")
 
 
 def _snapshot_omega(net, epoch, log):
     for name, omega in net.omega_parameters():
-        w = omega.data
-        log.omega.append({
-            "epoch": epoch, "unit": name,
-            "w1": float(w[0]), "w2": float(w[1]), "w3": float(w[2]),
-        })
+        log.omega.append({"epoch": epoch, "unit": name,
+                          **{f"w{i + 1}": float(w) for i, w in enumerate(omega.data)}})
 
 
 def train_step(net, x, labels, state, cfg, lr):

@@ -33,11 +33,14 @@ class TestCountParams:
         assert rep.total_params == sum(r.params for r in rep.rows)
 
     def test_count_matches_parameter_store(self):
-        """Accounting equals the actual number of learnable scalars."""
-        for cfg in (network.dmfnet_config(), network.mfnet_config()):
+        """Accounting equals the actual number of learnable scalars, frozen omegas included."""
+        cfgs = [f() for f in network.ARCH_PRESETS.values()]
+        for cfg in cfgs + [network.dmfnet_config(weight_mode="fixed_equal")]:
             net = network.build_network(cfg, seed=0)
             stored = sum(p.data.size for p in net.parameters())
             assert analysis.count_params(net).total_params == stored
+            # the FLOP probe's tape holds no leaf for a frozen omega
+            assert analysis.count_flops(net, (1, 4, 16, 16, 16)).total_params == stored
 
 
 class TestCountFlops:
@@ -76,7 +79,8 @@ class TestCountFlops:
 
 
 class TestAccountingMatchesExecutedGraph:
-    """count_flops describes the graph by hand; pin it to what forward runs."""
+    """count_flops scales an eval forward at the smallest legal input; pin it
+    to a train forward run at the full shape."""
 
     @pytest.mark.parametrize("dilated,nodes,macs", [(6, 68, 44_925_504), (0, 56, 37_128_768)],
                              ids=["dmfnet-toy", "mfnet-toy"])
@@ -90,7 +94,10 @@ class TestAccountingMatchesExecutedGraph:
                      for v in convs)
         rep = analysis.count_flops(net, shape)
         assert traced == rep.total_flops == macs
-        assert len(convs) == sum(r.kind == "conv" for r in rep.rows) == nodes
+        assert len(convs) == nodes
+        # one row per conv weight: the tied multiplexer pair is two nodes, one row
+        assert {v.parents[1].param.name for v in convs} == \
+            {r.name for r in rep.rows if r.kind == "conv" and r.flops}
 
 
 class TestPublishedTotals:

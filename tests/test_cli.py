@@ -56,6 +56,17 @@ class TestAnalyze:
         assert err.value.code == 2
 
 
+class TestTrainDilationRates:
+    def test_two_rates_from_config_file(self, tmp_path, case_dir):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"arch": {"dilation_rates": [1, 2]}}))
+        out_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--arch", "toy",
+                         "--data-dir", str(case_dir.parent), "--out-dir", str(out_dir),
+                         "--epochs", "1", "--no-augment"]) == 0
+        assert (out_dir / "omega.csv").read_text().splitlines()[0] == "epoch,unit,w1,w2"
+
+
 class TestGradcheck:
     def test_ops_scope_passes(self, capsys):
         assert cli.main(["gradcheck", "--scope", "ops"]) == 0
@@ -212,6 +223,12 @@ class TestBadInputs:
         missing = tmp_path / "no-such-data"
         assert self._train(tmp_path, toy_config_file, missing) == 1
         assert str(missing) in _error_line(capsys)
+
+    @pytest.mark.parametrize("shape", ["1,4,16", "-1,4,16,16,16", "0,4,16,16,16"],
+                             ids=["rank-3", "negative", "zero"])
+    def test_analyze_non_volume_shape_exits_1(self, capsys, shape):
+        assert cli.main(["analyze", "--arch", "toy", f"--input-shape={shape}"]) == 1
+        assert "five positive sizes" in _error_line(capsys)
 
     def test_unknown_config_section_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"

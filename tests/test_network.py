@@ -1,5 +1,8 @@
 """Network assembly, forward contracts and label prediction."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -87,7 +90,8 @@ class TestBuildAndForward:
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     def test_skip_shapes_agree_across_sizes(self, size):
-        """Shape-propagate the full default net; mismatches raise inside."""
+        """count_flops checks the shape and runs the full default net's forward
+        at its 16^3 probe; a skip mismatch would raise inside."""
         net = network.build_network(network.dmfnet_config(), seed=0)
         rep = analysis.count_flops(net, (1, 4, size, size, size))
         assert rep.total_flops > 0
@@ -115,6 +119,43 @@ class TestBuildAndForward:
         net = network.build_network(network.toy_config(**TOY), seed=0)
         names = [p.name for p in net.parameters()] + [n for n, _ in net.buffers()]
         assert len(names) == len(set(names))
+
+
+class TestCheckpointLayout:
+    """save_params and load_params share state_items()' order, so a reorder
+    would round-trip silently and only break checkpoints written before it."""
+
+    MUX = ["mux.bn_squeeze.gamma", "mux.bn_squeeze.beta", "mux.weight",
+           "mux.bn_inflate.gamma", "mux.bn_inflate.beta"]
+    MUX_STATS = ["mux.bn_squeeze.running_mean", "mux.bn_squeeze.running_var",
+                 "mux.bn_inflate.running_mean", "mux.bn_inflate.running_var"]
+
+    def _unit_names(self, prefix):
+        net = network.build_network(network.toy_config(**TOY), seed=0)
+        return [n[len(prefix):] for n, _ in net.state_items() if n.startswith(prefix)]
+
+    def test_dmf_unit_order(self):
+        assert self._unit_names("enc1.u0.") == self.MUX + [
+            "bn1.gamma", "bn1.beta", "branch_d1.weight", "branch_d2.weight",
+            "branch_d3.weight", "omega", "conv2.bn.gamma", "conv2.bn.beta",
+            "conv2.conv.weight", "shortcut.weight"] + self.MUX_STATS + [
+            "bn1.running_mean", "bn1.running_var",
+            "conv2.bn.running_mean", "conv2.bn.running_var"]
+
+    def test_mf_unit_order(self):
+        assert self._unit_names("enc3.u0.") == self.MUX + [
+            "conv1.bn.gamma", "conv1.bn.beta", "conv1.conv.weight",
+            "conv2.bn.gamma", "conv2.bn.beta", "conv2.conv.weight",
+            "shortcut.weight"] + self.MUX_STATS + [
+            "conv1.bn.running_mean", "conv1.bn.running_var",
+            "conv2.bn.running_mean", "conv2.bn.running_var"]
+
+    def test_toy_preset_names_and_shapes(self):
+        items = network.build_network(network.toy_config(), seed=0).state_items()
+        blob = json.dumps([(n, list(a.shape)) for n, a in items]).encode()
+        assert len(items) == 254
+        assert hashlib.sha256(blob).hexdigest() == \
+            "aa289ce535dfd056edeadef4cec8fd95bd7c8e277a710c0bd7f6f9d7bd35f0fa"
 
 
 class TestDegeneracyAtNetworkScale:

@@ -182,6 +182,18 @@ class TestLogPersistence:
         assert csv[0] == "epoch,unit,w1,w2,w3"
         assert len(csv) == 1 + 12
 
+    @pytest.mark.parametrize("rates", [(1, 2), (1, 2, 3, 4)], ids=["2-rates", "4-rates"])
+    def test_one_weight_column_per_rate(self, tmp_path, rates):
+        vol, lab = make_balanced_case(size=16, seed=3)
+        net = network.build_network(network.toy_config(dilation_rates=rates), seed=0)
+        log = training.train(net, [(vol, lab)], training.TrainConfig(epochs=1, seed=0))
+        log.save_omega_csv(tmp_path / "omega.csv")
+        weights = [f"w{i + 1}" for i in range(len(rates))]
+        assert [list(rec)[2:] for rec in log.omega] == [weights] * 6
+        csv = (tmp_path / "omega.csv").read_text().splitlines()
+        assert csv[0] == ",".join(["epoch", "unit"] + weights)
+        assert [len(row.split(",")) for row in csv[1:]] == [2 + len(rates)] * 6
+
 
 class TestEvaluate:
     def test_ground_truth_against_itself(self):
