@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Tour of the rank-5 volume kernels: grouped, strided and dilated 3D
-convolution, batch norm, trilinear upsampling.
+convolution, batch norm (and the fused BN+ReLU layer), trilinear upsampling.
 
 Everything operates on plain numpy arrays of shape (batch, channel, d, h, w).
 """
 
 import numpy as np
 
-from dmfnet import ops
+from dmfnet import blocks, ops
 
 rng = np.random.default_rng(0)
 
@@ -50,12 +50,17 @@ print("impulse response support spans",
       support.min(axis=0), "to", support.max(axis=0), "(extent 7 per axis)")
 
 # --- batch norm ------------------------------------------------------------
-bn = ops.BNParams.create(3)
+# BatchNorm3d holds gamma/beta and the running statistics. ops.batch_norm is
+# the plain BN reference; the layer's forward is BN+ReLU as one op, the
+# pre-activation that precedes every conv inside the MF/DMF units.
+bn = blocks.BatchNorm3d("bn", 3)
 x = rng.standard_normal((2, 3, 4, 4, 4)).astype(np.float32) * 5 + 2
 y = ops.batch_norm(x, bn, mode="train")
 print("\nbatch norm: input channel means ", x.mean(axis=(0, 2, 3, 4)).round(2))
 print("            output channel means", y.mean(axis=(0, 2, 3, 4)).round(6))
 print("            running mean after one step:", bn.running_mean.round(2))
+a = bn.forward(x, mode="eval")
+print("BN+ReLU (eval): min", a.min(), "and share of zeros", round(float((a == 0).mean()), 2))
 
 # --- trilinear upsampling --------------------------------------------------
 # align-corners=false: output voxel i samples the source at (i+0.5)/s - 0.5.

@@ -4,7 +4,7 @@ The package is organized as a library:
 
     ops        rank-5 tensor kernels (conv3d, batch norm, upsampling, ...)
     autograd   tape-based reverse-mode differentiation + finite-diff checker
-    blocks     multiplexer, MF unit, DMF unit
+    blocks     fused BN+ReLU, multiplexer, MF unit, DMF unit
     network    encoder-decoder assembly, presets, label prediction
     analysis   exact parameter / conv-FLOPs accounting
     losses     generalized dice loss, region dice metrics
@@ -22,13 +22,13 @@ from .data import AugmentConfig, augment, load_case, load_params, normalize, sav
 from .losses import RegionSpec, dice_region, generalized_dice_loss, one_hot, region_specs
 from .network import (ArchConfig, Network, build_network, dmfnet_config, mfnet_075_config,
                       mfnet_config, predict_labels, toy_config)
-from .ops import BNParams, ConvSpec
+from .ops import ConvSpec
 from .training import TrainConfig, TrainLog, adam_step, evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchConfig", "AugmentConfig", "BNParams", "CheckReport", "ComplexityReport",
+    "ArchConfig", "AugmentConfig", "CheckReport", "ComplexityReport",
     "ConvSpec", "DMFUnit", "DMFUnitConfig", "GradTape", "MFUnit", "MFUnitConfig",
     "Multiplexer", "Network", "Parameter", "RegionSpec", "TrainConfig", "TrainLog",
     "adam_step", "augment", "backward", "block_complexity", "build_dmf_unit",

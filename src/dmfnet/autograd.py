@@ -180,26 +180,29 @@ def t_conv3d(tape, x, weight, spec, bias=None, transpose_weight=False):
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
-    """bn is a BatchNorm3d block (gamma/beta Parameters plus running buffers)."""
+    """relu(batch_norm(x)) as one node; ``bn`` is a BatchNorm3d. The ReLU runs
+    in place on the array batch_norm_apply allocated, never on ``x``. Backward
+    masks g with ``out > 0`` (where BN's output is > 0), then runs the BN rule."""
     xd = ops.check_volume5d(_data(x))
-    p = bn.params
-    mean, var = ops.batch_norm_moments(xd, p, mode)
-    train = mode == "train"
+    mean, var = ops.batch_norm_moments(xd, bn, mode)
     gamma = bn.gamma.data
-    data = ops.batch_norm_apply(xd, mean, var, gamma, bn.beta.data, p.eps)
+    data = ops.batch_norm_apply(xd, mean, var, gamma, bn.beta.data, bn.eps)
+    np.maximum(data, 0, out=data)
 
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
-    inv = 1.0 / np.sqrt(var + p.eps)
+    inv = 1.0 / np.sqrt(var + bn.eps)
     count = xd.size // xd.shape[1]
 
     def bwd(g):
+        # subgradient at exactly 0 is defined as 0, as in t_relu
+        g = g * (data > 0)
         xm = xd - mean.reshape(shape)
         xhat = xm * inv.reshape(shape)
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
         dxhat = g * gamma.reshape(shape)
-        if not train:
+        if mode != "train":
             # eval-mode BN is an affine map in x
             return dxhat * inv.reshape(shape), dgamma, dbeta
         dvar = (dxhat * xm).sum(axis=axes) * (-0.5) * inv**3
@@ -324,10 +327,11 @@ def _rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _loss_and_relu_inputs(block, x, mode):
-    """Loss = sum of outputs, plus every ReLU input activation of the pass."""
+def _loss_and_relu_outputs(block, x, mode):
+    """Loss = sum of outputs, plus every ReLU output of the pass, fused BN+ReLU
+    included: its sign pattern is that of the ReLU input."""
     out, tape = forward_record(block, x, mode=mode)
-    acts = [v.parents[0].data for v in tape.nodes if v.op == "relu"]
+    acts = [v.data for v in tape.nodes if v.op in ("relu", "batch_norm")]
     return float(out.sum()), acts
 
 
@@ -394,9 +398,9 @@ def finite_diff_check(block, x, tolerance=1e-5, step=1e-5, max_per_tensor=200,
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + step
-                lp, acts_p = _loss_and_relu_inputs(block, x, mode)
+                lp, acts_p = _loss_and_relu_outputs(block, x, mode)
                 flat[i] = orig - step
-                lm, acts_m = _loss_and_relu_inputs(block, x, mode)
+                lm, acts_m = _loss_and_relu_outputs(block, x, mode)
                 flat[i] = orig
                 if _crosses_kink(acts_p, acts_m):
                     masked += 1

@@ -1,7 +1,7 @@
 """Composite units: multiplexer, multi-fiber (MF) unit and dilated
 multi-fiber (DMF) unit.
 
-Topology of one MF unit (pre-activation BN+ReLU before every conv):
+Topology of one MF unit (BN+ReLU, one :class:`BatchNorm3d` op, before every conv):
 
     x -> multiplexer -> [BN,ReLU, grouped 3x3x3 conv c_in->c_mid, stride s]
       -> [BN,ReLU, grouped 3x3x3 conv c_mid->c_out] -> (+ shortcut(x))
@@ -123,36 +123,30 @@ class Conv3dLayer(Block):
 
 
 class BatchNorm3d(Block):
-    """Pre-activation batch norm with learnable gamma/beta and running stats."""
+    """Pre-activation BN+ReLU and the one holder of batch-norm state: learnable
+    gamma/beta plus running statistics, read by ops.batch_norm_moments."""
 
     def __init__(self, name, channels, dtype=np.float32, eps=1e-5, momentum=0.1):
         self.name = name
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels, dtype=dtype))
-        self.params = ops.BNParams(
-            gamma=self.gamma.data,
-            beta=self.beta.data,
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
-            eps=eps,
-            momentum=momentum,
-        )
+        self.running_mean = np.zeros(channels, dtype=dtype)
+        self.running_var = np.ones(channels, dtype=dtype)
+        self.eps = eps
+        self.momentum = momentum
 
     def forward(self, x, mode="train", tape=None):
-        # keep the shared views valid if someone replaced the arrays wholesale
-        self.params.gamma = self.gamma.data
-        self.params.beta = self.beta.data
         return ag.t_batch_norm(tape, x, self, mode)
 
     def buffers(self):
         return [
-            (f"{self.name}.running_mean", self.params.running_mean),
-            (f"{self.name}.running_var", self.params.running_var),
+            (f"{self.name}.running_mean", self.running_mean),
+            (f"{self.name}.running_var", self.running_var),
         ]
 
 
 class PreActConv(Block):
-    """BN -> ReLU -> conv, the ordering used inside MF/DMF units."""
+    """BN+ReLU -> conv, the ordering used inside MF/DMF units."""
 
     def __init__(self, name, spec, rng, dtype=np.float32):
         self.name = name
@@ -161,7 +155,6 @@ class PreActConv(Block):
 
     def forward(self, x, mode="train", tape=None):
         h = self.bn.forward(x, mode, tape)
-        h = ag.t_relu(tape, h)
         return self.conv.forward(h, mode, tape)
 
 
@@ -189,9 +182,9 @@ class Multiplexer(Block):
         self.bn_inflate = BatchNorm3d(f"{name}.bn_inflate", c_in // 2, dtype=dtype)
 
     def forward(self, x, mode="train", tape=None):
-        h = ag.t_relu(tape, self.bn_squeeze.forward(x, mode, tape))
+        h = self.bn_squeeze.forward(x, mode, tape)
         h = ag.t_conv3d(tape, h, self.weight, self.squeeze_spec)
-        h = ag.t_relu(tape, self.bn_inflate.forward(h, mode, tape))
+        h = self.bn_inflate.forward(h, mode, tape)
         h = ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True)
         return ag.t_add(tape, h, x)
 
@@ -272,7 +265,7 @@ class DMFUnit(Block):
 
     def forward(self, x, mode="train", tape=None):
         h = self.mux.forward(x, mode, tape)
-        a = ag.t_relu(tape, self.bn1.forward(h, mode, tape))
+        a = self.bn1.forward(h, mode, tape)
         ys = [branch.forward(a, mode, tape) for branch in self.branches]
         h = ag.t_branch_weighted_sum(tape, ys, self.omega)
         h = self.conv2.forward(h, mode, tape)

@@ -87,6 +87,10 @@ def cmd_analyze(args):
     shape = tuple(args.input_shape)
     if args.compare:
         names = [n.strip() for n in args.compare.split(",")]
+        unknown = [n for n in names if n not in net_mod.ARCH_PRESETS]
+        if unknown:
+            raise ConfigError(f"unknown preset(s) in --compare: {', '.join(unknown)}; "
+                              f"choose from {', '.join(sorted(net_mod.ARCH_PRESETS))}")
         reports = []
         for name in names:
             cfg = net_mod.ARCH_PRESETS[name]()

@@ -4,9 +4,10 @@ per-voxel softmax.
 
 Volumes are C-contiguous numpy arrays of shape (n, c, d, h, w), float32 by
 default. Every kernel is a pure function of its inputs (except that train-mode
-batch norm updates the running statistics in place, see
+batch norm updates the running statistics of its BatchNorm3d in place, see
 :func:`batch_norm_moments`), deterministic, and safe to call concurrently on
-distinct arrays.
+distinct arrays. :func:`batch_norm` and :func:`relu` are untraced references;
+the network runs BN+ReLU as one op, :func:`dmfnet.autograd.t_batch_norm`.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
 (see _narrowing). By default it is an im2col GEMM over slabs of output voxels:
@@ -340,29 +341,6 @@ def conv3d_weight_grad(x, grad_out, spec):
     return gw.reshape(spec.weight_shape)
 
 
-@dataclass
-class BNParams:
-    """Per-channel batch-norm state: learnable (gamma, beta) plus running stats."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
-
-    @classmethod
-    def create(cls, channels, dtype=np.float32, eps=1e-5, momentum=0.1):
-        return cls(
-            gamma=np.ones(channels, dtype=dtype),
-            beta=np.zeros(channels, dtype=dtype),
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
-            eps=eps,
-            momentum=momentum,
-        )
-
-
 def batch_norm_stats(x):
     """Biased per-channel mean/variance over the (n, d, h, w) axes."""
     axes = (0, 2, 3, 4)
@@ -381,34 +359,34 @@ def batch_norm_apply(x, mean, var, gamma, beta, eps):
     return out
 
 
-def batch_norm_moments(x, params, mode):
+def batch_norm_moments(x, bn, mode):
     """The per-channel (mean, var) that batch norm normalizes ``x`` with.
 
-    Train mode returns the batch statistics and updates
-    ``params.running_mean/var`` in place; eval mode returns copies of the
-    running stats.
+    ``bn`` is a :class:`dmfnet.blocks.BatchNorm3d`. Train mode returns the
+    batch statistics and updates ``bn.running_mean/var`` in place; eval mode
+    returns copies of the running stats.
     """
-    if x.shape[1] != params.gamma.shape[0]:
+    if x.shape[1] != bn.running_mean.shape[0]:
         raise ShapeError(
-            f"input has {x.shape[1]} channels, batch norm expects {params.gamma.shape[0]}"
+            f"input has {x.shape[1]} channels, batch norm expects {bn.running_mean.shape[0]}"
         )
     if mode == "train":
         mean, var = batch_norm_stats(x)
-        m = params.momentum
-        params.running_mean[:] = (1 - m) * params.running_mean + m * mean
-        params.running_var[:] = (1 - m) * params.running_var + m * var
+        m = bn.momentum
+        bn.running_mean[:] = (1 - m) * bn.running_mean + m * mean
+        bn.running_var[:] = (1 - m) * bn.running_var + m * var
         return mean, var
     if mode == "eval":
-        return params.running_mean.copy(), params.running_var.copy()
+        return bn.running_mean.copy(), bn.running_var.copy()
     raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
 
 
-def batch_norm(x, params, mode="train"):
+def batch_norm(x, bn, mode="train"):
     """Batch normalization over (n, d, h, w) per channel, with the statistics
     of :func:`batch_norm_moments`."""
     x = check_volume5d(x)
-    mean, var = batch_norm_moments(x, params, mode)
-    return batch_norm_apply(x, mean, var, params.gamma, params.beta, params.eps)
+    mean, var = batch_norm_moments(x, bn, mode)
+    return batch_norm_apply(x, mean, var, bn.gamma.data, bn.beta.data, bn.eps)
 
 
 def relu(x):

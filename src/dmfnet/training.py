@@ -127,8 +127,9 @@ def _snapshot_omega(net, epoch, log):
                           **{f"w{i + 1}": float(w) for i, w in enumerate(omega.data)}})
 
 
-def train_step(net, x, labels, state, cfg, lr):
-    """One optimization step on a prepared batch; returns the loss."""
+def train_step(net, params, x, labels, state, cfg, lr):
+    """One optimization step of ``params`` (net.parameters()) on a prepared
+    batch; returns the loss."""
     tape = ag.GradTape()
     xv = tape.leaf(x)
     tape.input_var = xv
@@ -139,7 +140,7 @@ def train_step(net, x, labels, state, cfg, lr):
     loss = float(loss_var.data)
     if np.isfinite(loss):
         _, grads = ag.backward(tape, np.ones_like(loss_var.data))
-        adam_step(net.parameters(), grads, state, cfg, lr=lr)
+        adam_step(params, grads, state, cfg, lr=lr)
     return loss
 
 
@@ -176,7 +177,7 @@ def train(net, dataset, cfg, aug_cfg=None):
             x = np.stack(vols).astype(net.dtype)
             y = np.stack(labs)
             lr = cfg.lr_at(step, total_steps)
-            loss = train_step(net, x, y, state, cfg, lr)
+            loss = train_step(net, params, x, y, state, cfg, lr)
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, last_finite)
             last_finite = loss

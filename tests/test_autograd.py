@@ -60,9 +60,8 @@ class TestForwardRecord:
         recorded, _ = ag.forward_record(unit, x, mode="eval")
 
         def bn_eval(layer, v):
-            p = layer.params
-            return ops.batch_norm_apply(v, p.running_mean, p.running_var,
-                                        p.gamma, p.beta, p.eps)
+            return ops.batch_norm_apply(v, layer.running_mean, layer.running_var,
+                                        layer.gamma.data, layer.beta.data, layer.eps)
 
         h = ops.relu(bn_eval(unit.mux.bn_squeeze, x))
         h = ops.conv3d(h, unit.mux.weight.data, unit.mux.squeeze_spec)
@@ -230,7 +229,7 @@ def _op_cases(rng):
     conv.bias.data[:] = v(2)
     mux = blocks.build_multiplexer(4, rng=rng, dtype=np.float64)
     bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
-    bn.params.running_mean[:] = v(3)
+    bn.running_mean[:] = v(3)
     omega = ag.Parameter("omega", v(3))
     frozen = ag.Parameter("frozen", v(2), trainable=False)
     target = rng.choice(CLASS_LABELS, size=(1, 3, 3, 3)).astype(np.uint8)
@@ -321,12 +320,27 @@ class TestFiniteDiffCheck:
                                    max_per_tensor=60, rng=0)
         assert rep.passed, str(rep)
 
+    def test_kink_masking_sees_fused_bn_relu(self, rng):
+        """A BN output within one step of 0 is a ReLU kink: probes across it
+        are masked, and the rest still pass."""
+        bn = blocks.BatchNorm3d("bn", 2, dtype=np.float64)
+        x = rng.standard_normal((2, 2, 3, 3, 3))
+        rest = x[:, 0].ravel()[1:]
+        # the first voxel equals the mean of channel 0: its BN output is 0 up to rounding
+        x[0, 0, 0, 0, 0] = rest.sum() / rest.size
+        c0 = x[:, 0]
+        assert abs(c0.flat[0] - c0.mean()) / c0.std() < 1e-5
+        rep = ag.finite_diff_check(bn, x, tolerance=1e-5, step=1e-5,
+                                   max_per_tensor=60, rng=0)
+        assert rep.passed, str(rep)
+        assert sum(r.masked for r in rep.rows) > 0
+
     def test_bn_buffers_restored(self, rng):
         bn = blocks.BatchNorm3d("bn", 2, dtype=np.float64)
-        before = bn.params.running_mean.copy()
+        before = bn.running_mean.copy()
         ag.finite_diff_check(bn, rng.standard_normal((1, 2, 3, 3, 3)),
                              max_per_tensor=4, rng=0)
-        np.testing.assert_array_equal(bn.params.running_mean, before)
+        np.testing.assert_array_equal(bn.running_mean, before)
 
     def test_nonfinite_loss_reported(self, rng):
         class Bad:

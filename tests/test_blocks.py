@@ -118,8 +118,8 @@ def copy_mf_from_dmf(dmf, mf, branch=0):
                      (dmf.conv2.bn, mf.conv2.bn)):
         dst.gamma.data[...] = src.gamma.data
         dst.beta.data[...] = src.beta.data
-        dst.params.running_mean[...] = src.params.running_mean
-        dst.params.running_var[...] = src.params.running_var
+        dst.running_mean[...] = src.running_mean
+        dst.running_var[...] = src.running_var
     mf.conv1.conv.weight.data[...] = dmf.branches[branch].weight.data
     mf.conv2.conv.weight.data[...] = dmf.conv2.conv.weight.data
     if dmf.shortcut is not None:
@@ -137,7 +137,7 @@ class TestDMFUnit:
                                      dtype=np.float64)
         x = rng.standard_normal((1, 4, 6, 6, 6))
         h = unit.mux.forward(x, mode="eval")
-        a = ops.relu(ops.batch_norm(h, unit.bn1.params, mode="eval"))
+        a = ops.relu(ops.batch_norm(h, unit.bn1, mode="eval"))
         ys = [b.forward(a, mode="eval") for b in unit.branches]
         from dmfnet import autograd as ag
         mix = ag.t_branch_weighted_sum(None, ys, unit.omega)

@@ -230,6 +230,11 @@ class TestBadInputs:
         assert cli.main(["analyze", "--arch", "toy", f"--input-shape={shape}"]) == 1
         assert "five positive sizes" in _error_line(capsys)
 
+    def test_analyze_unknown_compare_preset_exits_1(self, capsys):
+        assert cli.main(["analyze", "--compare", "dmfnet,foo"]) == 1
+        line = _error_line(capsys)
+        assert "foo" in line and "mfnet-075" in line
+
     def test_unknown_config_section_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"trian": {"lr": 0.1}}))

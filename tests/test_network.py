@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dmfnet import analysis, network
+from dmfnet import analysis, autograd as ag, network
 from dmfnet.errors import ConfigError, ShapeError
 
 from helpers import copy_dmfnet_to_mfnet
@@ -156,6 +156,23 @@ class TestCheckpointLayout:
         assert len(items) == 254
         assert hashlib.sha256(blob).hexdigest() == \
             "aa289ce535dfd056edeadef4cec8fd95bd7c8e277a710c0bd7f6f9d7bd35f0fa"
+
+
+class TestLeanTape:
+    """A train forward keeps one node per BN+ReLU pair and no BN output."""
+
+    def test_toy_train_tape(self, rng):
+        net = network.build_network(network.toy_config(), seed=0)
+        tape = ag.GradTape()
+        tape.input_var = tape.leaf(rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32))
+        net.forward(tape.input_var, mode="train", tape=tape)
+        kinds = [v.op for v in tape.nodes]
+        n_bn = sum(name.endswith(".running_mean") for name, _ in net.buffers())
+        assert "relu" not in kinds
+        assert kinds.count("batch_norm") == n_bn == 48
+        # activation bytes of the float32 toy net at 1x4x16^3; separate
+        # batch_norm and relu nodes held 1,288,992
+        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 1_029_440
 
 
 class TestDegeneracyAtNetworkScale:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dmfnet import ops
+from dmfnet import blocks, ops
 from dmfnet.errors import ConfigError, ShapeError
 
 from oracles import conv3d_reference, trilinear_reference
@@ -339,22 +339,22 @@ class TestBatchNorm:
     def test_identity_on_standardized_input(self, rng):
         x = rng.standard_normal((4, 3, 6, 6, 6)).astype(np.float64)
         x = (x - x.mean(axis=(0, 2, 3, 4), keepdims=True)) / x.std(axis=(0, 2, 3, 4), keepdims=True)
-        bn = ops.BNParams.create(3, dtype=np.float64)
+        bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
         out = ops.batch_norm(x, bn, mode="train")
         # eps=1e-5 inside the sqrt scales outputs by 1/sqrt(1+eps)
         np.testing.assert_allclose(out, x, atol=1e-5, rtol=1e-5)
 
     def test_gamma_zero_gives_beta(self, rng):
-        bn = ops.BNParams.create(2, dtype=np.float64)
-        bn.gamma[:] = 0.0
-        bn.beta[:] = (1.5, -2.5)
+        bn = blocks.BatchNorm3d("bn", 2, dtype=np.float64)
+        bn.gamma.data[:] = 0.0
+        bn.beta.data[:] = (1.5, -2.5)
         out = ops.batch_norm(rng.standard_normal((1, 2, 3, 3, 3)), bn, mode="train")
         np.testing.assert_allclose(out[:, 0], 1.5)
         np.testing.assert_allclose(out[:, 1], -2.5)
 
     def test_train_statistics(self, rng):
         x = rng.standard_normal((2, 3, 4, 4, 4)).astype(np.float64) * 3.0 + 1.0
-        bn = ops.BNParams.create(3, dtype=np.float64)
+        bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
         out = ops.batch_norm(x, bn, mode="train")
         # recompute independently: per-channel moments of the output
         for c in range(3):
@@ -364,18 +364,18 @@ class TestBatchNorm:
 
     def test_running_stats_updated_and_used(self, rng):
         x = rng.standard_normal((2, 2, 4, 4, 4)).astype(np.float64) + 5.0
-        bn = ops.BNParams.create(2, dtype=np.float64)
+        bn = blocks.BatchNorm3d("bn", 2, dtype=np.float64)
         ops.batch_norm(x, bn, mode="train")
         mean, var = ops.batch_norm_stats(x)
         np.testing.assert_allclose(bn.running_mean, 0.1 * mean)
         np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * var)
         out = ops.batch_norm(x, bn, mode="eval")
         expect = ops.batch_norm_apply(x, bn.running_mean, bn.running_var,
-                                      bn.gamma, bn.beta, bn.eps)
+                                      bn.gamma.data, bn.beta.data, bn.eps)
         np.testing.assert_array_equal(out, expect)
 
     def test_zero_spatial_extent_rejected(self):
-        bn = ops.BNParams.create(2)
+        bn = blocks.BatchNorm3d("bn", 2)
         with pytest.raises(ShapeError):
             ops.batch_norm(np.zeros((1, 2, 0, 3, 3), dtype=np.float32), bn)
 
