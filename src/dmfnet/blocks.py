@@ -67,8 +67,8 @@ class DMFUnitConfig(MFUnitConfig):
         super().__post_init__()
         rates = tuple(int(d) for d in self.dilation_rates)
         object.__setattr__(self, "dilation_rates", rates)
-        if any(d < 1 for d in rates) or len(set(rates)) != len(rates):
-            raise ConfigError(f"dilation rates must be positive and distinct, got {rates}")
+        if not rates or any(d < 1 for d in rates) or len(set(rates)) != len(rates):
+            raise ConfigError(f"need one or more positive, distinct dilation rates, got {rates}")
         if self.weight_mode not in ("learnable", "fixed_equal"):
             raise ConfigError(f"weight_mode must be 'learnable' or 'fixed_equal', got {self.weight_mode!r}")
 

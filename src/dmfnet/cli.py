@@ -3,7 +3,8 @@
 Subcommands: analyze, infer, train, gradcheck, augment-preview, evaluate.
 Configuration precedence is built-in defaults < --config JSON file <
 command-line flags; the resolved configuration is echoed to stderr for
-provenance. Exit codes: 0 success, 1 validation failure, 2 usage error.
+provenance. Each subcommand takes only the flags it reads. Exit codes:
+0 success, 1 validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _echo_config(name, cfg):
-    _log(f"resolved {name} config: {json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=list)}")
-
-
 CONFIG_SECTIONS = {"arch": net_mod.ArchConfig, "train": training.TrainConfig,
                    "augment": dio.AugmentConfig}
+ARCH_FLAGS = ("width_multiplier", "groups")
 
 
 def _load_config_file(path):
@@ -49,27 +47,22 @@ def _load_config_file(path):
     return cfg
 
 
-def _section(file_cfg, name):
-    """Overrides from one config-file section; unknown keys are a ConfigError."""
-    overrides = file_cfg.get(name, {})
+def _resolve(section, file_cfg, args, flags, make):
+    """``make(**kw)``: the file's ``section``, then those ``flags`` given on the command line.
+
+    The result is echoed to stderr; an unknown key in the section is a ConfigError.
+    """
+    overrides = file_cfg.get(section, {})
     if not isinstance(overrides, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[name])}
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    fields = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[section])}
     unknown = sorted(set(overrides) - fields)
     if unknown:
-        raise ConfigError(f"unknown {name} config key(s): {', '.join(unknown)}")
-    return dict(overrides)
-
-
-def _arch_from_args(args, file_cfg):
-    overrides = _section(file_cfg, "arch")
-    if getattr(args, "width_multiplier", None) is not None:
-        overrides["width_multiplier"] = args.width_multiplier
-    if getattr(args, "groups", None) is not None:
-        overrides["groups"] = args.groups
-    preset = net_mod.ARCH_PRESETS[args.arch]
-    cfg = preset(**overrides)
-    _echo_config("arch", cfg)
+        raise ConfigError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    cfg = make(**{**overrides, **given})
+    _log(f"resolved {section} config: "
+         f"{json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=list)}")
     return cfg
 
 
@@ -98,9 +91,8 @@ def cmd_analyze(args):
             reports.append(analysis.count_flops(net, shape))
         print(analysis.report_table(reports, names))
         return 0
-    cfg = _arch_from_args(args, file_cfg)
-    net = net_mod.build_network(cfg, seed=0)
-    report = analysis.count_flops(net, shape)
+    cfg = _resolve("arch", file_cfg, args, ARCH_FLAGS, net_mod.ARCH_PRESETS[args.arch])
+    report = analysis.count_flops(net_mod.build_network(cfg, seed=0), shape)
     print(report.to_text(per_layer=args.per_layer))
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n")
@@ -113,11 +105,17 @@ def cmd_analyze(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_infer(args):
-    file_cfg = _load_config_file(args.config)
-    cfg = _arch_from_args(args, file_cfg)
+def _trained_net(args):
+    """The ``--arch`` network holding the ``--checkpoint`` weights."""
+    cfg = _resolve("arch", _load_config_file(args.config), args, ARCH_FLAGS,
+                   net_mod.ARCH_PRESETS[args.arch])
     net = net_mod.build_network(cfg, seed=0)
     dio.load_params(net, args.checkpoint)
+    return net
+
+
+def cmd_infer(args):
+    net = _trained_net(args)
     volume, _ = dio.load_case(args.case_dir)
     volume = dio.normalize(volume)
     x = volume[None].astype(np.float32)
@@ -134,30 +132,7 @@ def cmd_infer(args):
 # ---------------------------------------------------------------------------
 
 
-def _train_cfg_from_args(args, file_cfg):
-    overrides = _section(file_cfg, "train")
-    for key in ("batch_size", "epochs", "lr", "weight_decay", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    cfg = training.TrainConfig(**overrides)
-    _echo_config("train", cfg)
-    return cfg
-
-
-def _augment_cfg_from_args(args, file_cfg):
-    if getattr(args, "no_augment", False):
-        _log("augmentation disabled")
-        return None
-    overrides = _section(file_cfg, "augment")
-    if getattr(args, "crop_size", None) is not None:
-        overrides["crop_size"] = args.crop_size
-    cfg = dio.AugmentConfig(**overrides)
-    _echo_config("augment", cfg)
-    return cfg
-
-
-def _load_dataset(data_dir, require_labels):
+def _load_dataset(data_dir):
     case_dirs = dio.list_cases(data_dir)
     if not case_dirs:
         raise DMFNetError(f"no cases found under {data_dir}")
@@ -165,7 +140,7 @@ def _load_dataset(data_dir, require_labels):
     ids = []
     for d in case_dirs:
         vol, lab = dio.load_case(d)
-        if require_labels and lab is None:
+        if lab is None:
             raise DMFNetError(f"case {d.name} has no {dio.SEG_NAME}")
         dataset.append((dio.normalize(vol), lab))
         ids.append(d.name)
@@ -174,10 +149,16 @@ def _load_dataset(data_dir, require_labels):
 
 def cmd_train(args):
     file_cfg = _load_config_file(args.config)
-    arch_cfg = _arch_from_args(args, file_cfg)
-    train_cfg = _train_cfg_from_args(args, file_cfg)
-    aug_cfg = _augment_cfg_from_args(args, file_cfg)
-    dataset, _ = _load_dataset(args.data_dir, require_labels=True)
+    arch_cfg = _resolve("arch", file_cfg, args, ARCH_FLAGS, net_mod.ARCH_PRESETS[args.arch])
+    train_cfg = _resolve("train", file_cfg, args,
+                         ("batch_size", "epochs", "lr", "weight_decay", "seed"),
+                         training.TrainConfig)
+    aug_cfg = None
+    if args.no_augment:
+        _log("augmentation disabled")
+    else:
+        aug_cfg = _resolve("augment", file_cfg, args, ("crop_size",), dio.AugmentConfig)
+    dataset, _ = _load_dataset(args.data_dir)
     net = net_mod.build_network(arch_cfg, seed=train_cfg.seed)
     log = training.train(net, dataset, train_cfg, aug_cfg)
     out_dir = Path(args.out_dir)
@@ -205,14 +186,6 @@ class _OpBlock(blocks.Block):
         return self._fn(tape, x, mode)
 
 
-def _conv_case(rng, groups, dilation, stride):
-    spec = ops.ConvSpec(4, 4, kernel=3, stride=stride, dilation=dilation,
-                        padding=ops.same_padding(3, dilation), groups=groups)
-    layer = blocks.Conv3dLayer(f"conv_g{groups}_d{dilation}_s{stride}", spec, rng,
-                               dtype=np.float64)
-    return layer
-
-
 def gradcheck_suite(scope, seed=0):
     """(name, block, input, tolerance, step, probes) cases for one scope."""
     rng = np.random.default_rng(seed)
@@ -220,7 +193,9 @@ def gradcheck_suite(scope, seed=0):
     cases = []
     if scope == "ops":
         for g, d, s in [(1, 1, 1), (2, 1, 1), (4, 2, 1), (2, 3, 1), (1, 1, 2), (4, 1, 2)]:
-            layer = _conv_case(rng, g, d, s)
+            spec = ops.ConvSpec(4, 4, kernel=3, stride=s, dilation=d,
+                                padding=ops.same_padding(3, d), groups=g)
+            layer = blocks.Conv3dLayer(f"conv_g{g}_d{d}_s{s}", spec, rng, dtype=np.float64)
             cases.append((layer.name, layer, x8, 1e-6, 1e-5, 60))
         up = _OpBlock(lambda tape, x, mode: ag.t_trilinear_upsample(tape, x, 2))
         cases.append(("trilinear_upsample", up, rng.standard_normal((1, 3, 4, 4, 4)), 1e-6, 1e-5, 60))
@@ -249,11 +224,10 @@ def gradcheck_suite(scope, seed=0):
 
 
 def cmd_gradcheck(args):
-    seed = args.seed if args.seed is not None else 0
     failures = 0
-    for name, block, x, tol, step, probes in gradcheck_suite(args.scope, seed):
+    for name, block, x, tol, step, probes in gradcheck_suite(args.scope, args.seed):
         report = ag.finite_diff_check(block, x, tolerance=tol, step=step,
-                                      max_per_tensor=probes, rng=seed)
+                                      max_per_tensor=probes, rng=args.seed)
         status = "PASS" if report.passed else "FAIL"
         worst = max((r.max_rel_err for r in report.rows), default=0.0)
         print(f"{status} {name} (tol {tol:g}, worst rel err {worst:.3e})")
@@ -269,13 +243,11 @@ def cmd_gradcheck(args):
 
 
 def cmd_augment_preview(args):
-    file_cfg = _load_config_file(args.config)
-    aug_cfg = _augment_cfg_from_args(args, file_cfg)
-    if aug_cfg is None:
-        raise DMFNetError("augment-preview needs augmentation enabled")
+    aug_cfg = _resolve("augment", _load_config_file(args.config), args, ("crop_size",),
+                       dio.AugmentConfig)
     volume, labels = dio.load_case(args.case_dir)
     volume = dio.normalize(volume)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     out_vol, out_lab = dio.augment(volume, labels, aug_cfg, rng)
     dio.save_case(args.out_dir, out_vol, out_lab)
     _log(f"wrote augmented case to {args.out_dir}")
@@ -288,11 +260,8 @@ def cmd_augment_preview(args):
 
 
 def cmd_evaluate(args):
-    file_cfg = _load_config_file(args.config)
-    cfg = _arch_from_args(args, file_cfg)
-    net = net_mod.build_network(cfg, seed=0)
-    dio.load_params(net, args.checkpoint)
-    dataset, ids = _load_dataset(args.data_dir, require_labels=True)
+    net = _trained_net(args)
+    dataset, ids = _load_dataset(args.data_dir)
     records, means = training.evaluate(net, dataset, case_ids=ids)
     for rec in records:
         print(json.dumps(rec, sort_keys=True))
@@ -314,15 +283,20 @@ def build_parser():
         description="Dilated multi-fiber 3D segmentation networks on numpy kernels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config(p):
         p.add_argument("--config", help="JSON config file (arch/train/augment sections)")
-        p.add_argument("--seed", type=int, default=None, help="rng seed")
+
+    def add_seed(p, default):
+        p.add_argument("--seed", type=int, default=default, help="rng seed")
+
+    def add_arch(p, default="dmfnet"):
+        add_config(p)
+        p.add_argument("--arch", choices=sorted(net_mod.ARCH_PRESETS), default=default)
+        p.add_argument("--width-multiplier", type=float, default=None)
+        p.add_argument("--groups", type=int, default=None)
 
     p = sub.add_parser("analyze", help="parameter and FLOPs accounting")
-    add_common(p)
-    p.add_argument("--arch", choices=sorted(net_mod.ARCH_PRESETS), default="dmfnet")
-    p.add_argument("--width-multiplier", type=float, default=None)
-    p.add_argument("--groups", type=int, default=None)
+    add_arch(p)
     p.add_argument("--input-shape", type=_shape_arg, default=(1, 4, 128, 128, 128))
     p.add_argument("--compare", help="comma-separated presets for a comparison table")
     p.add_argument("--per-layer", action="store_true")
@@ -330,20 +304,15 @@ def build_parser():
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("infer", help="segment one case with a trained checkpoint")
-    add_common(p)
-    p.add_argument("--arch", choices=sorted(net_mod.ARCH_PRESETS), default="dmfnet")
-    p.add_argument("--width-multiplier", type=float, default=None)
-    p.add_argument("--groups", type=int, default=None)
+    add_arch(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--case-dir", required=True)
     p.add_argument("--out", required=True, help="output label file (raw uint8)")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("train", help="train on a directory of cases")
-    add_common(p)
-    p.add_argument("--arch", choices=sorted(net_mod.ARCH_PRESETS), default="toy")
-    p.add_argument("--width-multiplier", type=float, default=None)
-    p.add_argument("--groups", type=int, default=None)
+    add_arch(p, default="toy")
+    add_seed(p, None)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epochs", type=int, default=None)
@@ -355,22 +324,20 @@ def build_parser():
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    add_common(p)
+    add_seed(p, 0)
     p.add_argument("--scope", choices=("ops", "blocks", "network"), default="ops")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("augment-preview", help="apply the augmentation pipeline once")
-    add_common(p)
+    add_config(p)
+    add_seed(p, 0)
     p.add_argument("--case-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--crop-size", type=_shape_arg, default=None)
     p.set_defaults(fn=cmd_augment_preview)
 
     p = sub.add_parser("evaluate", help="dice metrics over a labeled dataset")
-    add_common(p)
-    p.add_argument("--arch", choices=sorted(net_mod.ARCH_PRESETS), default="dmfnet")
-    p.add_argument("--width-multiplier", type=float, default=None)
-    p.add_argument("--groups", type=int, default=None)
+    add_arch(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", help="metrics JSONL output path")

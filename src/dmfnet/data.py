@@ -135,6 +135,8 @@ class AugmentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "crop_size", tuple(int(s) for s in self.crop_size))
+        if len(self.crop_size) != 3 or min(self.crop_size) < 1:
+            raise ConfigError(f"crop_size must be three positive sizes, got {self.crop_size}")
         for name in ("rotate_degrees", "intensity_shift", "intensity_scale"):
             lo, hi = getattr(self, name)
             if lo > hi:

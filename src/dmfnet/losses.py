@@ -54,8 +54,8 @@ def check_labels(labels, name="labels"):
     return labels
 
 
-def one_hot(target, num_classes=4, dtype=np.float32):
-    """Label volume (n, d, h, w) -> one-hot (n, num_classes, d, h, w)."""
+def one_hot(target, dtype=np.float32):
+    """Label volume (n, d, h, w) -> one-hot (n, len(CLASS_LABELS), d, h, w)."""
     target = check_labels(target, "target")
     if target.ndim != 4:
         raise ShapeError(f"target must be rank-4 (n, d, h, w), got shape {target.shape}")
@@ -63,7 +63,7 @@ def one_hot(target, num_classes=4, dtype=np.float32):
     for label, idx in _LABEL_TO_CLASS.items():
         if idx:
             classes[target == label] = idx
-    oh = np.zeros((target.shape[0], num_classes) + target.shape[1:], dtype=dtype)
+    oh = np.zeros((target.shape[0], len(CLASS_LABELS)) + target.shape[1:], dtype=dtype)
     np.put_along_axis(oh, classes[:, None], 1.0, axis=1)
     return oh
 
@@ -88,6 +88,8 @@ def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
     volume. Differentiable through probs when recorded on a tape.
     """
     p = ops.check_volume5d(_data(probs), "probs")
+    if p.shape[1] != len(CLASS_LABELS):
+        raise ShapeError(f"probs have {p.shape[1]} channels, expected {len(CLASS_LABELS)} classes")
     if p.shape[2:] != np.asarray(target).shape[1:] or p.shape[0] != np.asarray(target).shape[0]:
         raise ShapeError(f"probs shape {p.shape} does not match target {np.asarray(target).shape}")
     sums = p.sum(axis=1)
@@ -95,7 +97,7 @@ def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
     # trainer sees a non-finite loss and halts with its step diagnostics
     if np.abs(sums - 1.0).max() > 1e-3:
         raise ShapeError("probs do not sum to 1 over channels; apply softmax_channels first")
-    r = one_hot(target, num_classes=p.shape[1], dtype=p.dtype)
+    r = one_hot(target, dtype=p.dtype)
 
     w, num, den = _gdl_terms(p, r, eps)
     data = np.asarray(1.0 - 2.0 * num / (den + eps), dtype=p.dtype)

@@ -8,7 +8,7 @@ Layout (strides in parentheses):
         units are DMF units, the rest MF units
     decoder: three times [trilinear upsample x2, concat encoder skip, MF unit]
     head: trilinear upsample x2 back to full resolution, then an ungrouped
-        1x1x1 classifier conv to num_classes
+        1x1x1 classifier conv with one output channel per label in CLASS_LABELS
 
 The default stage widths were tuned (starting from 32/64/128 and adjusting,
 see README) until the complexity accounting in :mod:`dmfnet.analysis`
@@ -46,7 +46,6 @@ class ArchConfig:
     """
 
     input_channels: int = 4
-    num_classes: int = 4
     groups: int = 16
     width_multiplier: float = 1.0
     stage_channels: tuple = (32, 128, 272, 432, 144, 64, 16)
@@ -69,13 +68,13 @@ class ArchConfig:
         if not 0 <= self.dilated_unit_count <= NUM_STAGES * UNITS_PER_STAGE:
             raise ConfigError(
                 f"dilated_unit_count must lie in [0, {NUM_STAGES * UNITS_PER_STAGE}]")
+        if self.groups < 1:
+            raise ConfigError(f"groups must be at least 1, got {self.groups}")
         names = ("stem", "enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
         for name, c in zip(names, self.stage_channels):
             if c % self.groups:
                 raise ConfigError(
                     f"stage {name} width {c} is not divisible by groups={self.groups}")
-        # the multiplier rounding rule then keeps every scaled width a multiple
-        assert all(c % self.groups == 0 for c in self.scaled_channels())
 
     def scaled_channels(self):
         """Stage widths after the multiplier, rounded to multiples of groups."""
@@ -86,16 +85,6 @@ class ArchConfig:
     @property
     def downsample_factor(self):
         return self.stem_stride * 2 ** NUM_STAGES
-
-    def unit_plan(self):
-        """Ordered (kind, stride) per unit: nine encoder then three decoder."""
-        plan = []
-        for s in range(NUM_STAGES):
-            for u in range(UNITS_PER_STAGE):
-                kind = "DMF" if len(plan) < self.dilated_unit_count else "MF"
-                plan.append((kind, 2 if u == 0 else 1))
-        plan.extend(("MF", 1) for _ in range(NUM_STAGES))
-        return plan
 
 
 def dmfnet_config(**overrides):
@@ -113,11 +102,9 @@ def mfnet_075_config(**overrides):
     return replace(ArchConfig(dilated_unit_count=0, width_multiplier=0.75), **overrides)
 
 
-def toy_config(groups=4, stage_channels=(8, 16, 24, 32, 16, 16, 8),
-               stem_stride=2, **overrides):
+def toy_config(**overrides):
     """Small widths for tests, demos and CPU training experiments."""
-    return ArchConfig(groups=groups, stage_channels=stage_channels,
-                      stem_stride=stem_stride, **overrides)
+    return replace(ArchConfig(groups=4, stage_channels=(8, 16, 24, 32, 16, 16, 8)), **overrides)
 
 
 ARCH_PRESETS = {
@@ -126,15 +113,6 @@ ARCH_PRESETS = {
     "mfnet-075": mfnet_075_config,
     "toy": toy_config,
 }
-
-
-def _unit_cfg(kind, cfg, c_in, c_out, stride):
-    c_mid = min(c_in, c_out)
-    if kind == "DMF":
-        return DMFUnitConfig(c_in=c_in, c_mid=c_mid, c_out=c_out, g=cfg.groups,
-                             stride=stride, dilation_rates=cfg.dilation_rates,
-                             weight_mode=cfg.weight_mode)
-    return MFUnitConfig(c_in=c_in, c_mid=c_mid, c_out=c_out, g=cfg.groups, stride=stride)
 
 
 class Network(Block):
@@ -164,7 +142,7 @@ class Network(Block):
                 f"(stem stride {self.cfg.stem_stride} x {NUM_STAGES} stage strides of 2)")
 
     def forward(self, x, mode="eval", tape=None):
-        """Logits with the input's spatial dims and num_classes channels."""
+        """Logits with the input's spatial dims, one channel per label in CLASS_LABELS."""
         self._check_input(ag._data(x).shape)
         h = self.stem.forward(x, mode, tape)
         skips = [h]
@@ -204,7 +182,6 @@ def build_network(cfg, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     widths = cfg.scaled_channels()
     stem_w, e1, e2, e3, d1, d2, d3 = widths
-    plan = cfg.unit_plan()
 
     stem = Conv3dLayer(
         "stem",
@@ -214,30 +191,31 @@ def build_network(cfg, seed=0, dtype=np.float32):
 
     stages = []
     c_prev = stem_w
-    idx = 0
     for s, c_out in enumerate((e1, e2, e3)):
         stage = []
         for u in range(UNITS_PER_STAGE):
-            kind, stride = plan[idx]
-            ucfg = _unit_cfg(kind, cfg, c_prev, c_out, stride)
-            cls = DMFUnit if kind == "DMF" else MFUnit
-            stage.append(cls(f"enc{s + 1}.u{u}", ucfg, rng, dtype))
+            layout = dict(c_in=c_prev, c_mid=min(c_prev, c_out), c_out=c_out, g=cfg.groups,
+                          stride=2 if u == 0 else 1)
+            if s * UNITS_PER_STAGE + u < cfg.dilated_unit_count:
+                ucfg = DMFUnitConfig(**layout, dilation_rates=cfg.dilation_rates,
+                                     weight_mode=cfg.weight_mode)
+                stage.append(DMFUnit(f"enc{s + 1}.u{u}", ucfg, rng, dtype))
+            else:
+                stage.append(MFUnit(f"enc{s + 1}.u{u}", MFUnitConfig(**layout), rng, dtype))
             c_prev = c_out
-            idx += 1
         stages.append(stage)
 
     decoder = []
     skip_widths = (e2, e1, stem_w)
     for s, (skip_w, c_out) in enumerate(zip(skip_widths, (d1, d2, d3))):
-        kind, stride = plan[idx]
-        ucfg = _unit_cfg(kind, cfg, c_prev + skip_w, c_out, stride)
+        c_in = c_prev + skip_w
+        ucfg = MFUnitConfig(c_in=c_in, c_mid=min(c_in, c_out), c_out=c_out, g=cfg.groups)
         decoder.append(MFUnit(f"dec{s + 1}", ucfg, rng, dtype))
         c_prev = c_out
-        idx += 1
 
     classifier = Conv3dLayer(
         "classifier",
-        ops.ConvSpec(d3, cfg.num_classes, kernel=1, padding=0),
+        ops.ConvSpec(d3, len(CLASS_LABELS), kernel=1, padding=0),
         rng, dtype)
 
     return Network(cfg, stem, stages, decoder, classifier, dtype)

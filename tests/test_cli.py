@@ -160,6 +160,34 @@ def _error_line(capsys):
     return lines[-1]
 
 
+_ANALYZE = ["analyze", "--arch", "toy", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
+_TRAIN = ["train", "--config", "{config}", "--data-dir", "{data}", "--out-dir", "{out}",
+          "--epochs", "1"]
+_PREVIEW = ["augment-preview", "--case-dir", "{case}", "--out-dir", "{out}"]
+_TRAINED = ["--config", "{config}", "--arch", "toy", "--checkpoint", "{checkpoint}"]
+
+# (argv with {placeholders}, config file contents, exit code, text of the error line)
+BAD_INPUTS = [
+    pytest.param(_ANALYZE + ["--groups", "0"], {}, 1, "groups", id="groups-flag-0"),
+    pytest.param(_ANALYZE, {"arch": {"groups": 0}}, 1, "groups", id="groups-config-0"),
+    pytest.param(_ANALYZE, {"arch": {"dilation_rates": []}}, 1, "dilation rates",
+                 id="empty-dilation-rates"),
+    pytest.param(_PREVIEW + ["--crop-size", "16,16"], {}, 1, "crop_size", id="preview-crop-rank-2"),
+    pytest.param(_PREVIEW + ["--crop-size", "0,16,16"], {}, 1, "crop_size", id="preview-crop-zero"),
+    pytest.param(_TRAIN + ["--crop-size", "0,16,16"], {"arch": TOY_ARCH}, 1, "crop_size",
+                 id="train-crop-zero"),
+    pytest.param(_TRAIN + ["--no-augment"], {"arch": {**TOY_ARCH, "num_classes": 3}}, 1,
+                 "num_classes", id="num-classes-key"),
+    pytest.param(_ANALYZE + ["--seed", "1"], {}, 2, None, id="analyze-seed"),
+    pytest.param(["infer", *_TRAINED, "--case-dir", "{case}", "--out", "{out}", "--seed", "1"],
+                 {"arch": TOY_ARCH}, 2, None, id="infer-seed"),
+    pytest.param(["evaluate", *_TRAINED, "--data-dir", "{data}", "--seed", "1"],
+                 {"arch": TOY_ARCH}, 2, None, id="evaluate-seed"),
+    pytest.param(["gradcheck", "--scope", "blocks", "--config", "{config}"], {}, 2, None,
+                 id="gradcheck-config"),
+]
+
+
 class TestBadInputs:
     @pytest.fixture
     def checkpoint(self, tmp_path):
@@ -167,6 +195,23 @@ class TestBadInputs:
         path = tmp_path / "checkpoint.bin"
         dio.save_params(net, path)
         return path
+
+    @pytest.mark.parametrize("argv,config,code,expect", BAD_INPUTS)
+    def test_bad_input_table(self, tmp_path, case_dir, checkpoint, capsys, argv, config,
+                             code, expect):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [a.format(config=config_path, data=case_dir.parent, case=case_dir,
+                         checkpoint=checkpoint, out=out) for a in argv]
+        if code == 2:
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2
+            return
+        assert cli.main(argv) == 1
+        assert expect in _error_line(capsys)
+        assert not out.exists()
 
     def _infer(self, tmp_path, config, checkpoint, case_dir):
         return cli.main(["infer", "--config", config, "--arch", "toy",

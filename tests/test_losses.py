@@ -82,6 +82,13 @@ class TestGeneralizedDiceLoss:
         with pytest.raises(ShapeError, match="softmax"):
             losses.generalized_dice_loss(bad, target)
 
+    @pytest.mark.parametrize("channels", [3, 5])
+    def test_rejects_channels_other_than_class_labels(self, channels):
+        target = np.full((1, 2, 2, 2), 4, dtype=np.uint8)
+        probs = np.full((1, channels, 2, 2, 2), 1.0 / channels)
+        with pytest.raises(ShapeError, match="channels"):
+            losses.generalized_dice_loss(probs, target)
+
     def test_gradient_matches_finite_differences(self, rng):
         target = rng.choice([0, 1, 2, 4], size=(1, 4, 4, 4)).astype(np.uint8)
         logits = rng.standard_normal((1, 4, 4, 4, 4))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dmfnet import analysis, autograd as ag, network
+from dmfnet.blocks import DMFUnit, MFUnit
 from dmfnet.errors import ConfigError, ShapeError
 
 from helpers import copy_dmfnet_to_mfnet
@@ -17,15 +18,16 @@ TOY = dict(groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4))
 
 class TestArchConfig:
     def test_default_plan_has_six_leading_dmf_units(self):
-        plan = network.dmfnet_config().unit_plan()
-        encoder = plan[:9]
-        assert [k for k, _ in encoder] == ["DMF"] * 6 + ["MF"] * 3
-        assert [s for _, s in encoder] == [2, 1, 1] * 3
-        assert plan[9:] == [("MF", 1)] * 3
+        net = network.build_network(network.toy_config(**TOY), seed=0)
+        encoder = [unit for stage in net.stages for unit in stage]
+        assert [type(u) for u in encoder] == [DMFUnit] * 6 + [MFUnit] * 3
+        assert [u.cfg.stride for u in encoder] == [2, 1, 1] * 3
+        assert [(type(u), u.cfg.stride) for u in net.decoder] == [(MFUnit, 1)] * 3
 
     def test_mfnet_plan_is_all_mf(self):
-        plan = network.mfnet_config().unit_plan()
-        assert all(k == "MF" for k, _ in plan)
+        net = network.build_network(network.toy_config(dilated_unit_count=0, **TOY), seed=0)
+        units = [unit for stage in net.stages for unit in stage] + net.decoder
+        assert [type(u) for u in units] == [MFUnit] * 12
 
     def test_width_scaling_rounds_to_group_multiples(self):
         cfg = network.mfnet_075_config()
