@@ -15,8 +15,8 @@ from dmfnet import analysis, blocks
 rng = np.random.default_rng(0)
 
 # --- multiplexer -----------------------------------------------------------
-mux = blocks.build_multiplexer(16, rng=rng)
-rep = analysis.block_complexity(mux)
+mux = blocks.Multiplexer("mux", 16, rng)
+rep = analysis.count_flops(mux)
 conv_params = sum(r.params for r in rep.rows if r.kind == "conv")
 print("multiplexer on 16 channels:")
 print("  conv parameters:", conv_params, "= 16^2/2 (inflate is the squeeze transposed)")
@@ -30,30 +30,29 @@ print("  zeroed weights pass the input through the shortcut:",
 # --- grouping cuts the fiber body by exactly g -----------------------------
 print("\nfiber-body parameters (two grouped 3^3 convs, 16->16->16):")
 for g in (1, 2, 4, 8, 16):
-    unit = blocks.build_mf_unit(blocks.MFUnitConfig(16, 16, 16, g=g), rng=rng)
-    body = sum(r.params for r in analysis.block_complexity(unit).rows
+    unit = blocks.MFUnit("mf", blocks.MFUnitConfig(16, 16, 16, g=g), rng)
+    body = sum(r.params for r in analysis.count_flops(unit).rows
                if r.kind == "conv" and (".conv1." in r.name or ".conv2." in r.name))
     print(f"  g={g:2d}: {body:6d}  (= {27 * (256 + 256)} / {g})")
 
 # --- the dilated unit ------------------------------------------------------
 # Three parallel branches with dilation 1, 2, 3 share one pre-activation and
 # are combined by learnable scalar weights, one-initialized.
-dmf = blocks.build_dmf_unit(blocks.DMFUnitConfig(16, 16, 16, g=4), rng=rng)
+dmf = blocks.DMFUnit("dmf", blocks.DMFUnitConfig(16, 16, 16, g=4), rng)
 print("\nDMF unit branch dilations:",
       [b.spec.dilation[0] for b in dmf.branches])
 print("omega at init:", dmf.omega.data)
 
-mf = blocks.build_mf_unit(blocks.MFUnitConfig(16, 16, 16, g=4), rng=rng)
-d_total = analysis.block_complexity(dmf).total_params
-m_total = analysis.block_complexity(mf).total_params
+mf = blocks.MFUnit("mf", blocks.MFUnitConfig(16, 16, 16, g=4), rng)
+d_total = analysis.count_flops(dmf).total_params
+m_total = analysis.count_flops(mf).total_params
 branch = 27 * 16 * 16 // 4
 print(f"DMF params {d_total} = MF params {m_total} + 2 extra branches "
       f"({2 * branch}) + 3 scalars:", d_total == m_total + 2 * branch + 3)
 
 # --- degeneracy: omega = (1, 0, 0) kills the dilated branches ---------------
 # Copy the d=1 branch into a plain MF unit; the two then agree bit-exactly.
-mf2 = blocks.build_mf_unit(blocks.MFUnitConfig(16, 16, 16, g=4),
-                           rng=np.random.default_rng(99))
+mf2 = blocks.MFUnit("mf", blocks.MFUnitConfig(16, 16, 16, g=4), np.random.default_rng(99))
 mf2.mux.weight.data[...] = dmf.mux.weight.data
 for src, dst in ((dmf.mux.bn_squeeze, mf2.mux.bn_squeeze),
                  (dmf.mux.bn_inflate, mf2.mux.bn_inflate),

@@ -16,8 +16,7 @@ from dmfnet import autograd as ag, blocks
 rng = np.random.default_rng(0)
 
 # --- record and differentiate a dilated unit --------------------------------
-unit = blocks.build_dmf_unit(blocks.DMFUnitConfig(8, 8, 8, g=2), rng=rng,
-                             dtype=np.float64)
+unit = blocks.DMFUnit("dmf", blocks.DMFUnitConfig(8, 8, 8, g=2), rng, np.float64)
 x = rng.standard_normal((1, 8, 6, 6, 6))
 out, tape = ag.forward_record(unit, x, mode="train")
 print("recorded", len(tape.nodes), "tape nodes; output", out.shape)

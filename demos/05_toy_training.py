@@ -31,7 +31,7 @@ vol = vol.astype(np.float32)
 cfg = network.toy_config(groups=4, stage_channels=(8, 16, 24, 32, 16, 16, 8))
 net = network.build_network(cfg, seed=0)
 from dmfnet import analysis
-print(f"toy network: {analysis.count_params(net).total_params:,} parameters, "
+print(f"toy network: {analysis.count_flops(net).total_params:,} parameters, "
       f"{len(net.omega_parameters())} dilated units\n")
 
 tcfg = training.TrainConfig(epochs=120, lr=1e-3, seed=0)

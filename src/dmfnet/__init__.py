@@ -13,11 +13,10 @@ The package is organized as a library:
     cli        `dmfnet` command-line tool
 """
 
-from .analysis import ComplexityReport, block_complexity, count_flops, count_params, report_table
+from .analysis import ComplexityReport, count_flops, report_table
 from .autograd import (CheckReport, GradTape, Parameter, backward, finite_diff_check,
                        forward_record)
-from .blocks import (DMFUnit, DMFUnitConfig, MFUnit, MFUnitConfig, Multiplexer,
-                     build_dmf_unit, build_mf_unit, build_multiplexer)
+from .blocks import DMFUnit, DMFUnitConfig, MFUnit, MFUnitConfig, Multiplexer
 from .data import AugmentConfig, augment, load_case, load_params, normalize, save_case, save_params
 from .losses import RegionSpec, dice_region, generalized_dice_loss, one_hot, region_specs
 from .network import (ArchConfig, Network, build_network, dmfnet_config, mfnet_075_config,
@@ -31,10 +30,9 @@ __all__ = [
     "ArchConfig", "AugmentConfig", "CheckReport", "ComplexityReport",
     "ConvSpec", "DMFUnit", "DMFUnitConfig", "GradTape", "MFUnit", "MFUnitConfig",
     "Multiplexer", "Network", "Parameter", "RegionSpec", "TrainConfig", "TrainLog",
-    "adam_step", "augment", "backward", "block_complexity", "build_dmf_unit",
-    "build_mf_unit", "build_multiplexer", "build_network", "count_flops",
-    "count_params", "dice_region", "dmfnet_config", "evaluate", "finite_diff_check",
-    "forward_record", "generalized_dice_loss", "load_case", "load_params",
-    "mfnet_075_config", "mfnet_config", "normalize", "one_hot", "predict_labels",
-    "region_specs", "report_table", "save_case", "save_params", "toy_config", "train",
+    "adam_step", "augment", "backward", "build_network", "count_flops", "dice_region",
+    "dmfnet_config", "evaluate", "finite_diff_check", "forward_record",
+    "generalized_dice_loss", "load_case", "load_params", "mfnet_075_config", "mfnet_config",
+    "normalize", "one_hot", "predict_labels", "region_specs", "report_table", "save_case",
+    "save_params", "toy_config", "train",
 ]

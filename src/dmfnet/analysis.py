@@ -1,7 +1,7 @@
 """Parameter and FLOPs accounting over built blocks and networks.
 
 Conventions: parameters are exact integer counts of learnable scalars
-(conv weights, optional biases, batch-norm gamma/beta, branch weights),
+(conv weights, batch-norm gamma/beta, branch weights),
 one row per Parameter in ``parameters()`` order. FLOPs count multiply-add
 pairs of convolution layers only, i.e. k_d*k_h*k_w*c_in*c_out/g per output
 voxel; BN, ReLU, interpolation and softmax are excluded. Totals are
@@ -27,7 +27,7 @@ from . import autograd as ag
 from .network import Network
 
 # a Parameter's last name component gives its row kind
-_KINDS = {"weight": "conv", "bias": "conv", "gamma": "bn", "beta": "bn", "omega": "omega"}
+_KINDS = {"weight": "conv", "gamma": "bn", "beta": "bn", "omega": "omega"}
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,13 @@ def _conv_macs(block, shape):
     return macs
 
 
-def block_complexity(block, input_shape=None):
-    """Accounting for any block or network; input_shape (n, c, d, h, w) enables FLOPs."""
+def count_flops(block, input_shape=None):
+    """Per-Parameter counts for any block or network, plus conv multiply-adds
+    when ``input_shape`` (n, c, d, h, w) is given; without it, params only.
+
+    A Network raises ShapeError for a shape it could not run: not five
+    positive sizes, the wrong channel count or indivisible spatial dims.
+    """
     macs, scale, div = Counter(), 1, 1
     if input_shape is not None:
         input_shape = tuple(input_shape)
@@ -113,20 +118,6 @@ def block_complexity(block, input_shape=None):
                      macs[id(p)] * scale // div)
             for p in block.parameters()]
     return ComplexityReport(rows=rows, input_shape=input_shape)
-
-
-def count_params(net):
-    """Exact per-Parameter counts; independent of input shape."""
-    return block_complexity(net, None)
-
-
-def count_flops(net, input_shape=(1, 4, 128, 128, 128)):
-    """Parameter and conv multiply-add accounting at the given input shape.
-
-    A Network raises ShapeError for a shape it could not run: not five
-    positive sizes, the wrong channel count or indivisible spatial dims.
-    """
-    return block_complexity(net, input_shape)
 
 
 def report_table(reports, labels):

@@ -149,34 +149,31 @@ def _data(x):
 
 def _record(tape, data, op, parents, bwd):
     """``data`` itself when there is no tape. Otherwise a node on the tape
-    whose parents are ``parents`` with each Parameter mapped to its leaf Var
-    and each None dropped; ``bwd`` returns one gradient per kept parent."""
+    whose parents are ``parents`` with each Parameter mapped to its leaf Var;
+    ``bwd`` returns one gradient per parent."""
     if tape is None:
         return data
-    parents = [tape.param_var(p) if isinstance(p, Parameter) else p
-               for p in parents if p is not None]
+    parents = [tape.param_var(p) if isinstance(p, Parameter) else p for p in parents]
     return tape.node(data, op, parents, bwd)
 
 
-def t_conv3d(tape, x, weight, spec, bias=None, transpose_weight=False):
+def t_conv3d(tape, x, weight, spec, transpose_weight=False):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
     gradient is transposed back before accumulating into the parameter."""
     xd = _data(x)
     # channel-transposed view shares storage with the parameter (tied convs)
     w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
-    data = ops.conv3d(xd, w, spec, _data(bias))
+    data = ops.conv3d(xd, w, spec)
 
     def bwd(g):
         gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
         gw = ops.conv3d_weight_grad(xd, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3, 4))
+        return gx, gw
 
-    return _record(tape, data, "conv3d", (x, weight, bias), bwd)
+    return _record(tape, data, "conv3d", (x, weight), bwd)
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
@@ -279,7 +276,7 @@ def t_branch_weighted_sum(tape, branches, omega):
             grads.append(np.array([(y * g).sum() for y in ys], dtype=w.dtype))
         return grads
 
-    parents = [*branches, omega if omega.trainable else None]
+    parents = [*branches, omega] if omega.trainable else branches
     return _record(tape, data, "branch_weighted_sum", parents, bwd)
 
 
@@ -344,13 +341,6 @@ def _crosses_kink(acts_plus, acts_minus):
     return False
 
 
-def _snapshot_buffers(block):
-    bufs = getattr(block, "buffers", None)
-    if bufs is None:
-        return []
-    return [(arr, arr.copy()) for _, arr in bufs()]
-
-
 def finite_diff_check(block, x, tolerance=1e-5, step=1e-5, max_per_tensor=200,
                       mode="train", rng=None):
     """Compare analytic gradients of L = sum(block(x)) to central differences.
@@ -373,7 +363,7 @@ def finite_diff_check(block, x, tolerance=1e-5, step=1e-5, max_per_tensor=200,
         rng = np.random.default_rng(rng)
 
     report = CheckReport(tolerance=tolerance, step=step)
-    saved_buffers = _snapshot_buffers(block)
+    saved_buffers = [(a, a.copy()) for _, a in block.buffers()]
     try:
         out, tape = forward_record(block, x, mode=mode)
         loss = float(out.sum())

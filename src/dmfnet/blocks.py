@@ -107,7 +107,8 @@ class Block:
 
 
 class Conv3dLayer(Block):
-    """Bare convolution layer owning its weight (and optional bias)."""
+    """Bare convolution layer owning its weight; convs sit behind batch norm
+    and carry no bias."""
 
     def __init__(self, name, spec, rng, dtype=np.float32):
         self.name = name
@@ -115,11 +116,9 @@ class Conv3dLayer(Block):
         fan_in = (spec.c_in // spec.groups) * int(np.prod(spec.kernel))
         self.weight = Parameter(f"{name}.weight",
                                 kaiming_normal(rng, spec.weight_shape, fan_in, dtype))
-        self.bias = Parameter(f"{name}.bias", np.zeros(spec.c_out, dtype=dtype)) \
-            if spec.has_bias else None
 
     def forward(self, x, mode="train", tape=None):
-        return ag.t_conv3d(tape, x, self.weight, self.spec, self.bias)
+        return ag.t_conv3d(tape, x, self.weight, self.spec)
 
 
 class BatchNorm3d(Block):
@@ -189,49 +188,57 @@ class Multiplexer(Block):
         return ag.t_add(tape, h, x)
 
 
-def _shortcut_layer(name, cfg, rng, dtype):
-    """Projection shortcut: 1x1x1 grouped conv carrying the unit's stride.
-
-    Only present when the unit changes shape; identity shortcuts add no
-    parameters.
-    """
-    if cfg.c_in == cfg.c_out and cfg.stride == 1:
-        return None
-    spec = ops.ConvSpec(cfg.c_in, cfg.c_out, kernel=1, stride=cfg.stride,
-                        padding=0, groups=cfg.g)
-    return Conv3dLayer(name, spec, rng, dtype)
-
-
 class MFUnit(Block):
-    """Multi-fiber unit: multiplexer + two grouped 3x3x3 convs + outer shortcut."""
+    """Multi-fiber unit: multiplexer + two grouped 3x3x3 convs + outer shortcut.
+
+    The first conv is built by ``_build_first`` and applied by ``_first``, the
+    two hooks a DMF unit replaces. The projection shortcut, a 1x1x1 grouped
+    conv carrying the unit's stride, is present only when the unit changes
+    shape; identity shortcuts add no parameters.
+    """
+
+    config_type = MFUnitConfig
 
     def __init__(self, name, cfg, rng, dtype=np.float32):
-        if not isinstance(cfg, MFUnitConfig):
-            raise ConfigError("MFUnit needs an MFUnitConfig")
+        if not isinstance(cfg, self.config_type):
+            raise ConfigError(f"{type(self).__name__} needs a {self.config_type.__name__}")
         self.name = name
         self.cfg = cfg
         self.mux = Multiplexer(f"{name}.mux", cfg.c_in, rng, dtype)
-        self.conv1 = PreActConv(
-            f"{name}.conv1",
-            ops.ConvSpec(cfg.c_in, cfg.c_mid, kernel=3, stride=cfg.stride,
-                         padding=ops.same_padding(3), groups=cfg.g),
-            rng, dtype)
+        self._build_first(rng, dtype)
         self.conv2 = PreActConv(
             f"{name}.conv2",
             ops.ConvSpec(cfg.c_mid, cfg.c_out, kernel=3, stride=1,
                          padding=ops.same_padding(3), groups=cfg.g),
             rng, dtype)
-        self.shortcut = _shortcut_layer(f"{name}.shortcut", cfg, rng, dtype)
+        self.shortcut = None
+        if cfg.c_in != cfg.c_out or cfg.stride != 1:
+            self.shortcut = Conv3dLayer(
+                f"{name}.shortcut",
+                ops.ConvSpec(cfg.c_in, cfg.c_out, kernel=1, stride=cfg.stride,
+                             padding=0, groups=cfg.g),
+                rng, dtype)
+
+    def _build_first(self, rng, dtype):
+        cfg = self.cfg
+        self.conv1 = PreActConv(
+            f"{self.name}.conv1",
+            ops.ConvSpec(cfg.c_in, cfg.c_mid, kernel=3, stride=cfg.stride,
+                         padding=ops.same_padding(3), groups=cfg.g),
+            rng, dtype)
+
+    def _first(self, h, mode, tape):
+        return self.conv1.forward(h, mode, tape)
 
     def forward(self, x, mode="train", tape=None):
         h = self.mux.forward(x, mode, tape)
-        h = self.conv1.forward(h, mode, tape)
+        h = self._first(h, mode, tape)
         h = self.conv2.forward(h, mode, tape)
         s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
         return ag.t_add(tape, h, s)
 
 
-class DMFUnit(Block):
+class DMFUnit(MFUnit):
     """MF unit whose first grouped conv is split into parallel dilated branches.
 
     All branches share one pre-activation BN+ReLU, are same-padded so their
@@ -239,50 +246,24 @@ class DMFUnit(Block):
     initialized to 1 so every branch contributes equally at the start.
     """
 
-    def __init__(self, name, cfg, rng, dtype=np.float32):
-        if not isinstance(cfg, DMFUnitConfig):
-            raise ConfigError("DMFUnit needs a DMFUnitConfig")
-        self.name = name
-        self.cfg = cfg
-        self.mux = Multiplexer(f"{name}.mux", cfg.c_in, rng, dtype)
-        self.bn1 = BatchNorm3d(f"{name}.bn1", cfg.c_in, dtype=dtype)
+    config_type = DMFUnitConfig
+    # own attribute: a tracer that wraps MFUnit.forward must not wrap this one too
+    forward = MFUnit.forward
+
+    def _build_first(self, rng, dtype):
+        cfg = self.cfg
+        self.bn1 = BatchNorm3d(f"{self.name}.bn1", cfg.c_in, dtype=dtype)
         self.branches = []
         for d in cfg.dilation_rates:
             spec = ops.ConvSpec(cfg.c_in, cfg.c_mid, kernel=3, stride=cfg.stride,
                                 dilation=d, padding=ops.same_padding(3, d), groups=cfg.g)
-            self.branches.append(
-                Conv3dLayer(f"{name}.branch_d{d}", spec, rng, dtype))
-        self.omega = Parameter(f"{name}.omega",
+            self.branches.append(Conv3dLayer(f"{self.name}.branch_d{d}", spec, rng, dtype))
+        self.omega = Parameter(f"{self.name}.omega",
                                np.ones(len(self.branches), dtype=dtype),
                                decay=False,
                                trainable=cfg.weight_mode == "learnable")
-        self.conv2 = PreActConv(
-            f"{name}.conv2",
-            ops.ConvSpec(cfg.c_mid, cfg.c_out, kernel=3, stride=1,
-                         padding=ops.same_padding(3), groups=cfg.g),
-            rng, dtype)
-        self.shortcut = _shortcut_layer(f"{name}.shortcut", cfg, rng, dtype)
 
-    def forward(self, x, mode="train", tape=None):
-        h = self.mux.forward(x, mode, tape)
+    def _first(self, h, mode, tape):
         a = self.bn1.forward(h, mode, tape)
         ys = [branch.forward(a, mode, tape) for branch in self.branches]
-        h = ag.t_branch_weighted_sum(tape, ys, self.omega)
-        h = self.conv2.forward(h, mode, tape)
-        s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
-        return ag.t_add(tape, h, s)
-
-
-def build_multiplexer(c_in, rng=None, name="mux", dtype=np.float32):
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return Multiplexer(name, c_in, rng, dtype)
-
-
-def build_mf_unit(cfg, rng=None, name="mf", dtype=np.float32):
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return MFUnit(name, cfg, rng, dtype)
-
-
-def build_dmf_unit(cfg, rng=None, name="dmf", dtype=np.float32):
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return DMFUnit(name, cfg, rng, dtype)
+        return ag.t_branch_weighted_sum(tape, ys, self.omega)

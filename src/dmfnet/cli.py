@@ -78,24 +78,26 @@ def _shape_arg(text):
 def cmd_analyze(args):
     file_cfg = _load_config_file(args.config)
     shape = tuple(args.input_shape)
+    names = [args.arch]
     if args.compare:
+        if args.per_layer or args.json:
+            raise ConfigError("--per-layer and --json report one --arch; they do not "
+                              "apply to --compare")
         names = [n.strip() for n in args.compare.split(",")]
         unknown = [n for n in names if n not in net_mod.ARCH_PRESETS]
         if unknown:
             raise ConfigError(f"unknown preset(s) in --compare: {', '.join(unknown)}; "
                               f"choose from {', '.join(sorted(net_mod.ARCH_PRESETS))}")
-        reports = []
-        for name in names:
-            cfg = net_mod.ARCH_PRESETS[name]()
-            net = net_mod.build_network(cfg, seed=0)
-            reports.append(analysis.count_flops(net, shape))
+    reports = []
+    for name in names:
+        cfg = _resolve("arch", file_cfg, args, ARCH_FLAGS, net_mod.ARCH_PRESETS[name])
+        reports.append(analysis.count_flops(net_mod.build_network(cfg, seed=0), shape))
+    if args.compare:
         print(analysis.report_table(reports, names))
         return 0
-    cfg = _resolve("arch", file_cfg, args, ARCH_FLAGS, net_mod.ARCH_PRESETS[args.arch])
-    report = analysis.count_flops(net_mod.build_network(cfg, seed=0), shape)
-    print(report.to_text(per_layer=args.per_layer))
+    print(reports[0].to_text(per_layer=args.per_layer))
     if args.json:
-        Path(args.json).write_text(report.to_json() + "\n")
+        Path(args.json).write_text(reports[0].to_json() + "\n")
         _log(f"wrote {args.json}")
     return 0
 
@@ -155,6 +157,8 @@ def cmd_train(args):
                          training.TrainConfig)
     aug_cfg = None
     if args.no_augment:
+        if args.crop_size is not None or file_cfg.get("augment"):
+            raise ConfigError("--no-augment takes no --crop-size and no augment config keys")
         _log("augmentation disabled")
     else:
         aug_cfg = _resolve("augment", file_cfg, args, ("crop_size",), dio.AugmentConfig)
@@ -206,12 +210,11 @@ def gradcheck_suite(scope, seed=0):
         sm = _OpBlock(lambda tape, x, mode: ag.t_softmax_channels(tape, x))
         cases.append(("softmax_channels", sm, rng.standard_normal((1, 4, 3, 3, 3)), 1e-5, 1e-5, 60))
     elif scope == "blocks":
-        mux = blocks.build_multiplexer(8, rng=rng, dtype=np.float64)
+        mux = blocks.Multiplexer("mux", 8, rng, np.float64)
         cases.append(("multiplexer", mux, rng.standard_normal((1, 8, 4, 4, 4)), 1e-5, 1e-5, 40))
-        mf = blocks.build_mf_unit(blocks.MFUnitConfig(8, 8, 8, g=2), rng=rng, dtype=np.float64)
+        mf = blocks.MFUnit("mf", blocks.MFUnitConfig(8, 8, 8, g=2), rng, np.float64)
         cases.append(("mf_unit", mf, rng.standard_normal((1, 8, 4, 4, 4)), 1e-5, 1e-5, 40))
-        dmf = blocks.build_dmf_unit(blocks.DMFUnitConfig(8, 8, 8, g=2), rng=rng,
-                                    dtype=np.float64)
+        dmf = blocks.DMFUnit("dmf", blocks.DMFUnitConfig(8, 8, 8, g=2), rng, np.float64)
         cases.append(("dmf_unit", dmf, rng.standard_normal((1, 8, 6, 6, 6)), 1e-5, 1e-5, 40))
     elif scope == "network":
         cfg = net_mod.toy_config(groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4),

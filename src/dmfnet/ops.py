@@ -71,7 +71,6 @@ class ConvSpec:
     dilation: tuple = (1, 1, 1)
     groups: int = 1
     padding: tuple = (0, 0, 0)
-    has_bias: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", _triple(self.kernel, "kernel"))
@@ -114,9 +113,8 @@ class ConvSpec:
 
     @property
     def weight_count(self):
-        """Learnable scalars, bias included. Equals k_d*k_h*k_w*c_in*c_out/g (+ c_out)."""
-        n = self.c_out * (self.c_in // self.groups) * int(np.prod(self.kernel))
-        return n + (self.c_out if self.has_bias else 0)
+        """Learnable scalars: k_d*k_h*k_w*c_in*c_out/g."""
+        return self.c_out * (self.c_in // self.groups) * int(np.prod(self.kernel))
 
 
 def same_padding(kernel, dilation=1):
@@ -264,16 +262,13 @@ def _conv(x, weight, spec, out=None):
     return out
 
 
-def conv3d(x, weight, spec, bias=None):
-    """Grouped, strided, dilated 3D cross-correlation.
+def conv3d(x, weight, spec):
+    """Grouped, strided, dilated 3D cross-correlation, without bias.
 
     x: (n, c_in, d, h, w); weight: (c_out, c_in/g, kd, kh, kw).
     Output channel group i reads only input channel group i.
     """
-    out = _conv(_check_conv_args(x, weight, spec), weight, spec)
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1, 1)
-    return out
+    return _conv(_check_conv_args(x, weight, spec), weight, spec)
 
 
 def conv3d_input_grad(grad_out, weight, spec, input_shape):

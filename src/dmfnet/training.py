@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autograd as ag
 from . import data as dio
-from .errors import ConfigError, GradientError, TrainingDiverged
-from .losses import dice_region, generalized_dice_loss, region_specs
+from .errors import ConfigError, DataError, GradientError, TrainingDiverged
+from .losses import REGIONS, dice_region, generalized_dice_loss
 from .network import segment
 
 
@@ -148,12 +148,17 @@ def train(net, dataset, cfg, aug_cfg=None):
     """Optimize `net` on a list of (volume (4,d,h,w), labels (d,h,w)) cases.
 
     Volumes are assumed normalized. When `aug_cfg` is given every sample is
-    cropped/flipped/rotated/jittered first; otherwise cases must share one
-    shape and are used as-is. Halts with the step index and last finite loss
-    if the loss leaves the finite range.
+    cropped/flipped/rotated/jittered first; otherwise cases are used as-is and,
+    for batches over 1, must share one shape (DataError before the first step).
+    Halts with the step index and last finite loss if the loss leaves the
+    finite range.
     """
     if not dataset:
         raise ConfigError("dataset is empty")
+    shapes = sorted({vol.shape for vol, _ in dataset})
+    if aug_cfg is None and cfg.batch_size > 1 and len(shapes) > 1:
+        raise DataError(f"batch_size {cfg.batch_size} without augmentation needs cases of "
+                        f"one shape, got {', '.join(map(str, shapes))}")
     params = net.parameters()
     state = AdamState(params)
     rng = np.random.default_rng(cfg.seed)
@@ -187,20 +192,19 @@ def train(net, dataset, cfg, aug_cfg=None):
     return log
 
 
-def evaluate(net, dataset, case_ids=None, et_labels=frozenset({4})):
+def evaluate(net, dataset, case_ids=None):
     """Per-case and mean dice (ET/WT/TC) for (volume, labels) pairs.
 
     Returns (records, means); records follow the metrics file schema.
     """
-    regions = region_specs(et_labels)
     records = []
     for i, (vol, lab) in enumerate(dataset):
         case_id = case_ids[i] if case_ids is not None else f"case{i:03d}"
         pred = segment(net, vol[None].astype(net.dtype))[0]
         rec = {"case_id": str(case_id)}
-        for region in regions:
+        for region in REGIONS:
             rec[f"dice_{region.name.lower()}"] = dice_region(pred, lab, region)
         records.append(rec)
-    keys = [f"dice_{r.name.lower()}" for r in regions]
+    keys = [f"dice_{r.name.lower()}" for r in REGIONS]
     means = {k: float(np.mean([rec[k] for rec in records])) for k in keys}
     return records, means

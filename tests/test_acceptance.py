@@ -67,15 +67,13 @@ def test_criterion_2_grouping_identities():
         r = np.random.default_rng(seed)
         g = int(r.choice([1, 2, 4, 8, 16]))
         c_in, c_mid, c_out = (int(r.integers(1, 5)) * g * 2 for _ in range(3))
-        grouped = blocks.build_mf_unit(
-            blocks.MFUnitConfig(c_in, c_mid, c_out, g=g), rng=rng)
-        plain = blocks.build_mf_unit(
-            blocks.MFUnitConfig(c_in, c_mid, c_out, g=1), rng=rng)
+        grouped = blocks.MFUnit("mf", blocks.MFUnitConfig(c_in, c_mid, c_out, g=g), rng)
+        plain = blocks.MFUnit("mf", blocks.MFUnitConfig(c_in, c_mid, c_out, g=1), rng)
         assert fiber_body_params(grouped) * g == fiber_body_params(plain)
         assert fiber_body_params(plain) == 27 * (c_in * c_mid + c_mid * c_out)
         checked += 1
     for c_in in range(2, 65, 2):
-        mux = blocks.build_multiplexer(c_in, rng=rng)
+        mux = blocks.Multiplexer("mux", c_in, rng)
         assert conv_params(mux) == c_in * c_in // 2
     report("2 grouping identity", f"{checked} random unit configs, mux widths 2..64")
 
@@ -175,9 +173,9 @@ def test_criterion_5_dmf_degeneracy():
     rng = np.random.default_rng(4)
     dcfg = blocks.DMFUnitConfig(8, 8, 16, g=2, stride=2)
     mcfg = blocks.MFUnitConfig(8, 8, 16, g=2, stride=2)
-    dmf = blocks.build_dmf_unit(dcfg, rng=rng)
+    dmf = blocks.DMFUnit("dmf", dcfg, rng)
     np.testing.assert_array_equal(dmf.omega.data, 1.0)  # one-initialized
-    mf = blocks.build_mf_unit(mcfg, rng=np.random.default_rng(77))
+    mf = blocks.MFUnit("mf", mcfg, np.random.default_rng(77))
     copy_mf_from_dmf(dmf, mf)
     dmf.omega.data[...] = (1.0, 0.0, 0.0)
     x = np.random.default_rng(9).standard_normal((1, 8, 8, 8, 8)).astype(np.float32)

@@ -16,20 +16,20 @@ def conv_layer(spec, rng):
 class TestCountParams:
     def test_single_grouped_conv_formula(self, rng):
         spec = ops.ConvSpec(32, 32, kernel=3, groups=16)
-        rep = analysis.block_complexity(conv_layer(spec, rng))
+        rep = analysis.count_flops(conv_layer(spec, rng))
         assert rep.total_params == 27 * 32 * 32 // 16 == 1728
 
     def test_params_independent_of_input_shape(self, rng):
         net = network.build_network(network.toy_config(
             groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4)), seed=0)
-        p_only = analysis.count_params(net).total_params
+        p_only = analysis.count_flops(net).total_params
         with_flops = analysis.count_flops(net, (1, 4, 16, 16, 16)).total_params
         with_flops2 = analysis.count_flops(net, (1, 4, 32, 32, 32)).total_params
         assert p_only == with_flops == with_flops2
 
     def test_total_is_sum_of_rows(self):
         net = network.build_network(network.dmfnet_config(), seed=0)
-        rep = analysis.count_params(net)
+        rep = analysis.count_flops(net)
         assert rep.total_params == sum(r.params for r in rep.rows)
 
     def test_count_matches_parameter_store(self):
@@ -38,7 +38,7 @@ class TestCountParams:
         for cfg in cfgs + [network.dmfnet_config(weight_mode="fixed_equal")]:
             net = network.build_network(cfg, seed=0)
             stored = sum(p.data.size for p in net.parameters())
-            assert analysis.count_params(net).total_params == stored
+            assert analysis.count_flops(net).total_params == stored
             # the FLOP probe's tape holds no leaf for a frozen omega
             assert analysis.count_flops(net, (1, 4, 16, 16, 16)).total_params == stored
 
@@ -47,7 +47,7 @@ class TestCountFlops:
     def test_single_conv_multiply_adds(self, rng):
         # 1x1x1 conv, one in/out channel, on a 2^3 output: 8 multiply-adds
         spec = ops.ConvSpec(1, 1, kernel=1)
-        rep = analysis.block_complexity(conv_layer(spec, rng), (1, 1, 2, 2, 2))
+        rep = analysis.count_flops(conv_layer(spec, rng), (1, 1, 2, 2, 2))
         assert rep.total_flops == 8
 
     def test_flops_linear_in_voxels(self):
@@ -62,18 +62,18 @@ class TestCountFlops:
         f = {}
         for g in (1, 2, 4):
             spec = ops.ConvSpec(8, 8, kernel=3, padding=1, groups=g)
-            f[g] = analysis.block_complexity(conv_layer(spec, rng), shape).total_flops
+            f[g] = analysis.count_flops(conv_layer(spec, rng), shape).total_flops
         assert f[1] == 2 * f[2] == 4 * f[4]
 
     def test_batch_scales_flops(self, rng):
         spec = ops.ConvSpec(2, 2, kernel=3, padding=1)
-        f1 = analysis.block_complexity(conv_layer(spec, rng), (1, 2, 4, 4, 4)).total_flops
-        f3 = analysis.block_complexity(conv_layer(spec, rng), (3, 2, 4, 4, 4)).total_flops
+        f1 = analysis.count_flops(conv_layer(spec, rng), (1, 2, 4, 4, 4)).total_flops
+        f3 = analysis.count_flops(conv_layer(spec, rng), (3, 2, 4, 4, 4)).total_flops
         assert f3 == 3 * f1
 
     def test_non_conv_layers_excluded(self, rng):
         bn = blocks.BatchNorm3d("bn", 4)
-        rep = analysis.block_complexity(bn, (1, 4, 8, 8, 8))
+        rep = analysis.count_flops(bn, (1, 4, 8, 8, 8))
         assert rep.total_flops == 0
         assert rep.total_params == 8
 
@@ -111,7 +111,7 @@ class TestPublishedTotals:
 
     def test_dmf_unit_count_in_default_net(self):
         net = network.build_network(network.dmfnet_config(), seed=0)
-        rep = analysis.count_params(net)
+        rep = analysis.count_flops(net)
         omega_rows = [r for r in rep.rows if r.kind == "omega"]
         assert len(omega_rows) == 6
         assert all(r.params == 3 for r in omega_rows)

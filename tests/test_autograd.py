@@ -55,7 +55,7 @@ class TestForwardRecord:
     def test_dmf_unit_matches_composed_ops(self, rng):
         """Recorded DMF forward equals the same pipeline composed by hand."""
         cfg = blocks.DMFUnitConfig(4, 4, 4, g=2)
-        unit = blocks.build_dmf_unit(cfg, rng=rng, dtype=np.float64)
+        unit = blocks.DMFUnit("dmf", cfg, rng, np.float64)
         x = rng.standard_normal((1, 4, 6, 6, 6))
         recorded, _ = ag.forward_record(unit, x, mode="eval")
 
@@ -224,17 +224,16 @@ def _op_cases(rng):
     def v(*shape):
         return rng.standard_normal(shape)
 
-    spec = ops.ConvSpec(4, 2, kernel=3, padding=1, groups=2, has_bias=True)
+    spec = ops.ConvSpec(4, 2, kernel=3, padding=1, groups=2)
     conv = blocks.Conv3dLayer("c", spec, rng, dtype=np.float64)
-    conv.bias.data[:] = v(2)
-    mux = blocks.build_multiplexer(4, rng=rng, dtype=np.float64)
+    mux = blocks.Multiplexer("mux", 4, rng, np.float64)
     bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
     bn.running_mean[:] = v(3)
     omega = ag.Parameter("omega", v(3))
     frozen = ag.Parameter("frozen", v(2), trainable=False)
     target = rng.choice(CLASS_LABELS, size=(1, 3, 3, 3)).astype(np.uint8)
     return {
-        "conv3d": (lambda t, x: ag.t_conv3d(t, x, conv.weight, spec, conv.bias),
+        "conv3d": (lambda t, x: ag.t_conv3d(t, x, conv.weight, spec),
                    [v(1, 4, 4, 4, 4)]),
         "conv3d_transposed": (lambda t, x: ag.t_conv3d(t, x, mux.weight, mux.inflate_spec,
                                                        transpose_weight=True),
@@ -311,13 +310,17 @@ class TestFiniteDiffCheck:
                                    max_per_tensor=40, rng=0)
         assert rep.passed, str(rep)
 
-    def test_bn_train_mode(self, rng):
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_bn_train_mode(self, rng, mode):
         bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
         bn.gamma.data[:] = rng.standard_normal(3)
         bn.beta.data[:] = rng.standard_normal(3)
+        # eval mode reads these; they are far from the batch's own statistics
+        bn.running_mean[:] = rng.standard_normal(3)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
         x = rng.standard_normal((2, 3, 4, 4, 4))
         rep = ag.finite_diff_check(bn, x, tolerance=1e-5, step=1e-5,
-                                   max_per_tensor=60, rng=0)
+                                   max_per_tensor=60, mode=mode, rng=0)
         assert rep.passed, str(rep)
 
     def test_kink_masking_sees_fused_bn_relu(self, rng):

@@ -8,12 +8,12 @@ from dmfnet.errors import ConfigError
 
 
 def conv_params(block):
-    rep = analysis.block_complexity(block)
+    rep = analysis.count_flops(block)
     return sum(r.params for r in rep.rows if r.kind == "conv")
 
 
 def fiber_body_params(unit):
-    rep = analysis.block_complexity(unit)
+    rep = analysis.count_flops(unit)
     return sum(r.params for r in rep.rows
                if r.kind == "conv" and (".conv1." in r.name or ".conv2." in r.name
                                         or ".branch_d" in r.name))
@@ -21,20 +21,20 @@ def fiber_body_params(unit):
 
 class TestMultiplexer:
     def test_param_identity_16_channels(self, rng):
-        mux = blocks.build_multiplexer(16, rng=rng)
+        mux = blocks.Multiplexer("mux", 16, rng)
         assert conv_params(mux) == 128  # 16^2 / 2
 
     @pytest.mark.parametrize("c_in", range(2, 65, 2))
     def test_param_identity_all_even_widths(self, c_in, rng):
-        mux = blocks.build_multiplexer(c_in, rng=rng)
+        mux = blocks.Multiplexer("mux", c_in, rng)
         assert conv_params(mux) == c_in * c_in // 2
 
     def test_odd_width_rejected(self, rng):
         with pytest.raises(ConfigError, match="even"):
-            blocks.build_multiplexer(5, rng=rng)
+            blocks.Multiplexer("mux", 5, rng)
 
     def test_zero_weights_pass_input_through(self, rng):
-        mux = blocks.build_multiplexer(8, rng=rng)
+        mux = blocks.Multiplexer("mux", 8, rng)
         mux.weight.data[:] = 0.0
         x = rng.standard_normal((1, 8, 4, 4, 4)).astype(np.float32)
         np.testing.assert_array_equal(mux.forward(x, mode="train"), x)
@@ -42,7 +42,7 @@ class TestMultiplexer:
 
     def test_matches_hand_computed_matrices(self, rng):
         """4-channel mux on a single voxel == s^2*(W^T W)x + x, small-matrix math."""
-        mux = blocks.build_multiplexer(4, rng=rng, dtype=np.float64)
+        mux = blocks.Multiplexer("mux", 4, rng, np.float64)
         w = np.array([[0.3, 0.1, 0.2, 0.4],
                       [0.1, 0.5, 0.3, 0.2]])  # squeeze matrix, 2x4
         mux.weight.data[...] = w.reshape(2, 4, 1, 1, 1)
@@ -60,8 +60,8 @@ class TestMFUnit:
     def test_fiber_body_params_grouped_vs_plain(self, rng):
         cfg4 = blocks.MFUnitConfig(16, 16, 16, g=4)
         cfg1 = blocks.MFUnitConfig(16, 16, 16, g=1)
-        u4 = blocks.build_mf_unit(cfg4, rng=rng)
-        u1 = blocks.build_mf_unit(cfg1, rng=rng)
+        u4 = blocks.MFUnit("mf", cfg4, rng)
+        u1 = blocks.MFUnit("mf", cfg1, rng)
         assert fiber_body_params(u4) == 27 * (256 + 256) // 4 == 3456
         assert fiber_body_params(u1) == 27 * (256 + 256) == 13824
 
@@ -70,21 +70,21 @@ class TestMFUnit:
         rng = np.random.default_rng(seed)
         g = int(rng.choice([2, 4, 8, 16]))
         c_in, c_mid, c_out = (int(rng.integers(1, 5)) * g * 2 for _ in range(3))
-        grouped = blocks.build_mf_unit(blocks.MFUnitConfig(c_in, c_mid, c_out, g=g), rng=rng)
-        plain = blocks.build_mf_unit(blocks.MFUnitConfig(c_in, c_mid, c_out, g=1), rng=rng)
+        grouped = blocks.MFUnit("mf", blocks.MFUnitConfig(c_in, c_mid, c_out, g=g), rng)
+        plain = blocks.MFUnit("mf", blocks.MFUnitConfig(c_in, c_mid, c_out, g=1), rng)
         assert fiber_body_params(plain) % g == 0
         assert fiber_body_params(grouped) == fiber_body_params(plain) // g
 
     def test_stride_two_halves_spatial_dims(self, rng):
         cfg = blocks.MFUnitConfig(8, 8, 8, g=2, stride=2)
-        unit = blocks.build_mf_unit(cfg, rng=rng)
+        unit = blocks.MFUnit("mf", cfg, rng)
         out = unit.forward(rng.standard_normal((1, 8, 16, 16, 16)).astype(np.float32))
         assert out.shape == (1, 8, 8, 8, 8)
 
     def test_identity_shortcut_when_shape_preserved(self, rng):
-        unit = blocks.build_mf_unit(blocks.MFUnitConfig(8, 8, 8, g=2), rng=rng)
+        unit = blocks.MFUnit("mf", blocks.MFUnitConfig(8, 8, 8, g=2), rng)
         assert unit.shortcut is None
-        proj = blocks.build_mf_unit(blocks.MFUnitConfig(8, 8, 16, g=2), rng=rng)
+        proj = blocks.MFUnit("mf", blocks.MFUnitConfig(8, 8, 16, g=2), rng)
         assert proj.shortcut is not None
         assert proj.shortcut.spec.groups == 2
         assert proj.shortcut.spec.kernel == (1, 1, 1)
@@ -92,7 +92,7 @@ class TestMFUnit:
     def test_group_isolation_in_fiber_convs(self, rng):
         """Perturbing input group j moves only group-j channels of the grouped convs."""
         cfg = blocks.MFUnitConfig(8, 8, 8, g=2)
-        unit = blocks.build_mf_unit(cfg, rng=rng)
+        unit = blocks.MFUnit("mf", cfg, rng)
         conv = unit.conv1.conv
         x = rng.standard_normal((1, 8, 5, 5, 5)).astype(np.float32)
         base = conv.forward(x)
@@ -128,13 +128,12 @@ def copy_mf_from_dmf(dmf, mf, branch=0):
 
 class TestDMFUnit:
     def test_omega_one_initialized(self, rng):
-        unit = blocks.build_dmf_unit(blocks.DMFUnitConfig(8, 8, 8, g=2), rng=rng)
+        unit = blocks.DMFUnit("dmf", blocks.DMFUnitConfig(8, 8, 8, g=2), rng)
         np.testing.assert_array_equal(unit.omega.data, 1.0)
 
     def test_init_output_is_plain_branch_sum(self, rng):
         """At omega=(1,1,1), the mix equals y1+y2+y3 exactly."""
-        unit = blocks.build_dmf_unit(blocks.DMFUnitConfig(4, 4, 4, g=2), rng=rng,
-                                     dtype=np.float64)
+        unit = blocks.DMFUnit("dmf", blocks.DMFUnitConfig(4, 4, 4, g=2), rng, np.float64)
         x = rng.standard_normal((1, 4, 6, 6, 6))
         h = unit.mux.forward(x, mode="eval")
         a = ops.relu(ops.batch_norm(h, unit.bn1, mode="eval"))
@@ -148,8 +147,8 @@ class TestDMFUnit:
         """omega=(1,0,0) makes the DMF unit equal a weight-copied MF unit."""
         dcfg = blocks.DMFUnitConfig(cin, min(cin, cout), cout, g=2, stride=stride)
         mcfg = blocks.MFUnitConfig(cin, min(cin, cout), cout, g=2, stride=stride)
-        dmf = blocks.build_dmf_unit(dcfg, rng=rng)
-        mf = blocks.build_mf_unit(mcfg, rng=np.random.default_rng(999))
+        dmf = blocks.DMFUnit("dmf", dcfg, rng)
+        mf = blocks.MFUnit("mf", mcfg, np.random.default_rng(999))
         copy_mf_from_dmf(dmf, mf)
         dmf.omega.data[...] = (1.0, 0.0, 0.0)
         x = np.random.default_rng(5).standard_normal((1, cin, 8, 8, 8)).astype(np.float32)
@@ -160,15 +159,14 @@ class TestDMFUnit:
         """DMF = MF + two extra branch convs + three scalars."""
         dcfg = blocks.DMFUnitConfig(16, 16, 32, g=4)
         mcfg = blocks.MFUnitConfig(16, 16, 32, g=4)
-        dmf_p = analysis.block_complexity(blocks.build_dmf_unit(dcfg, rng=rng)).total_params
-        mf_p = analysis.block_complexity(blocks.build_mf_unit(mcfg, rng=rng)).total_params
+        dmf_p = analysis.count_flops(blocks.DMFUnit("dmf", dcfg, rng)).total_params
+        mf_p = analysis.count_flops(blocks.MFUnit("mf", mcfg, rng)).total_params
         branch = 27 * 16 * 16 // 4
         assert dmf_p == mf_p + 2 * branch + 3
 
     def test_output_homogeneous_in_omega(self, rng):
         """Doubling every omega doubles (output - shortcut) at fresh eval stats."""
-        unit = blocks.build_dmf_unit(blocks.DMFUnitConfig(8, 8, 8, g=2), rng=rng,
-                                     dtype=np.float64)
+        unit = blocks.DMFUnit("dmf", blocks.DMFUnitConfig(8, 8, 8, g=2), rng, np.float64)
         x = rng.standard_normal((1, 8, 6, 6, 6))
         unit.omega.data[...] = (0.7, 1.3, 0.4)
         y1 = unit.forward(x, mode="eval") - x
@@ -184,6 +182,6 @@ class TestDMFUnit:
 
     def test_fixed_equal_mode_freezes_omega(self, rng):
         cfg = blocks.DMFUnitConfig(8, 8, 8, g=2, weight_mode="fixed_equal")
-        unit = blocks.build_dmf_unit(cfg, rng=rng)
+        unit = blocks.DMFUnit("dmf", cfg, rng)
         assert not unit.omega.trainable
         np.testing.assert_array_equal(unit.omega.data, 1.0)

@@ -30,6 +30,16 @@ def case_dir(tmp_path):
     return d
 
 
+@pytest.fixture
+def uneven_dir(tmp_path):
+    """Two cases, 16^3 and 16x16x24."""
+    vol, lab = make_tumor_case(size=16, seed=1)
+    dio.save_case(tmp_path / "uneven" / "case_a", vol, lab)
+    dio.save_case(tmp_path / "uneven" / "case_b", np.concatenate([vol, vol[..., :8]], -1),
+                  np.concatenate([lab, lab[..., :8]], -1))
+    return tmp_path / "uneven"
+
+
 class TestAnalyze:
     def test_params_line_matches_published_total(self, capsys):
         assert cli.main(["analyze", "--arch", "dmfnet"]) == 0
@@ -42,6 +52,33 @@ class TestAnalyze:
         assert cli.main(["analyze", "--compare", "dmfnet,mfnet,mfnet-075"]) == 0
         out = capsys.readouterr().out
         assert "dmfnet" in out and "mfnet-075" in out and "FLOPs(G)" in out
+
+    def test_compare_honours_arch_flags(self, capsys):
+        flags = ["--groups", "8", "--width-multiplier", "2", "--input-shape", "1,4,16,16,16"]
+        assert cli.main(["analyze", "--arch", "toy", *flags]) == 0
+        single = re.search(r"total params: ([0-9.]+)M", capsys.readouterr().out).group(1)
+        assert cli.main(["analyze", "--compare", "toy", *flags]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[:2] == ["toy", single]
+
+    def test_per_layer_rows(self, capsys):
+        assert cli.main(["analyze", "--arch", "toy", "--per-layer",
+                         "--input-shape", "1,4,16,16,16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["layer", "kind", "params", "flops"]
+        params = net_mod.build_network(net_mod.toy_config(), seed=0).parameters()
+        rows = [ln.split() for ln in lines[1:-2]]
+        assert [(r[0], int(r[2])) for r in rows] == [(p.name, p.data.size) for p in params]
+        flops = {r[0]: int(r[3]) for r in rows}
+        # the tied multiplexer weight runs twice, squeeze then inflate, at 8^3 voxels
+        mux = next(p for p in params if p.name == "enc1.u0.mux.weight")
+        assert flops[mux.name] == 2 * mux.data.size * 8 ** 3
+        zero_kinds = [r for r in rows if r[1] in ("bn", "omega")]
+        assert {r[1] for r in zero_kinds} == {"bn", "omega"}
+        assert all(int(r[3]) == 0 for r in zero_kinds)
+        total = re.fullmatch(r"total conv FLOPs at input 1x4x16x16x16: [0-9.]+G \((\d+)\)",
+                             lines[-1])
+        assert total and sum(flops.values()) == int(total.group(1))
 
     def test_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -178,6 +215,15 @@ BAD_INPUTS = [
                  id="train-crop-zero"),
     pytest.param(_TRAIN + ["--no-augment"], {"arch": {**TOY_ARCH, "num_classes": 3}}, 1,
                  "num_classes", id="num-classes-key"),
+    pytest.param(_ANALYZE + ["--compare", "toy", "--per-layer"], {}, 1, "--compare",
+                 id="compare-per-layer"),
+    pytest.param(_TRAIN + ["--no-augment", "--crop-size", "16,16,16"], {"arch": TOY_ARCH}, 1,
+                 "--no-augment", id="no-augment-crop-size"),
+    pytest.param(_TRAIN + ["--no-augment"], {"arch": TOY_ARCH, "augment": {"crop_size": [16] * 3}},
+                 1, "--no-augment", id="no-augment-augment-key"),
+    pytest.param(["train", "--config", "{config}", "--data-dir", "{uneven}", "--out-dir", "{out}",
+                  "--no-augment", "--batch-size", "2"], {"arch": TOY_ARCH}, 1,
+                 "(4, 16, 16, 16), (4, 16, 16, 24)", id="unequal-batch"),
     pytest.param(_ANALYZE + ["--seed", "1"], {}, 2, None, id="analyze-seed"),
     pytest.param(["infer", *_TRAINED, "--case-dir", "{case}", "--out", "{out}", "--seed", "1"],
                  {"arch": TOY_ARCH}, 2, None, id="infer-seed"),
@@ -197,13 +243,13 @@ class TestBadInputs:
         return path
 
     @pytest.mark.parametrize("argv,config,code,expect", BAD_INPUTS)
-    def test_bad_input_table(self, tmp_path, case_dir, checkpoint, capsys, argv, config,
-                             code, expect):
+    def test_bad_input_table(self, tmp_path, case_dir, uneven_dir, checkpoint, capsys, argv,
+                             config, code, expect):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         argv = [a.format(config=config_path, data=case_dir.parent, case=case_dir,
-                         checkpoint=checkpoint, out=out) for a in argv]
+                         uneven=uneven_dir, checkpoint=checkpoint, out=out) for a in argv]
         if code == 2:
             with pytest.raises(SystemExit) as err:
                 cli.main(argv)

@@ -76,7 +76,7 @@ class TestBuildAndForward:
         counts = []
         for m in (0.5, 0.75, 1.0, 1.25):
             cfg = network.dmfnet_config(width_multiplier=m)
-            counts.append(analysis.count_params(network.build_network(cfg, seed=0)).total_params)
+            counts.append(analysis.count_flops(network.build_network(cfg, seed=0)).total_params)
         assert counts == sorted(counts)
         assert counts[1] < counts[2]
 

@@ -104,14 +104,6 @@ class TestConv3d:
                                     w[2 * i: 2 * i + 2], sub))
         np.testing.assert_array_equal(whole, np.concatenate(parts, axis=1))
 
-    def test_bias(self, rng):
-        spec = ops.ConvSpec(2, 3, kernel=1, has_bias=True)
-        x = rng.standard_normal((1, 2, 2, 2, 2))
-        w = rng.standard_normal(spec.weight_shape)
-        b = rng.standard_normal(3)
-        np.testing.assert_allclose(ops.conv3d(x, w, spec, b),
-                                   ops.conv3d(x, w, spec) + b.reshape(1, 3, 1, 1, 1))
-
     def test_shape_errors_name_the_axis(self):
         spec = ops.ConvSpec(2, 2, kernel=3)
         x = np.zeros((1, 3, 5, 5, 5), dtype=np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmfnet import autograd as ag, network, training
-from dmfnet.errors import GradientError, TrainingDiverged
+from dmfnet.errors import DataError, GradientError, TrainingDiverged
 
 from oracles import adam_reference, make_balanced_case
 
@@ -156,6 +156,15 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(Exception, match="empty"):
             training.train(toy_net(), [], training.TrainConfig())
+
+    def test_unequal_shapes_need_batch_size_one(self):
+        vol, lab = make_balanced_case(size=16, seed=3)
+        long = (np.concatenate([vol, vol], axis=-1), np.concatenate([lab, lab], axis=-1))
+        dataset = [(vol, lab), long]
+        with pytest.raises(DataError, match=r"\(4, 16, 16, 16\), \(4, 16, 16, 32\)"):
+            training.train(toy_net(), dataset, training.TrainConfig(batch_size=2))
+        log = training.train(toy_net(), dataset, training.TrainConfig(epochs=1, seed=0))
+        assert len(log.losses) == 2 and all(np.isfinite(v) for v in log.losses)
 
     def test_augmented_training_runs(self):
         from dmfnet import data as dio
