@@ -8,7 +8,9 @@ node; without one it returns the bare array and keeps nothing. A
 list of nodes (define-by-run order is already topological). Each node stores
 its output, its parents and a backward rule; :func:`backward` walks the list
 in reverse, accumulating gradients into parents and into every trainable
-:class:`Parameter` touched by the pass. Tapes are single-use.
+:class:`Parameter` touched by the pass. Each interior node's gradient and
+rule are released as soon as the rule has run; outputs (``data``) and
+parents stay, so the tape can still be inspected. Tapes are single-use.
 """
 
 from __future__ import annotations
@@ -105,7 +107,11 @@ def backward(tape, output_grad):
     """Reverse sweep: gradients of sum(output * output_grad).
 
     Returns (input_grad, param_grads) where param_grads maps parameter name
-    to a gradient of identical shape. Tapes are single-use.
+    to a gradient of identical shape. Once a node's rule has handed its
+    gradients to its parents, the node drops its own gradient and its rule,
+    so only the gradients the rest of the sweep reads are alive; the output
+    node and the leaves keep theirs, and every node keeps ``data`` and
+    ``parents``. Tapes are single-use.
     """
     if tape.consumed:
         raise ConfigError("tape already consumed; record a fresh forward pass")
@@ -123,6 +129,8 @@ def backward(tape, output_grad):
             continue
         for parent, g in zip(v.parents, v.backward_fn(v.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
+        if v is not out:
+            v.grad = v.backward_fn = None
 
     grads = {}
     for v in tape._param_vars.values():
@@ -192,22 +200,27 @@ def t_batch_norm(tape, x, bn, mode="train"):
     count = xd.size // xd.shape[1]
 
     def bwd(g):
+        # Three full-size buffers: gm (becomes dxhat, then dx), xm and the
+        # scratch t. g, xd and data are never written: add hands one g to
+        # both parents, and the tape owns the other two.
         # subgradient at exactly 0 is defined as 0, as in t_relu
-        g = g * (data > 0)
+        gm = g * (data > 0)
         xm = xd - mean.reshape(shape)
-        xhat = xm * inv.reshape(shape)
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.reshape(shape)
+        t = xm * inv.reshape(shape)
+        dgamma = np.multiply(gm, t, out=t).sum(axis=axes)
+        dbeta = gm.sum(axis=axes)
+        dxhat = np.multiply(gm, gamma.reshape(shape), out=gm)
         if mode != "train":
             # eval-mode BN is an affine map in x
-            return dxhat * inv.reshape(shape), dgamma, dbeta
-        dvar = (dxhat * xm).sum(axis=axes) * (-0.5) * inv**3
+            return np.multiply(dxhat, inv.reshape(shape), out=dxhat), dgamma, dbeta
+        dvar = np.multiply(dxhat, xm, out=t).sum(axis=axes) * (-0.5) * inv**3
         dmean = (-(dxhat).sum(axis=axes) * inv
                  + dvar * (-2.0 / count) * xm.sum(axis=axes))
-        dx = (dxhat * inv.reshape(shape)
-              + dvar.reshape(shape) * (2.0 / count) * xm
-              + dmean.reshape(shape) / count)
+        # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
+        dx = dxhat
+        dx *= inv.reshape(shape)
+        dx += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
+        dx += dmean.reshape(shape) / count
         return dx, dgamma, dbeta
 
     return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta), bwd)

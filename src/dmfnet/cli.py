@@ -78,11 +78,11 @@ def _shape_arg(text):
 def cmd_analyze(args):
     file_cfg = _load_config_file(args.config)
     shape = tuple(args.input_shape)
-    names = [args.arch]
+    names = [args.arch or "dmfnet"]
     if args.compare:
-        if args.per_layer or args.json:
-            raise ConfigError("--per-layer and --json report one --arch; they do not "
-                              "apply to --compare")
+        if args.arch or args.per_layer or args.json:
+            raise ConfigError("--arch, --per-layer and --json report one architecture; "
+                              "they do not apply to --compare")
         names = [n.strip() for n in args.compare.split(",")]
         unknown = [n for n in names if n not in net_mod.ARCH_PRESETS]
         if unknown:
@@ -299,7 +299,7 @@ def build_parser():
         p.add_argument("--groups", type=int, default=None)
 
     p = sub.add_parser("analyze", help="parameter and FLOPs accounting")
-    add_arch(p)
+    add_arch(p, default=None)  # dmfnet, unless --compare names the presets
     p.add_argument("--input-shape", type=_shape_arg, default=(1, 4, 128, 128, 128))
     p.add_argument("--compare", help="comma-separated presets for a comparison table")
     p.add_argument("--per-layer", action="store_true")

@@ -2,8 +2,9 @@
 
 These deliberately avoid the vectorized code paths of the package: the conv
 reference is a literal nested-loop translation of the definition, the
-trilinear reference evaluates the full eight-corner formula per voxel, and
-the Adam reference runs the textbook scalar recurrences.
+trilinear reference evaluates the full eight-corner formula per voxel, the
+batch-norm reference is the textbook backward with one temporary per term,
+and the Adam reference runs the textbook scalar recurrences.
 """
 
 import numpy as np
@@ -79,6 +80,31 @@ def trilinear_reference(x, scale):
                                     v += wd * wh * ww * x[b, ch, di, hi, wi]
                         out[b, ch, od, oh, ow] = v
     return out
+
+
+def batch_norm_relu_backward_reference(g, x, out, mean, var, gamma, eps, mode):
+    """(dx, dgamma, dbeta) of relu(batch_norm(x)) by the textbook rule, one
+    fresh temporary per term. ``out`` is the forward output; ``mean`` and
+    ``var`` are the statistics it normalized with."""
+    axes = (0, 2, 3, 4)
+    shape = (1, -1, 1, 1, 1)
+    inv = 1.0 / np.sqrt(var + eps)
+    count = x.size // x.shape[1]
+    g = g * (out > 0)
+    xm = x - mean.reshape(shape)
+    xhat = xm * inv.reshape(shape)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    dxhat = g * gamma.reshape(shape)
+    if mode != "train":
+        return dxhat * inv.reshape(shape), dgamma, dbeta
+    dvar = (dxhat * xm).sum(axis=axes) * (-0.5) * inv**3
+    dmean = (-(dxhat).sum(axis=axes) * inv
+             + dvar * (-2.0 / count) * xm.sum(axis=axes))
+    dx = (dxhat * inv.reshape(shape)
+          + dvar.reshape(shape) * (2.0 / count) * xm
+          + dmean.reshape(shape) / count)
+    return dx, dgamma, dbeta
 
 
 def adam_reference(theta0, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from dmfnet import autograd as ag, blocks, losses, ops
+from dmfnet import autograd as ag, blocks, losses, network, ops
 from dmfnet.errors import ConfigError, ShapeError
 from dmfnet.network import CLASS_LABELS
+
+from oracles import batch_norm_relu_backward_reference
 
 
 class ReluBlock:
@@ -146,6 +148,24 @@ class TestBackward:
         with pytest.raises(ShapeError):
             ag.backward(tape, np.ones((1, 2, 3, 3, 3)))
 
+    def test_sweep_releases_what_it_no_longer_needs(self, rng):
+        """Interior gradients and rules go as the sweep passes; the output's
+        gradient, every leaf's gradient and every node's data stay."""
+        net = network.build_network(network.toy_config(), seed=0)
+        x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
+        out, tape = ag.forward_record(net, x)
+        gin, grads = ag.backward(tape, np.ones_like(out))
+        leaves = [v for v in tape.nodes if v.op in ("input", "param")]
+        interior = [v for v in tape.nodes if v not in leaves and v is not tape.output_var]
+        assert len(interior) > 100
+        assert all(v.grad is None and v.backward_fn is None for v in interior)
+        assert tape.output_var.grad is not None
+        assert gin is tape.input_var.grad
+        params = [v for v in leaves if v.op == "param"]
+        assert sorted(grads) == sorted(v.param.name for v in params)
+        assert all(grads[v.param.name] is v.grad for v in params)
+        assert all(v.data is not None for v in tape.nodes)
+
     def test_grouped_conv_grad_equals_per_group(self, rng):
         """Gradients of a grouped conv equal per-group gradients, concatenated."""
         g = 2
@@ -217,6 +237,38 @@ class TestTracedOps:
         out, tape = ag.forward_record(Mix(), x)
         _, grads = ag.backward(tape, np.ones_like(out))
         assert "omega" not in grads
+
+
+class TestBatchNormRule:
+    """The BN+ReLU backward, run in three full-size buffers, equals the
+    textbook rule bit for bit and writes into none of its inputs."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_textbook_rule(self, rng, n, mode):
+        bn = blocks.BatchNorm3d("bn", 3)
+        bn.gamma.data[:] = rng.standard_normal(3)
+        bn.beta.data[:] = rng.standard_normal(3)
+        bn.running_mean[:] = rng.standard_normal(3)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
+        x = rng.standard_normal((n, 3, 5, 6, 7)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        if mode == "train":
+            mean, var = ops.batch_norm_stats(x)
+        else:
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        tape = ag.GradTape()
+        node = ag.t_batch_norm(tape, tape.leaf(x), bn, mode)
+        assert 0 < (node.data > 0).mean() < 1
+        before = [a.copy() for a in (g, x, node.data)]
+        got = node.backward_fn(g)
+        want = batch_norm_relu_backward_reference(g, x, node.data, mean, var, bn.gamma.data,
+                                                  bn.eps, mode)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
+        for a, b in zip((g, x, node.data), before):
+            assert np.array_equal(a, b)
 
 
 def _op_cases(rng):

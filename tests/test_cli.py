@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -31,13 +32,34 @@ def case_dir(tmp_path):
 
 
 @pytest.fixture
-def uneven_dir(tmp_path):
-    """Two cases, 16^3 and 16x16x24."""
-    vol, lab = make_tumor_case(size=16, seed=1)
-    dio.save_case(tmp_path / "uneven" / "case_a", vol, lab)
-    dio.save_case(tmp_path / "uneven" / "case_b", np.concatenate([vol, vol[..., :8]], -1),
-                  np.concatenate([lab, lab[..., :8]], -1))
-    return tmp_path / "uneven"
+def bad_data(tmp_path, case_dir):
+    """name -> a data directory: a copy of ``case_dir`` with one defect, or no case."""
+    def damaged(name, damage):
+        d = tmp_path / "bad" / name / case_dir.name
+        shutil.copytree(case_dir, d)
+        damage(d)
+        return d.parent
+
+    def label_3(d):
+        seg = bytearray((d / dio.SEG_NAME).read_bytes())
+        seg[0] = 3
+        (d / dio.SEG_NAME).write_bytes(bytes(seg))
+
+    def add_longer_case(d):
+        vol, lab = dio.load_case(d)
+        dio.save_case(d.parent / "case_b", np.concatenate([vol, vol[..., :8]], -1),
+                      np.concatenate([lab, lab[..., :8]], -1))
+
+    empty = tmp_path / "bad" / "empty"
+    empty.mkdir(parents=True)
+    return {
+        "no-flair": damaged("no-flair", lambda d: (d / "flair.f32").unlink()),
+        "short-t1": damaged("short-t1", lambda d: (d / "t1.f32").write_bytes(bytes(100))),
+        "short-seg": damaged("short-seg", lambda d: (d / dio.SEG_NAME).write_bytes(bytes(100))),
+        "label-3": damaged("label-3", label_3),
+        "empty": empty,
+        "uneven": damaged("uneven", add_longer_case),  # 16^3 and 16x16x24
+    }
 
 
 class TestAnalyze:
@@ -182,13 +204,6 @@ class TestTrainInferEvaluate:
         assert len(seen) == 1 and seen[0].shape == (1, 20, 20, 20)
         np.testing.assert_array_equal(seen[0][0], infer_labels)
 
-    def test_missing_data_dir_exits_1(self, tmp_path, toy_config_file):
-        empty = tmp_path / "nothing"
-        empty.mkdir()
-        rc = cli.main(["train", "--config", toy_config_file, "--arch", "toy",
-                       "--data-dir", str(empty), "--out-dir", str(tmp_path / "o")])
-        assert rc == 1
-
 
 def _error_line(capsys):
     """The last stderr line, which must be the only `error:` line."""
@@ -198,8 +213,14 @@ def _error_line(capsys):
 
 
 _ANALYZE = ["analyze", "--arch", "toy", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
-_TRAIN = ["train", "--config", "{config}", "--data-dir", "{data}", "--out-dir", "{out}",
-          "--epochs", "1"]
+
+
+def _train_on(data):
+    return ["train", "--config", "{config}", "--data-dir", data, "--out-dir", "{out}",
+            "--epochs", "1"]
+
+
+_TRAIN = _train_on("{data}")
 _PREVIEW = ["augment-preview", "--case-dir", "{case}", "--out-dir", "{out}"]
 _TRAINED = ["--config", "{config}", "--arch", "toy", "--checkpoint", "{checkpoint}"]
 
@@ -217,13 +238,26 @@ BAD_INPUTS = [
                  "num_classes", id="num-classes-key"),
     pytest.param(_ANALYZE + ["--compare", "toy", "--per-layer"], {}, 1, "--compare",
                  id="compare-per-layer"),
+    pytest.param(["analyze", "--compare", "toy", "--arch", "mfnet", "--input-shape",
+                  "1,4,16,16,16"], {}, 1, "--compare", id="compare-arch"),
     pytest.param(_TRAIN + ["--no-augment", "--crop-size", "16,16,16"], {"arch": TOY_ARCH}, 1,
                  "--no-augment", id="no-augment-crop-size"),
     pytest.param(_TRAIN + ["--no-augment"], {"arch": TOY_ARCH, "augment": {"crop_size": [16] * 3}},
                  1, "--no-augment", id="no-augment-augment-key"),
-    pytest.param(["train", "--config", "{config}", "--data-dir", "{uneven}", "--out-dir", "{out}",
-                  "--no-augment", "--batch-size", "2"], {"arch": TOY_ARCH}, 1,
-                 "(4, 16, 16, 16), (4, 16, 16, 24)", id="unequal-batch"),
+    pytest.param(_train_on("{bad[uneven]}") + ["--no-augment", "--batch-size", "2"],
+                 {"arch": TOY_ARCH}, 1, "(4, 16, 16, 16), (4, 16, 16, 24)", id="unequal-batch"),
+    pytest.param(_train_on("{bad[no-flair]}"), {"arch": TOY_ARCH}, 1,
+                 "missing modality file flair.f32", id="missing-modality"),
+    pytest.param(_train_on("{bad[short-t1]}"), {"arch": TOY_ARCH}, 1, "holds 25 voxels",
+                 id="short-modality"),
+    pytest.param(_train_on("{bad[short-seg]}"), {"arch": TOY_ARCH}, 1, "seg.u8 holds 100 voxels",
+                 id="short-seg"),
+    pytest.param(_train_on("{bad[label-3]}"), {"arch": TOY_ARCH}, 1, "illegal values [3]",
+                 id="illegal-label"),
+    pytest.param(_TRAIN + ["--crop-size", "32,32,32"], {"arch": TOY_ARCH}, 1,
+                 "exceeds source dims", id="case-smaller-than-crop"),
+    pytest.param(_train_on("{bad[empty]}"), {"arch": TOY_ARCH}, 1, "no cases found",
+                 id="empty-data-dir"),
     pytest.param(_ANALYZE + ["--seed", "1"], {}, 2, None, id="analyze-seed"),
     pytest.param(["infer", *_TRAINED, "--case-dir", "{case}", "--out", "{out}", "--seed", "1"],
                  {"arch": TOY_ARCH}, 2, None, id="infer-seed"),
@@ -243,13 +277,13 @@ class TestBadInputs:
         return path
 
     @pytest.mark.parametrize("argv,config,code,expect", BAD_INPUTS)
-    def test_bad_input_table(self, tmp_path, case_dir, uneven_dir, checkpoint, capsys, argv,
+    def test_bad_input_table(self, tmp_path, case_dir, bad_data, checkpoint, capsys, argv,
                              config, code, expect):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         argv = [a.format(config=config_path, data=case_dir.parent, case=case_dir,
-                         uneven=uneven_dir, checkpoint=checkpoint, out=out) for a in argv]
+                         bad=bad_data, checkpoint=checkpoint, out=out) for a in argv]
         if code == 2:
             with pytest.raises(SystemExit) as err:
                 cli.main(argv)

@@ -1,5 +1,7 @@
 """Adam optimizer, training loop, omega logging and evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,33 @@ class TestTrainLoop:
         log = training.train(net, [(vol, lab)], cfg, aug_cfg=aug)
         assert len(log.losses) == 3
         assert all(np.isfinite(v) for v in log.losses)
+
+
+class TestStepMemory:
+    def test_step_peak_is_bounded_by_activations(self, monkeypatch):
+        """The backward releases each interior gradient once its rule has run,
+        so a toy 48^3 step's peak above its start stays within 1.9x the bytes
+        the forward records (keeping every gradient to the end took 2.1x)."""
+        net = network.build_network(network.toy_config(), seed=0)
+        params = net.parameters()
+        cfg = training.TrainConfig()
+        state = training.AdamState(params)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 4, 48, 48, 48)).astype(np.float32)
+        y = rng.choice(np.array(network.CLASS_LABELS, dtype=np.uint8), size=(1, 48, 48, 48))
+        tapes = []
+        backward = ag.backward
+        monkeypatch.setattr(ag, "backward",
+                            lambda tape, g: tapes.append(tape) or backward(tape, g))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            training.train_step(net, params, x, y, state, cfg, cfg.lr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activations = sum(v.data.nbytes for v in tapes[0].nodes if v.op != "param")
+        assert peak - start <= 1.9 * activations
 
 
 class TestLogPersistence:
