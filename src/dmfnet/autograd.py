@@ -281,7 +281,7 @@ def t_branch_weighted_sum(tape, branches, omega):
     ys = [_data(b) for b in branches]
     data = w[0] * ys[0]
     for i in range(1, len(ys)):
-        data = data + w[i] * ys[i]
+        data += w[i] * ys[i]
 
     def bwd(g):
         grads = [w[i] * g for i in range(len(ys))]

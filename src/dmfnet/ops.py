@@ -11,18 +11,20 @@ the network runs BN+ReLU as one op, :func:`dmfnet.autograd.t_batch_norm`.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
 (see _narrowing). By default it is an im2col GEMM over slabs of output voxels:
-per slab, the strided windows the kernel taps read from the padded input fill
-one (n, g, c_in/g * taps, voxels) column buffer, which one batched matmul
+per slab, the strided windows the kernel taps read from the input fill one
+(n, g, c_in/g * taps, voxels) column buffer, which one batched matmul
 contracts with the weight or the output gradient. A stride-1 conv with at most
 half as many output as input channels runs as kn2row instead: per slab and
-kernel plane one GEMM Y = W @ x reads the padded input in place, and the
-output accumulates the window of Y that each tap shifts into place. Its weight
-gradient copies shifted output-gradient columns and reads the padded input in
-place. Either buffer holds at most SLAB_BYTES, so a pass's scratch is its
-padded input (or input gradient) plus one slab. A 1x1x1 stride-1 unpadded conv
+kernel plane one GEMM Y = W @ x reads the input in place, and the output
+accumulates the window of Y that each tap shifts into place. Its weight
+gradient copies shifted output-gradient columns and reads the input in place.
+No pass pads its operand: each tap's window is clipped at the volume border,
+and what it would read outside counts as zero. Either buffer holds at most
+SLAB_BYTES, so a pass's scratch is one slab. A 1x1x1 stride-1 unpadded conv
 copies nothing: its operand is its columns. The input gradient is a transposed
-conv done as gathers: one stride-1 conv per stride phase over the
-zero-bordered output gradient, so a widening conv's phases run as kn2row.
+conv done as gathers: one stride-1 conv per stride phase, reading the output
+gradient in place from the phase's own start, so a widening conv's phases run
+as kn2row.
 
 Trilinear upsampling multiplies each axis by an interpolation matrix M; its
 gradient multiplies by M^T, so it is the exact adjoint.
@@ -151,39 +153,79 @@ def _slab_extent(line_bytes, out_planes, out_rows, halo=0):
     return 1, max(1, lines - halo)
 
 
-def _padded_groups(x, spec):
-    """Zero-padded input viewed as (n, g, c_in/g, d, h, w); no copy without padding."""
-    pads = ((0, 0), (0, 0)) + tuple((p, p) for p in spec.padding)
-    xp = np.pad(x, pads) if any(spec.padding) else x
-    return xp.reshape(x.shape[0], spec.groups, spec.c_in // spec.groups, *xp.shape[2:])
+def _clip(o0, extent, stride, dilation, start, size, k):
+    """Where tap k of outputs o0 .. o0+extent-1 reads inside an axis of
+    ``size`` voxels, when output o's tap k reads input start + o*stride +
+    k*dilation: (lo, hi) of the outputs that do, relative to o0, and the input
+    slice they read; None if none does."""
+    first = start + k * dilation
+    lo = max(o0, -(first // stride))  # the first o with first + o*stride >= 0
+    hi = min(o0 + extent, (size - 1 - first) // stride + 1)
+    if lo >= hi:
+        return None
+    return lo - o0, hi - o0, slice(first + lo * stride, first + (hi - 1) * stride + 1, stride)
 
 
-def _slabs(spec, n, out_spatial, dtype):
-    """Split a conv pass into slabs of output voxels whose columns fit SLAB_BYTES.
+def _boxes(spec, start, in_spatial, out_spatial, steps):
+    """Per axis d and h, per slab origin (slabs of ``steps`` outputs), per tap
+    index along the axis: the tap's :func:`_clip`; for w, which every slab
+    spans in full, the per-tap list alone."""
+    d, h, w = ({o0: [_clip(o0, min(step, o - o0), s, dil, st, size, t) for t in range(k)]
+                for o0 in range(0, o, step)}
+               for o, step, k, s, dil, st, size in zip(out_spatial, steps, spec.kernel, spec.stride,
+                                                       spec.dilation, start, in_spatial))
+    return d, h, w[0]
 
-    A slab is whole output depth planes or, if one plane does not fit, rows of
-    one plane, so its voxels are contiguous in the flattened output. Yields per
-    slab its flattened voxel slice; per tap, in (kd, kh, kw) order, the index
-    of the padded-input window the tap reads; and a reused, uninitialised
-    buffer of shape (n, g, c_in/g, taps, *slab extent), whose flattened rows
-    follow a weight reshaped to (g, c_out/g, -1).
+
+def _slabs(x, spec, out_spatial, start):
+    """im2col of ``x`` in slabs of output voxels whose columns fit SLAB_BYTES.
+
+    Output voxel o's tap t reads x at start + o*stride + t*dilation per axis;
+    reads outside the volume count as zero. A slab is whole output depth
+    planes or, if one plane does not fit, rows of one plane, so its voxels are
+    contiguous in the flattened output. Yields per slab its flattened voxel
+    slice and its columns: a (n, g, c_in/g * taps, voxels) view of one reused
+    buffer, whose rows follow a weight reshaped to (g, c_out/g, -1).
+
+    A tap copies only the box of its window that lies inside the volume. The
+    buffer starts zeroed and every slab keeps a tap's columns at the same
+    offsets, so a tap re-zeroes the d and h strips outside its box only when
+    the box or the slab's shape differs from its last slab's. The w strips
+    stay zero: every slab spans the full output width.
     """
+    n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
     do, ho, wo = out_spatial
-    taps = int(np.prod(spec.kernel))
-    line_elems = n * spec.c_in * taps * wo
-    dz, dy = _slab_extent(line_elems * dtype.itemsize, do, ho)
-    buf = np.empty(line_elems * dz * dy, dtype=dtype)
-    for z0 in range(0, do, dz):
-        for y0 in range(0, ho, dy):
-            extent = (min(dz, do - z0), min(dy, ho - y0), wo)
-            first, size = (z0 * ho + y0) * wo, extent[0] * extent[1] * wo
-            cols = buf[: line_elems * size // wo].reshape(
-                n, spec.groups, spec.c_in // spec.groups, taps, *extent)
-            windows = [(Ellipsis,) + tuple(
-                slice(o * s + t * d, o * s + t * d + s * (e - 1) + 1, s)
-                for o, e, s, d, t in zip((z0, y0, 0), extent, spec.stride, spec.dilation, tap))
-                for tap in product(*map(range, spec.kernel))]
-            yield slice(first, first + size), windows, cols
+    taps = list(product(*map(range, spec.kernel)))
+    line_elems = n * spec.c_in * len(taps) * wo
+    dz, dy = _slab_extent(line_elems * x.itemsize, do, ho)
+    buf = np.zeros((n, g, cig * len(taps), dz * dy * wo), dtype=x.dtype)
+    xg = x.reshape(n, g, cig, *x.shape[2:])
+    bz, by, bx = _boxes(spec, start, x.shape[2:], out_spatial, (dz, dy, wo))
+    last = [None] * len(taps)  # per tap: (box, ez, ey) of its last slab; None while all zero
+    for z0, zboxes in bz.items():
+        for y0, yboxes in by.items():
+            ez, ey = min(dz, do - z0), min(dy, ho - y0)
+            cols = buf[..., :ez * ey * wo]
+            view = cols.reshape(n, g, cig, len(taps), ez, ey, wo)
+            for t, (a, b, c) in enumerate(taps):
+                bd, bh, bw = zboxes[a], yboxes[b], bx[c]
+                box = (bd[:2], bh[:2]) if bd and bh and bw else None
+                if box is None and last[t] is None:
+                    continue  # its columns are still all zero
+                if last[t] not in (None, (box, ez, ey)):
+                    if box is None:
+                        view[:, :, :, t] = 0
+                    else:
+                        (d0, d1), (h0, h1) = box
+                        for strip in ((slice(0, d0),), (slice(d1, ez),),
+                                      (slice(d0, d1), slice(0, h0)), (slice(d0, d1), slice(h1, ey))):
+                            if strip[-1].start < strip[-1].stop:
+                                view[(slice(None),) * 3 + (t,) + strip] = 0
+                last[t] = box, ez, ey
+                if box:
+                    view[:, :, :, t, bd[0]:bd[1], bh[0]:bh[1], bw[0]:bw[1]] = xg[..., bd[2], bh[2], bw[2]]
+            first = (z0 * ho + y0) * wo
+            yield slice(first, first + ez * ey * wo), cols
 
 
 def _pointwise(spec):
@@ -199,66 +241,75 @@ def _narrowing(spec, span=1):
     return spec.stride == (1, 1, 1) and 2 * spec.c_out * span <= spec.c_in
 
 
-def _kn2row(xg, weight, spec, out):
+def _kn2row(x, weight, spec, out, start):
     """Stride-1 conv as kn2row: per slab and kernel plane a, one GEMM
     Y = W[a] @ x over the input rows the slab reads, with no column copy, then
-    out += the kh*kw windows of Y that the plane's taps shift into place.
+    out += the part of each of the plane's kh*kw windows of Y, shifted into
+    place by its tap, that lies inside the volume.
 
     Y holds c_out/g * kh * kw rows per input voxel and at most SLAB_BYTES.
     """
-    n, g, cig = xg.shape[:3]
-    cog = spec.c_out // g
+    n, g, cig, cog = x.shape[0], spec.groups, spec.c_in // spec.groups, spec.c_out // spec.groups
     kd, kh, kw = spec.kernel
-    dd, dh, dw = spec.dilation
-    hp, wp = xg.shape[4:]
+    hi, wi = x.shape[3:]
     do, ho, wo = out.shape[2:]
-    xf = xg.reshape(n, g, cig, -1)
+    xf = x.reshape(n, g, cig, -1)
     # (kd, g, kh*kw*c_out/g, c_in/g): the taps of one kernel plane stacked as rows
     wk = weight.reshape(g, cog, cig, kd, kh * kw).transpose(3, 0, 4, 1, 2)
     wk = wk.reshape(kd, g, -1, cig)
     dst = out.reshape(n, g, cog, do, ho, wo)
-    row_elems = n * spec.c_out * kh * kw * wp
-    dz, dy = _slab_extent(row_elems * xg.itemsize, do, ho, dh * (kh - 1))
-    buf = np.empty(row_elems * dz * (dy + dh * (kh - 1)), dtype=xg.dtype)
-    for z0 in range(0, do, dz):
-        for y0 in range(0, ho, dy):
-            ez, ey = min(dz, do - z0), min(dy, ho - y0)
-            ry = ey + dh * (kh - 1)  # input rows read; hp for whole planes
-            y = buf[: row_elems * ez * ry].reshape(n, g, -1, ez * ry * wp)
-            taps = y.reshape(n, g, kh, kw, cog, ez, ry, wp)
-            acc = dst[:, :, :, z0:z0 + ez, y0:y0 + ey]
-            for a in range(kd):
-                start = ((z0 + a * dd) * hp + y0) * wp
-                np.matmul(wk[a], xf[..., start:start + y.shape[-1]], out=y)
-                for b, c in product(range(kh), range(kw)):
-                    win = taps[:, :, b, c, :, :, b * dh:b * dh + ey, c * dw:c * dw + wo]
-                    if a or b or c:
-                        acc += win
-                    else:
-                        acc[...] = win
+    dst[...] = 0
+    halo = spec.dilation[1] * (kh - 1)
+    # a slab of whole planes reads all hi rows of each, which a phase start can
+    # make more than ho + halo
+    extra = max(halo, hi - ho)
+    row_elems = n * spec.c_out * kh * kw * wi
+    dz, dy = _slab_extent(row_elems * x.itemsize, do, ho, extra)
+    buf = np.empty(row_elems * dz * (dy + extra), dtype=x.dtype)
+    bz, by, bx = _boxes(spec, start, x.shape[2:], out.shape[2:], (dz, dy, wo))
+    for z0, zboxes in bz.items():
+        for y0, yboxes in by.items():
+            ey = min(dy, ho - y0)
+            # input rows read: all of each plane, or the slab's rows and their halo
+            r0, r1 = (0, hi) if dy == ho else (max(0, start[1] + y0), min(hi, start[1] + y0 + ey + halo))
+            if r0 >= r1:
+                continue  # every row the slab's taps read lies outside the volume
+            for a, bd in enumerate(zboxes):
+                if bd is None:
+                    continue
+                z, z1, planes = bd
+                y = buf[: row_elems * (z1 - z) * (r1 - r0)].reshape(n, g, -1, (z1 - z) * (r1 - r0) * wi)
+                first = (planes.start * hi + r0) * wi
+                np.matmul(wk[a], xf[..., first:first + y.shape[-1]], out=y)
+                taps = y.reshape(n, g, kh, kw, cog, z1 - z, r1 - r0, wi)
+                acc = dst[:, :, :, z0 + z:z0 + z1]
+                for (b, bh), (c, bw) in product(enumerate(yboxes), enumerate(bx)):
+                    if bh and bw:
+                        acc[..., y0 + bh[0]:y0 + bh[1], bw[0]:bw[1]] += \
+                            taps[:, :, b, c, ..., bh[2].start - r0:bh[2].stop - r0, bw[2]]
     return out
 
 
-def _conv(x, weight, spec, out=None):
-    """conv3d without argument checks or bias, into ``out`` (C-contiguous) if given."""
+def _conv(x, weight, spec, out=None, start=None):
+    """conv3d without argument checks or bias, into ``out`` (C-contiguous) if
+    given. Output voxel o's tap t reads x at start + o*stride + t*dilation per
+    axis (``start`` is -padding by default); reads outside x count as zero."""
     n, g = x.shape[0], spec.groups
-    out_spatial = spec.out_spatial(x.shape[2:])
+    if start is None:
+        start = tuple(-p for p in spec.padding)
     if out is None:
-        out = np.empty((n, spec.c_out) + out_spatial, dtype=x.dtype)
-    xg = _padded_groups(x, spec)
+        out = np.empty((n, spec.c_out) + spec.out_spatial(x.shape[2:]), dtype=x.dtype)
     wk = weight.reshape(g, spec.c_out // g, -1)
     flat = out.reshape(n, g, spec.c_out // g, -1)
     # one column row per group makes an outer product, which BLAS does 5x slower
     contract = np.multiply if wk.shape[2] == 1 else np.matmul
-    if _pointwise(spec):
-        contract(wk, xg.reshape(n, g, wk.shape[2], -1), out=flat)
+    if _pointwise(spec) and not any(start) and out.shape[2:] == x.shape[2:]:
+        contract(wk, x.reshape(n, g, wk.shape[2], -1), out=flat)
     elif _narrowing(spec):
-        _kn2row(np.ascontiguousarray(xg), weight, spec, out)
+        _kn2row(x, weight, spec, out, start)
     else:
-        for vox, windows, cols in _slabs(spec, n, out_spatial, x.dtype):
-            for t, win in enumerate(windows):
-                cols[:, :, :, t] = xg[win]
-            contract(wk, cols.reshape(n, g, wk.shape[2], -1), out=flat[..., vox])
+        for vox, cols in _slabs(x, spec, out.shape[2:], start):
+            contract(wk, cols, out=flat[..., vox])
     return out
 
 
@@ -275,35 +326,29 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
     """Gradient of conv3d w.r.t. its input (transposed convolution), as gathers.
 
     Input voxel s*q + r takes tap t from output q + (r + p - t*d)/s where that
-    is whole. So each stride phase r is one stride-1 conv over a window of the
-    zero-bordered grad_out, with the phase's taps flipped, the weight
-    group-transposed and dilation d/gcd(s, d); it fills gx[..., r::s].
+    is whole. So each stride phase r is one stride-1 conv over grad_out, read
+    in place from the phase's first index, with the phase's taps flipped, the
+    weight group-transposed and dilation d/gcd(s, d); it fills gx[..., r::s].
     """
     g = spec.groups
-    # per axis, per stride phase r that some tap reaches: (r, its taps flipped,
-    # the first grad_out index it reads, its window length)
+    # per axis, per stride phase r that some tap reaches: (r, its taps
+    # flipped, the first grad_out index it reads)
     phases = []
     for size, k, s, d, p in zip(input_shape[2:], spec.kernel, spec.stride, spec.dilation,
                                 spec.padding):
         taps = [[t for t in range(k) if (r + p - t * d) % s == 0] for r in range(min(s, size))]
-        phases.append([(r, ts[::-1], (r + p - ts[-1] * d) // s,
-                        len(range(r, size, s)) + (len(ts) - 1) * d // gcd(s, d))
-                       for r, ts in enumerate(taps) if ts])
-    border = [(max(0, -min(a for _, _, a, _ in ph)), max(0, max(a + m for _, _, a, m in ph) - o))
-              for ph, o in zip(phases, grad_out.shape[2:])]
-    gp = np.pad(grad_out, ((0, 0), (0, 0), *border)) if any(map(any, border)) else grad_out
+        phases.append([(r, ts[::-1], (r + p - ts[-1] * d) // s) for r, ts in enumerate(taps) if ts])
     wt = weight.reshape(g, spec.c_out // g, spec.c_in // g, *spec.kernel).swapaxes(1, 2)
     wt = wt.reshape(spec.c_in, spec.c_out // g, *spec.kernel)
     dilation = tuple(d // gcd(s, d) for s, d in zip(spec.stride, spec.dilation))
     gx = np.zeros(input_shape, dtype=grad_out.dtype)  # phases without taps stay 0
     for phase in product(*phases):
-        taps = [ts for _, ts, _, _ in phase]
+        r, taps, start = zip(*phase)
         pspec = ConvSpec(spec.c_out, spec.c_in, tuple(map(len, taps)), dilation=dilation, groups=g)
-        window = tuple(slice(a + lo, a + lo + m) for (_, _, a, m), (lo, _) in zip(phase, border))
-        dst = gx[(Ellipsis,) + tuple(slice(r, None, s) for (r, *_), s in zip(phase, spec.stride))]
+        dst = gx[(Ellipsis,) + tuple(map(slice, r, (None,) * 3, spec.stride))]
         # a strided phase fills a scratch copy; stride 1 writes gx in place
         buf = dst if dst.flags.c_contiguous else np.empty(dst.shape, dst.dtype)
-        dst[...] = _conv(gp[(Ellipsis,) + window], wt[(Ellipsis,) + np.ix_(*taps)], pspec, buf)
+        dst[...] = _conv(grad_out, wt[(Ellipsis,) + np.ix_(*taps)], pspec, buf, start)
     return gx
 
 
@@ -312,25 +357,24 @@ def conv3d_weight_grad(x, grad_out, spec):
     from the input or, for a narrowing conv, from grad_out."""
     x = check_volume5d(x)
     n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
-    xg = _padded_groups(x, spec)
+    xf = x.reshape(n, g, cig, -1)
     go = grad_out.reshape(n, g, spec.c_out // g, -1)
     if _pointwise(spec):
-        return np.matmul(go, xg.reshape(n, g, cig, -1).swapaxes(2, 3)).sum(0).reshape(spec.weight_shape)
-    narrow = _narrowing(spec, np.prod(xg.shape[3:]) / np.prod(grad_out.shape[2:]))
+        return np.matmul(go, xf.swapaxes(2, 3)).sum(0).reshape(spec.weight_shape)
+    narrow = _narrowing(spec, xf.shape[3] / go.shape[3])
     if narrow:
-        # padded input voxel v takes tap t from grad_out at v - t*d, so the
-        # columns are im2col of grad_out zero-bordered by d*(k-1), over the
-        # padded input's extent, with the taps flipped
-        cspec = ConvSpec(spec.c_out, spec.c_in, spec.kernel, dilation=spec.dilation, groups=g,
-                         padding=tuple(d * (k - 1) for k, d in zip(spec.kernel, spec.dilation)))
-        src, rows, extent = _padded_groups(grad_out, cspec), xg.reshape(n, g, cig, -1), xg.shape[3:]
+        # input voxel v takes tap t from grad_out at v + p - t*d, so the
+        # columns are im2col of grad_out over the input's extent, read from
+        # p - d*(k-1), with the taps flipped
+        cspec = ConvSpec(spec.c_out, spec.c_in, spec.kernel, dilation=spec.dilation, groups=g)
+        start = tuple(p - d * (k - 1) for k, d, p in zip(spec.kernel, spec.dilation, spec.padding))
+        src, rows, extent = grad_out, xf, x.shape[2:]
     else:
-        cspec, src, rows, extent = spec, xg, go, grad_out.shape[2:]
+        cspec, start = spec, tuple(-p for p in spec.padding)
+        src, rows, extent = x, go, grad_out.shape[2:]
     gw = 0
-    for vox, windows, cols in _slabs(cspec, n, extent, x.dtype):
-        for t, win in enumerate(windows):
-            cols[:, :, :, t] = src[win]
-        gw += np.matmul(rows[..., vox], cols.reshape(n, g, -1, vox.stop - vox.start).swapaxes(2, 3)).sum(0)
+    for vox, cols in _slabs(src, cspec, extent, start):
+        gw += np.matmul(rows[..., vox], cols.swapaxes(2, 3)).sum(0)
     if narrow:  # (g, c_in/g, c_out/g, *kernel) with the taps flipped
         gw = gw.reshape(g, cig, -1, *spec.kernel)[..., ::-1, ::-1, ::-1].swapaxes(1, 2)
     return gw.reshape(spec.weight_shape)

@@ -209,3 +209,16 @@ class TestPredictLabels:
     def test_channel_count_checked(self):
         with pytest.raises(ShapeError):
             network.predict_labels(np.zeros((1, 3, 2, 2, 2), dtype=np.float32))
+
+
+class TestSegment:
+    def test_divisible_volume_is_not_copied(self, monkeypatch, rng):
+        net = network.build_network(network.toy_config(**TOY), seed=0)
+        x = rng.standard_normal((1, 4, 16, 16, 32)).astype(np.float32)
+        expect = network.segment(net, x)
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called on a volume that needs no padding")
+
+        monkeypatch.setattr(network.np, "pad", no_pad)
+        np.testing.assert_array_equal(network.segment(net, x), expect)

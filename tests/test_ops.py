@@ -148,24 +148,30 @@ class TestConvBackwardKernels:
         w = rng.standard_normal(spec.weight_shape)
         _assert_adjoint(x, w, spec)
 
-    # float64 slab budgets, in output rows: a few rows of one plane, or two
-    # planes and a row; both leave a short last slab on these shapes
-    @pytest.mark.parametrize("slab_rows", [lambda ho: 3, lambda ho: 2 * ho + 1],
-                             ids=["rows", "planes"])
-    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 2)])
+    # float64 slab budgets, in output rows: one row, a few rows of one plane,
+    # or two planes and a row; the last two leave a short last slab on these
+    # shapes. Padding past same_padding puts some taps wholly outside the
+    # volume in some slabs but not in others.
+    @pytest.mark.parametrize("slab_rows", [lambda ho: 3, lambda ho: 2 * ho + 1, lambda ho: 1],
+                             ids=["rows", "planes", "row"])
+    @pytest.mark.parametrize("stride,dilation,past", [
+        pytest.param(1, 1, 0, id="1-1"), pytest.param(2, 2, 0, id="2-2"),
+        pytest.param(1, 3, 0, id="1-3"), pytest.param(1, 1, 4, id="1-1-past"),
+        pytest.param(2, 2, 4, id="2-2-past"), pytest.param(1, 3, 4, id="1-3-past")])
     def test_several_slabs_match_oracle_and_adjoints(self, monkeypatch, slab_rows,
-                                                     stride, dilation):
+                                                     stride, dilation, past):
         rng = np.random.default_rng(11)
-        spec = ops.ConvSpec(4, 6, kernel=3, stride=stride, dilation=dilation,
-                            padding=ops.same_padding(3, dilation), groups=2)
-        x = rng.standard_normal((1, 4, 9, 7, 6))
+        spec = ops.ConvSpec(4, 6, kernel=3, stride=stride, dilation=dilation, groups=2,
+                            padding=ops.same_padding(3, dilation)[0] + past)
+        x = rng.standard_normal((1, 4, 9, 8, 6))
         w = rng.standard_normal(spec.weight_shape)
         do, ho, wo = spec.out_spatial(x.shape[2:])
         row_bytes = x.shape[0] * spec.c_in * 27 * wo * x.itemsize
         monkeypatch.setattr(ops, "SLAB_BYTES", slab_rows(ho) * row_bytes)
-        slabs = list(ops._slabs(spec, x.shape[0], (do, ho, wo), x.dtype))
-        assert len(slabs) > 2
-        assert slabs[-1][0].stop - slabs[-1][0].start < slabs[0][0].stop - slabs[0][0].start
+        start = tuple(-p for p in spec.padding)
+        sizes = [vox.stop - vox.start for vox, _ in ops._slabs(x, spec, (do, ho, wo), start)]
+        assert len(sizes) > 2
+        assert sizes[-1] < sizes[0] if slab_rows(ho) > 1 else sizes[-1] == sizes[0]
 
         _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
@@ -198,34 +204,54 @@ class TestConvBackwardKernels:
         _assert_adjoint(x, w, spec)
 
     def test_scratch_memory_is_bounded(self):
-        # the largest 3x3x3 conv of the 1x4x128^3 DMFNet forward (dec3.conv1)
+        # the largest 3x3x3 conv of the 1x4x128^3 DMFNet forward (dec3.conv1):
+        # its output and one slab, no padded input
         spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 96, 64, 64, 64), dtype=np.float32)
         w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
-        padded_bytes = x.nbytes // 64 ** 3 * 66 ** 3
-        tracemalloc.start()
-        try:
-            out = ops.conv3d(x, w, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + padded_bytes + ops.SLAB_BYTES + (1 << 20)
+        out, peak = _traced_peak(lambda: ops.conv3d(x, w, spec))
+        assert peak <= out.nbytes + ops.SLAB_BYTES + (1 << 20)
+
+    def test_dilated_strided_scratch_memory_is_bounded(self):
+        # the same forward's dilation-3 stride-2 branch (enc1.u0.branch_d3), on im2col
+        spec = ops.ConvSpec(32, 32, kernel=3, stride=2, dilation=3, padding=3, groups=16)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 32, 64, 64, 64), dtype=np.float32)
+        w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        out, peak = _traced_peak(lambda: ops.conv3d(x, w, spec))
+        assert peak <= out.nbytes + ops.SLAB_BYTES + (1 << 20)
 
     def test_input_grad_scratch_memory_is_bounded(self):
-        # the input gradient of the same conv: gx plus the zero-bordered grad_out
+        # the input gradient of dec3.conv1: gx and one slab, grad_out read in place
         spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
         rng = np.random.default_rng(0)
         g = rng.standard_normal((1, 16, 64, 64, 64), dtype=np.float32)
         w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
-        bordered_bytes = g.nbytes // 64 ** 3 * 66 ** 3
-        tracemalloc.start()
-        try:
-            gx = ops.conv3d_input_grad(g, w, spec, (1, 96, 64, 64, 64))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= gx.nbytes + bordered_bytes + ops.SLAB_BYTES + (1 << 20)
+        gx, peak = _traced_peak(lambda: ops.conv3d_input_grad(g, w, spec, (1, 96, 64, 64, 64)))
+        assert peak <= gx.nbytes + ops.SLAB_BYTES + (1 << 20)
+
+    def test_strided_input_grad_scratch_memory_is_bounded(self):
+        # the stem's input gradient (4->32, stride 2) at a 64^3 input: each
+        # stride phase reads grad_out in place from its own start, and the
+        # phases' scratch copies of gx[..., r::2] fit in the slack
+        spec = ops.ConvSpec(4, 32, kernel=3, stride=2, padding=1)
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((1, 32, 32, 32, 32), dtype=np.float32)
+        w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        gx, peak = _traced_peak(lambda: ops.conv3d_input_grad(g, w, spec, (1, 4, 64, 64, 64)))
+        assert peak <= gx.nbytes + ops.SLAB_BYTES + (1 << 20)
+
+
+def _traced_peak(f):
+    """f() and the peak of the bytes that tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def _flip_side(monkeypatch):
@@ -247,8 +273,9 @@ class TestContractionSide:
         (128, 32, 16, 1, 1, True), (272, 128, 16, 1, 1, True), (24, 8, 4, 1, 1, True),
         (128, 128, 16, 1, 1, False), (32, 128, 16, 1, 1, False), (432, 272, 16, 1, 1, False),
         (96, 16, 16, 2, 1, False),
-        # the weight gradient's output side spans the padded input, which at
-        # 4^3 is 6^3 / 4^3 times the voxels: too many for 56 -> 16
+        # the weight gradient's output side spans the input's voxels, which
+        # for an unpadded conv outnumber the output's: 6^3 / 4^3 times is too
+        # many for 56 -> 16
         (96, 16, 16, 1, 34 ** 3 / 32 ** 3, True), (56, 16, 4, 1, 6 ** 3 / 4 ** 3, False)])
     def test_side_rule(self, c_in, c_out, groups, stride, span, narrow):
         spec = ops.ConvSpec(c_in, c_out, kernel=3, stride=stride, padding=1, groups=groups)
@@ -288,8 +315,9 @@ class TestContractionSide:
         _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
 
-    # float64 budgets for kn2row's Y, in input rows: two planes and a row, or
-    # less than a plane, which leaves two output rows (and their halo) per slab
+    # float64 budgets for kn2row's Y, in rows of the unpadded input width: two
+    # planes (with their halo) and a row, or less than a plane, which leaves
+    # two output rows (and their halo) per slab
     @pytest.mark.parametrize("budget_rows", [lambda hp, halo: 2 * hp + 1, lambda hp, halo: halo + 2],
                              ids=["planes", "rows"])
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -302,29 +330,22 @@ class TestContractionSide:
         w = rng.standard_normal(spec.weight_shape)
         do, ho, wo = spec.out_spatial(x.shape[2:])
         halo = 2 * dilation
-        row_bytes = x.shape[0] * spec.c_out * 9 * (wo + halo) * x.itemsize
+        row_bytes = x.shape[0] * spec.c_out * 9 * x.shape[4] * x.itemsize
         monkeypatch.setattr(ops, "SLAB_BYTES", budget_rows(ho + halo, halo) * row_bytes)
         assert ops._slab_extent(row_bytes, do, ho, halo) in [(2, ho), (1, 2)]
         _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
 
     def test_narrowing_weight_grad_scratch_memory_is_bounded(self):
-        # dec3.conv1 at the 64^3 training crop: columns come from the
-        # zero-bordered grad_out and the padded input is contracted in place
+        # dec3.conv1 at the 64^3 training crop: columns come from grad_out
+        # and the input is contracted in place, neither padded
         spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
-        assert ops._narrowing(spec, 34 ** 3 / 32 ** 3)
+        assert ops._narrowing(spec)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 96, 32, 32, 32), dtype=np.float32)
         g = rng.standard_normal((1, 16, 32, 32, 32), dtype=np.float32)
-        padded_bytes = x.nbytes // 32 ** 3 * 34 ** 3
-        bordered_bytes = g.nbytes // 32 ** 3 * 36 ** 3
-        tracemalloc.start()
-        try:
-            gw = ops.conv3d_weight_grad(x, g, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= gw.nbytes + padded_bytes + bordered_bytes + ops.SLAB_BYTES + (1 << 20)
+        gw, peak = _traced_peak(lambda: ops.conv3d_weight_grad(x, g, spec))
+        assert peak <= gw.nbytes + ops.SLAB_BYTES + (1 << 20)
 
 
 class TestBatchNorm:
