@@ -35,8 +35,6 @@ def _load_config_file(path):
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -47,20 +45,36 @@ def _load_config_file(path):
     return cfg
 
 
+def _fits(value, default):
+    """Whether a file or flag value has its field default's type: an int field takes no
+    bool, a float field any finite number, a tuple field a list of such items."""
+    if isinstance(default, tuple):
+        return type(value) in (list, tuple) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) is int or type(value) is float and np.isfinite(value)
+    return type(value) is type(default)
+
+
 def _resolve(section, file_cfg, args, flags, make):
     """``make(**kw)``: the file's ``section``, then those ``flags`` given on the command line.
 
-    The result is echoed to stderr; an unknown key in the section is a ConfigError.
+    The result is echoed to stderr; an unknown key, or a value that does not fit its
+    field's type, is a ConfigError.
     """
     overrides = file_cfg.get(section, {})
     if not isinstance(overrides, dict):
         raise ConfigError(f"config section {section!r} must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[section])}
-    unknown = sorted(set(overrides) - fields)
+    defaults = {f.name: f.default for f in dataclasses.fields(CONFIG_SECTIONS[section])}
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown {section} config key(s): {', '.join(unknown)}")
     given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
-    cfg = make(**{**overrides, **given})
+    values = {**overrides, **given}
+    for key, value in values.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"{section} config key {key}={value!r} needs the type of its "
+                              f"default {defaults[key]!r}, finite if a number")
+    cfg = make(**values)
     _log(f"resolved {section} config: "
          f"{json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=list)}")
     return cfg
@@ -170,8 +184,7 @@ def cmd_train(args):
     dio.save_params(net, out_dir / "checkpoint.bin")
     log.save_jsonl(out_dir / "trainlog.jsonl")
     log.save_omega_csv(out_dir / "omega.csv")
-    final = log.losses[-1] if log.steps else float("nan")
-    _log(f"trained {len(log.steps)} steps; final loss {final:.4f}; artifacts in {out_dir}")
+    _log(f"trained {len(log.steps)} steps; final loss {log.losses[-1]:.4f}; artifacts in {out_dir}")
     return 0
 
 
@@ -354,7 +367,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DMFNetError as exc:
+    except (DMFNetError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -62,7 +62,7 @@ def save_case(case_dir, volume, labels=None):
 
 
 def load_case(case_dir):
-    """Read a case directory -> (volume (4, d, h, w) float32, labels or None)."""
+    """Read what ``save_case`` wrote -> (volume (4, d, h, w) float32, labels or None)."""
     case_dir = Path(case_dir)
     meta_path = case_dir / META_NAME
     if not meta_path.is_file():
@@ -71,13 +71,15 @@ def load_case(case_dir):
         meta = json.loads(meta_path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
-    try:
-        dims = tuple(int(v) for v in meta["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{meta_path} needs 'dims', a list of integers") from exc
+    dims = meta.get("dims") if isinstance(meta, dict) else None
+    if not (type(dims) is list and len(dims) == 3 and all(type(v) is int and v > 0 for v in dims)):
+        raise DataError(f"{meta_path} needs 'dims', three positive integers, got {dims!r}")
+    if "channels" in meta and meta["channels"] != list(MODALITIES):
+        raise DataError(f"{meta_path} lists channels {meta['channels']!r}, not {list(MODALITIES)}")
+    dims = tuple(dims)
     count = int(np.prod(dims))
     channels = []
-    for name in meta.get("channels", MODALITIES):
+    for name in MODALITIES:
         path = case_dir / f"{name}.f32"
         if not path.is_file():
             raise DataError(f"missing modality file {path.name} in {case_dir}")
@@ -85,8 +87,10 @@ def load_case(case_dir):
         if raw.size != count:
             raise DataError(
                 f"{path.name} holds {raw.size} voxels but meta dims {dims} imply {count}")
+        if not np.isfinite(raw).all():
+            raise DataError(f"{path} holds non-finite voxels")
         channels.append(raw.reshape(dims))
-    volume = np.stack(channels).astype(np.float32)
+    volume = np.stack(channels).astype(np.float32, copy=False)
     labels = None
     seg_path = case_dir / SEG_NAME
     if seg_path.is_file():
@@ -138,9 +142,9 @@ class AugmentConfig:
         if len(self.crop_size) != 3 or min(self.crop_size) < 1:
             raise ConfigError(f"crop_size must be three positive sizes, got {self.crop_size}")
         for name in ("rotate_degrees", "intensity_shift", "intensity_scale"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError(f"{name} range ({lo}, {hi}) is not well ordered")
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ConfigError(f"{name} must be two numbers, low <= high, got {pair}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
 
@@ -202,7 +206,6 @@ def random_rotate(volume, labels, degrees, rng):
     if labels is not None:
         out_l = ndimage.affine_transform(labels, matrix, offset=offset, order=0,
                                          mode="constant", cval=0, prefilter=False)
-        out_l = check_labels(out_l.astype(labels.dtype), "rotated labels")
     return out_v, out_l
 
 

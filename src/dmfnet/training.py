@@ -36,10 +36,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ConfigError("lr and weight_decay must be non-negative")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ConfigError("lr and weight_decay must be finite and non-negative, "
+                              f"got {self.lr} and {self.weight_decay}")
         if self.lr_schedule not in ("constant", "poly"):
             raise ConfigError(f"lr_schedule must be 'constant' or 'poly', got {self.lr_schedule!r}")
 

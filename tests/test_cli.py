@@ -32,33 +32,60 @@ def case_dir(tmp_path):
 
 
 @pytest.fixture
-def bad_data(tmp_path, case_dir):
-    """name -> a data directory: a copy of ``case_dir`` with one defect, or no case."""
+def checkpoint(tmp_path):
+    net = net_mod.build_network(net_mod.toy_config(**TOY_ARCH), seed=0)
+    path = tmp_path / "checkpoint.bin"
+    dio.save_params(net, path)
+    return path
+
+
+@pytest.fixture
+def bad_data(tmp_path, case_dir, checkpoint):
+    """name -> a data directory (a copy of ``case_dir`` with one defect, or no case), or a
+    damaged copy of ``checkpoint``."""
     def damaged(name, damage):
         d = tmp_path / "bad" / name / case_dir.name
         shutil.copytree(case_dir, d)
         damage(d)
         return d.parent
 
-    def label_3(d):
-        seg = bytearray((d / dio.SEG_NAME).read_bytes())
-        seg[0] = 3
-        (d / dio.SEG_NAME).write_bytes(bytes(seg))
+    def overwrite(name, start):
+        """Replace the first bytes of file ``name`` with ``start``."""
+        return lambda d: (d / name).write_bytes(start + (d / name).read_bytes()[len(start):])
 
     def add_longer_case(d):
         vol, lab = dio.load_case(d)
         dio.save_case(d.parent / "case_b", np.concatenate([vol, vol[..., :8]], -1),
                       np.concatenate([lab, lab[..., :8]], -1))
 
+    def meta(text):
+        return lambda d: (d / dio.META_NAME).write_text(text)
+
+    def written(name, blob):
+        (tmp_path / "bad" / name).write_bytes(blob)
+        return tmp_path / "bad" / name
+
     empty = tmp_path / "bad" / "empty"
     empty.mkdir(parents=True)
+    raw = checkpoint.read_bytes()
+    head = len(dio.CHECKPOINT_MAGIC) + 8  # the first byte of the JSON header
     return {
         "no-flair": damaged("no-flair", lambda d: (d / "flair.f32").unlink()),
         "short-t1": damaged("short-t1", lambda d: (d / "t1.f32").write_bytes(bytes(100))),
         "short-seg": damaged("short-seg", lambda d: (d / dio.SEG_NAME).write_bytes(bytes(100))),
-        "label-3": damaged("label-3", label_3),
+        "label-3": damaged("label-3", overwrite(dio.SEG_NAME, b"\x03")),
+        "nan-t1": damaged("nan-t1", overwrite("t1.f32", np.float32(np.nan).tobytes())),
         "empty": empty,
         "uneven": damaged("uneven", add_longer_case),  # 16^3 and 16x16x24
+        "not-json": damaged("not-json", meta('{"dims": [16, 16,')),
+        "no-dims": damaged("no-dims", meta('{"dtype": "float32"}')),
+        "dims-float": damaged("dims-float", meta('{"dims": [16.9, 16, 16]}')),
+        "dims-bool": damaged("dims-bool", meta('{"dims": [true, 4096, 1]}')),
+        "dims-rank-2": damaged("dims-rank-2", meta('{"dims": [64, 64]}')),
+        "channels-int": damaged("channels-int", meta('{"dims": [16, 16, 16], "channels": 5}')),
+        "channels-up": damaged("channels-up", meta('{"dims": [16, 16, 16], "channels": ["../../x"]}')),
+        "cut-checkpoint": written("cut.bin", raw[:-5]),
+        "corrupt-header": written("corrupt.bin", raw[:head] + b"\xff" + raw[head + 1:]),
     }
 
 
@@ -108,11 +135,6 @@ class TestAnalyze:
                          "--json", str(out_path)]) == 0
         blob = json.loads(out_path.read_text())
         assert blob["total_params"] > 0
-
-    def test_usage_error_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["analyze", "--arch", "nonsense"])
-        assert err.value.code == 2
 
 
 class TestTrainDilationRates:
@@ -205,13 +227,6 @@ class TestTrainInferEvaluate:
         np.testing.assert_array_equal(seen[0][0], infer_labels)
 
 
-def _error_line(capsys):
-    """The last stderr line, which must be the only `error:` line."""
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
-    return lines[-1]
-
-
 _ANALYZE = ["analyze", "--arch", "toy", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
 
 
@@ -221,10 +236,15 @@ def _train_on(data):
 
 
 _TRAIN = _train_on("{data}")
+_NO_AUG = _TRAIN + ["--no-augment"]
 _PREVIEW = ["augment-preview", "--case-dir", "{case}", "--out-dir", "{out}"]
 _TRAINED = ["--config", "{config}", "--arch", "toy", "--checkpoint", "{checkpoint}"]
+_INFER = ["infer", *_TRAINED, "--case-dir", "{case}", "--out", "{out}"]
+_TOY = {"arch": TOY_ARCH}
 
-# (argv with {placeholders}, config file contents, exit code, text of the error line)
+# (argv, config file contents, exit code, text of the error line): the contents are a dict,
+# raw text, or None for no file; argv and text take the {placeholders} of the test below,
+# and a flag given twice in argv takes its last value
 BAD_INPUTS = [
     pytest.param(_ANALYZE + ["--groups", "0"], {}, 1, "groups", id="groups-flag-0"),
     pytest.param(_ANALYZE, {"arch": {"groups": 0}}, 1, "groups", id="groups-config-0"),
@@ -265,114 +285,93 @@ BAD_INPUTS = [
                  {"arch": TOY_ARCH}, 2, None, id="evaluate-seed"),
     pytest.param(["gradcheck", "--scope", "blocks", "--config", "{config}"], {}, 2, None,
                  id="gradcheck-config"),
+    pytest.param(_INFER + ["--checkpoint", "{bad[cut-checkpoint]}"], _TOY, 1, "is truncated",
+                 id="truncated-checkpoint"),
+    pytest.param(_INFER + ["--checkpoint", "{bad[corrupt-header]}"], _TOY, 1, "corrupt header",
+                 id="corrupt-checkpoint-header"),
+    pytest.param(_INFER + ["--checkpoint", "{missing}"], _TOY, 1, "read checkpoint {missing}",
+                 id="missing-checkpoint"),
+    *(pytest.param(_TRAIN, {section: {key: 1}}, 1, f"unknown {section} config key(s): {key}",
+                   id=f"unknown-key-{section}-{key}")
+      for section, key in [("arch", "widths"), ("train", "learning_rate"), ("augment", "flip"),
+                           ("augment", "seed")]),
+    pytest.param(_train_on("{bad[not-json]}"), _TOY, 1,
+                 "{bad[not-json]}/case_a/meta.json is not valid JSON", id="meta-not-json"),
+    pytest.param(_train_on("{bad[no-dims]}"), _TOY, 1,
+                 "{bad[no-dims]}/case_a/meta.json needs 'dims'", id="meta-no-dims"),
+    pytest.param(_train_on("{missing}"), _TOY, 1, "directory {missing} does not exist",
+                 id="missing-data-dir"),
+    *(pytest.param(_ANALYZE + [f"--input-shape={shape}"], {}, 1, "five positive sizes",
+                   id=f"input-shape-{name}")
+      for name, shape in [("rank-3", "1,4,16"), ("negative", "-1,4,16,16,16"),
+                          ("zero", "0,4,16,16,16")]),
+    pytest.param(["analyze", "--compare", "dmfnet,foo"], {}, 1,
+                 "--compare: foo; choose from dmfnet, mfnet, mfnet-075", id="compare-unknown"),
+    pytest.param(_ANALYZE, {"trian": {"lr": 0.1}}, 1, "unknown section(s): trian",
+                 id="unknown-section"),
+    pytest.param(_ANALYZE, '{"arch": {"groups": 2,', 1, "config file {config} is not valid JSON",
+                 id="config-not-json"),
+    pytest.param(_ANALYZE, None, 1, "No such file or directory: '{config}'", id="config-missing"),
+    pytest.param(["analyze", "--arch", "nonsense"], {}, 2, None, id="analyze-arch-nonsense"),
+    *(pytest.param({"arch": _ANALYZE, "train": _NO_AUG, "augment": _TRAIN}[section],
+                   {section: {key: value}}, 1, f"{section} config key {key}={value!r} needs",
+                   id=f"{section}-{key}-{value}")
+      for section, key, value in [
+          ("train", "beta1", "x"), ("train", "batch_size", 1.5), ("arch", "groups", "2"),
+          ("arch", "stage_channels", "abc"), ("arch", "dilated_unit_count", "2"),
+          ("arch", "width_multiplier", "x"), ("arch", "dilation_rates", "12"),
+          ("augment", "crop_size", "abc")]),
+    pytest.param(_TRAIN, {"augment": {"rotate_degrees": [1, 2, 3]}}, 1,
+                 "rotate_degrees must be two numbers", id="augment-rotate_degrees-3"),
+    pytest.param(_NO_AUG + ["--lr", "nan"], {}, 1, "lr=nan needs", id="lr-nan"),
+    pytest.param(_NO_AUG + ["--weight-decay", "inf"], {}, 1, "weight_decay=inf needs",
+                 id="weight-decay-inf"),
+    pytest.param(_NO_AUG + ["--epochs", "0"], {}, 1, "epochs must be >= 1, got 0", id="epochs-0"),
+    pytest.param(_NO_AUG + ["--epochs", "-3"], {}, 1, "epochs must be >= 1, got -3",
+                 id="epochs-negative"),
+    *(pytest.param(_train_on(f"{{bad[{name}]}}"), _TOY, 1, expect, id=name) for name, expect in [
+        ("dims-float", "needs 'dims', three positive integers, got [16.9, 16, 16]"),
+        ("dims-bool", "needs 'dims', three positive integers, got [True, 4096, 1]"),
+        ("dims-rank-2", "needs 'dims', three positive integers, got [64, 64]"),
+        ("channels-int", "meta.json lists channels 5, not"),
+        ("channels-up", "meta.json lists channels ['../../x'], not")]),
+    pytest.param(_INFER + ["--case-dir", "{bad[nan-t1]}/case_a"], _TOY, 1,
+                 "{bad[nan-t1]}/case_a/t1.f32 holds non-finite voxels", id="nan-voxel"),
+    pytest.param(_INFER + ["--out", "{data}"], _TOY, 1, "Is a directory: '{data}'",
+                 id="infer-out-is-dir"),
+    pytest.param(_NO_AUG + ["--out-dir", "{config}"], _TOY, 1, "File exists: '{config}'",
+                 id="train-out-dir-is-file"),
+    pytest.param(_NO_AUG + ["--out-dir", "{config}/x"], _TOY, 1, "Not a directory: '{config}/x'",
+                 id="train-out-dir-under-file"),
+    pytest.param(_PREVIEW + ["--crop-size", "8,8,8", "--out-dir", "{config}"], {}, 1, "File exists: '{config}'",
+                 id="preview-out-dir-is-file"),
+    pytest.param(_ANALYZE + ["--json", "{config}/r.json"], {}, 1, "Not a directory: '{config}/r",
+                 id="analyze-json-under-file"),
 ]
+assert len({row.id for row in BAD_INPUTS}) == len(BAD_INPUTS), "BAD_INPUTS ids must be unique"
 
 
 class TestBadInputs:
-    @pytest.fixture
-    def checkpoint(self, tmp_path):
-        net = net_mod.build_network(net_mod.toy_config(**TOY_ARCH), seed=0)
-        path = tmp_path / "checkpoint.bin"
-        dio.save_params(net, path)
-        return path
-
     @pytest.mark.parametrize("argv,config,code,expect", BAD_INPUTS)
     def test_bad_input_table(self, tmp_path, case_dir, bad_data, checkpoint, capsys, argv,
                              config, code, expect):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps(config))
+        if config is not None:
+            config_path.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "out"
-        argv = [a.format(config=config_path, data=case_dir.parent, case=case_dir,
-                         bad=bad_data, checkpoint=checkpoint, out=out) for a in argv]
+        fill = dict(config=config_path, data=case_dir.parent, case=case_dir, bad=bad_data,
+                    checkpoint=checkpoint, out=out, missing=tmp_path / "missing")
+        argv = [a.format(**fill) for a in argv]
         if code == 2:
             with pytest.raises(SystemExit) as err:
                 cli.main(argv)
             assert err.value.code == 2
             return
         assert cli.main(argv) == 1
-        assert expect in _error_line(capsys)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]  # one, and last
+        assert expect.format(**fill) in lines[-1]
         assert not out.exists()
-
-    def _infer(self, tmp_path, config, checkpoint, case_dir):
-        return cli.main(["infer", "--config", config, "--arch", "toy",
-                         "--checkpoint", str(checkpoint), "--case-dir", str(case_dir),
-                         "--out", str(tmp_path / "pred.u8")])
-
-    def test_truncated_checkpoint_exits_1(self, tmp_path, toy_config_file, case_dir,
-                                          checkpoint, capsys):
-        checkpoint.write_bytes(checkpoint.read_bytes()[:-5])
-        assert self._infer(tmp_path, toy_config_file, checkpoint, case_dir) == 1
-        assert "truncated" in _error_line(capsys)
-
-    def test_corrupt_checkpoint_header_exits_1(self, tmp_path, toy_config_file, case_dir,
-                                               checkpoint, capsys):
-        raw = bytearray(checkpoint.read_bytes())
-        raw[len(dio.CHECKPOINT_MAGIC) + 8] = 0xFF  # first byte of the JSON header
-        checkpoint.write_bytes(bytes(raw))
-        assert self._infer(tmp_path, toy_config_file, checkpoint, case_dir) == 1
-        assert "corrupt header" in _error_line(capsys)
-
-    def test_missing_checkpoint_exits_1(self, tmp_path, toy_config_file, case_dir, capsys):
-        missing = tmp_path / "nowhere.bin"
-        assert self._infer(tmp_path, toy_config_file, missing, case_dir) == 1
-        assert str(missing) in _error_line(capsys)
-
-    @pytest.mark.parametrize("section,key", [("arch", "widths"), ("train", "learning_rate"),
-                                             ("augment", "flip"), ("augment", "seed")])
-    def test_unknown_config_key_exits_1(self, tmp_path, case_dir, capsys, section, key):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"arch": TOY_ARCH, section: {key: 1}}))
-        rc = cli.main(["train", "--config", str(path), "--arch", "toy",
-                       "--data-dir", str(case_dir.parent), "--out-dir", str(tmp_path / "run")])
-        assert rc == 1
-        line = _error_line(capsys)
-        assert section in line and key in line
-        assert not (tmp_path / "run").exists()
-
-    def _train(self, tmp_path, config, data_dir):
-        return cli.main(["train", "--config", config, "--arch", "toy",
-                         "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "run")])
-
-    @pytest.mark.parametrize("meta,expect", [('{"dims": [16, 16,', "not valid JSON"),
-                                             ('{"dtype": "float32"}', "dims")],
-                             ids=["not-json", "no-dims"])
-    def test_bad_case_meta_exits_1(self, tmp_path, toy_config_file, case_dir, capsys,
-                                   meta, expect):
-        meta_path = case_dir / dio.META_NAME
-        meta_path.write_text(meta)
-        assert self._train(tmp_path, toy_config_file, case_dir.parent) == 1
-        line = _error_line(capsys)
-        assert str(meta_path) in line and expect in line
-
-    def test_missing_data_dir_exits_1(self, tmp_path, toy_config_file, capsys):
-        missing = tmp_path / "no-such-data"
-        assert self._train(tmp_path, toy_config_file, missing) == 1
-        assert str(missing) in _error_line(capsys)
-
-    @pytest.mark.parametrize("shape", ["1,4,16", "-1,4,16,16,16", "0,4,16,16,16"],
-                             ids=["rank-3", "negative", "zero"])
-    def test_analyze_non_volume_shape_exits_1(self, capsys, shape):
-        assert cli.main(["analyze", "--arch", "toy", f"--input-shape={shape}"]) == 1
-        assert "five positive sizes" in _error_line(capsys)
-
-    def test_analyze_unknown_compare_preset_exits_1(self, capsys):
-        assert cli.main(["analyze", "--compare", "dmfnet,foo"]) == 1
-        line = _error_line(capsys)
-        assert "foo" in line and "mfnet-075" in line
-
-    def test_unknown_config_section_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"trian": {"lr": 0.1}}))
-        assert cli.main(["analyze", "--arch", "toy", "--config", str(path)]) == 1
-        assert "trian" in _error_line(capsys)
-
-    @pytest.mark.parametrize("text", ['{"arch": {"groups": 2,', None], ids=["malformed", "missing"])
-    def test_unreadable_config_file_exits_1(self, tmp_path, capsys, text):
-        path = tmp_path / "config.json"
-        if text is not None:
-            path.write_text(text)
-        assert cli.main(["analyze", "--arch", "toy", "--config", str(path)]) == 1
-        assert str(path) in _error_line(capsys)
 
 
 class TestAugmentPreview:

@@ -47,6 +47,26 @@ class TestCaseFiles:
         with pytest.raises(DataError, match="voxels"):
             dio.load_case(tmp_path / "c0")
 
+    @pytest.mark.parametrize("meta,expect", [
+        ({"dims": [12.9, 12, 12]}, "three positive integers"),
+        ({"dims": [True, 1728, 1]}, "three positive integers"),
+        ({"dims": [144, 12]}, "three positive integers"),
+        ({"dims": [12, 12, 12], "channels": 5}, "channels 5"),
+        ({"dims": [12, 12, 12], "channels": ["../../x"]}, "channels"),
+        ({"dims": [12, 12, 12], "channels": ["flair", "t2", "t1ce", "t1"]}, "channels"),
+        (None, "t2.f32 holds non-finite voxels"),
+    ], ids=["dims-float", "dims-bool", "dims-rank-2", "channels-int", "channels-up",
+            "channels-reordered", "nan-voxel"])
+    def test_case_outside_the_format_rejected(self, tmp_path, rng, meta, expect):
+        vol, lab = small_case(rng)
+        if meta is None:
+            vol[2, 3, 4, 5] = np.inf
+        dio.save_case(tmp_path / "c0", vol, lab)
+        if meta is not None:
+            (tmp_path / "c0" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=expect):
+            dio.load_case(tmp_path / "c0")
+
     def test_list_cases_sorted(self, tmp_path, rng):
         for name in ("b", "a", "c"):
             vol, lab = small_case(rng, size=8)

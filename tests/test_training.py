@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dmfnet import autograd as ag, network, training
-from dmfnet.errors import DataError, GradientError, TrainingDiverged
+from dmfnet.errors import ConfigError, DataError, GradientError, TrainingDiverged
 
 from oracles import adam_reference, make_balanced_case
 
@@ -88,6 +88,15 @@ class TestAdamStep:
         lrs = [cfg.lr_at(s, 100) for s in (0, 50, 99, 100)]
         assert lrs[0] == 0.1
         assert lrs[0] > lrs[1] > lrs[2] > lrs[3] == 0.0
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [{"epochs": 0}, {"epochs": -3}, {"lr": float("nan")},
+                                     {"weight_decay": float("inf")}],
+                             ids=["epochs-0", "epochs-negative", "lr-nan", "weight-decay-inf"])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            training.TrainConfig(**bad)
 
 
 class TestTrainLoop:
