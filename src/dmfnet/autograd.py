@@ -11,6 +11,12 @@ in reverse, accumulating gradients into parents and into every trainable
 :class:`Parameter` touched by the pass. Each interior node's gradient and
 rule are released as soon as the rule has run; outputs (``data``) and
 parents stay, so the tape can still be inspected. Tapes are single-use.
+
+No recorded array exists only to be read by an add or a concat, whose rules
+need no saved data: a residual add is fused into the conv that feeds it (the
+conv adds the residual into its own fresh output, :func:`t_conv3d`), and the
+decoder's upsample writes straight into its concat buffer
+(:func:`t_upsample_concat`).
 """
 
 from __future__ import annotations
@@ -165,23 +171,35 @@ def _record(tape, data, op, parents, bwd):
     return tape.node(data, op, parents, bwd)
 
 
-def t_conv3d(tape, x, weight, spec, transpose_weight=False):
+def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
-    gradient is transposed back before accumulating into the parameter."""
+    gradient is transposed back before accumulating into the parameter.
+
+    A ``residual`` of the output's shape is added in place into the conv's
+    fresh output, so conv and shortcut add are one node with parents
+    (x, weight, residual), whose rule hands g to the residual as
+    :func:`t_add` does. The sum is bit-identical to ``t_add(conv, residual)``."""
     xd = _data(x)
     # channel-transposed view shares storage with the parameter (tied convs)
     w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
     data = ops.conv3d(xd, w, spec)
+    parents = (x, weight)
+    if residual is not None:
+        rd = _data(residual)
+        if rd.shape != data.shape:
+            raise ShapeError(f"residual shape {rd.shape} != conv output {data.shape}")
+        data += rd
+        parents += (residual,)
 
     def bwd(g):
         gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
         gw = ops.conv3d_weight_grad(xd, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        return gx, gw
+        return (gx, gw, g) if residual is not None else (gx, gw)
 
-    return _record(tape, data, "conv3d", (x, weight), bwd)
+    return _record(tape, data, "conv3d", parents, bwd)
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
@@ -256,6 +274,23 @@ def t_trilinear_upsample(tape, x, scale):
         return (ops.trilinear_upsample_grad(g, xd.shape, scale),)
 
     return _record(tape, ops.trilinear_upsample(xd, scale), "trilinear_upsample", (x,), bwd)
+
+
+def t_upsample_concat(tape, x, skip, scale):
+    """concat_channels(trilinear_upsample(x, scale), skip) as one node: the
+    upsample writes the first channels of the concat buffer and the skip is
+    copied after it, so no separate upsample output is kept."""
+    xd, sd = ops.check_volume5d(_data(x)), ops.check_volume5d(_data(skip), "skip")
+    c = xd.shape[1]
+    data = np.empty((sd.shape[0], c + sd.shape[1]) + sd.shape[2:], dtype=xd.dtype)
+    # raises ShapeError unless the upsample's (n, d, h, w) are the skip's
+    ops.trilinear_upsample(xd, scale, out=data[:, :c])
+    data[:, c:] = sd
+
+    def bwd(g):
+        return ops.trilinear_upsample_grad(g[:, :c], xd.shape, scale), g[:, c:]
+
+    return _record(tape, data, "upsample_concat", (x, skip), bwd)
 
 
 def t_softmax_channels(tape, x):

@@ -6,6 +6,9 @@ Topology of one MF unit (BN+ReLU, one :class:`BatchNorm3d` op, before every conv
     x -> multiplexer -> [BN,ReLU, grouped 3x3x3 conv c_in->c_mid, stride s]
       -> [BN,ReLU, grouped 3x3x3 conv c_mid->c_out] -> (+ shortcut(x))
 
+Each residual add runs inside the conv before it (``residual=`` of
+:func:`dmfnet.autograd.t_conv3d`), so the tape keeps no separate conv output.
+
 The multiplexer squeezes channels c -> c/2 -> c with two ungrouped 1x1x1
 convs and its own residual shortcut. A DMF unit replaces the first grouped
 conv with three parallel dilated branches (rates 1, 2, 3 by default) combined
@@ -117,8 +120,8 @@ class Conv3dLayer(Block):
         self.weight = Parameter(f"{name}.weight",
                                 kaiming_normal(rng, spec.weight_shape, fan_in, dtype))
 
-    def forward(self, x, mode="train", tape=None):
-        return ag.t_conv3d(tape, x, self.weight, self.spec)
+    def forward(self, x, mode="train", tape=None, residual=None):
+        return ag.t_conv3d(tape, x, self.weight, self.spec, residual=residual)
 
 
 class BatchNorm3d(Block):
@@ -152,9 +155,9 @@ class PreActConv(Block):
         self.bn = BatchNorm3d(f"{name}.bn", spec.c_in, dtype=dtype)
         self.conv = Conv3dLayer(f"{name}.conv", spec, rng, dtype=dtype)
 
-    def forward(self, x, mode="train", tape=None):
+    def forward(self, x, mode="train", tape=None, residual=None):
         h = self.bn.forward(x, mode, tape)
-        return self.conv.forward(h, mode, tape)
+        return self.conv.forward(h, mode, tape, residual)
 
 
 class Multiplexer(Block):
@@ -184,8 +187,8 @@ class Multiplexer(Block):
         h = self.bn_squeeze.forward(x, mode, tape)
         h = ag.t_conv3d(tape, h, self.weight, self.squeeze_spec)
         h = self.bn_inflate.forward(h, mode, tape)
-        h = ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True)
-        return ag.t_add(tape, h, x)
+        return ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True,
+                           residual=x)
 
 
 class MFUnit(Block):
@@ -233,9 +236,8 @@ class MFUnit(Block):
     def forward(self, x, mode="train", tape=None):
         h = self.mux.forward(x, mode, tape)
         h = self._first(h, mode, tape)
-        h = self.conv2.forward(h, mode, tape)
         s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
-        return ag.t_add(tape, h, s)
+        return self.conv2.forward(h, mode, tape, residual=s)
 
 
 class DMFUnit(MFUnit):

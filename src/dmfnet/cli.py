@@ -194,10 +194,12 @@ def cmd_train(args):
 
 
 class _OpBlock(blocks.Block):
-    """Adapter exposing a traced-op closure as a checkable block."""
+    """Adapter exposing a traced-op closure as a checkable block; ``layers``
+    are the blocks whose parameters the closure uses."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, *layers):
         self._fn = fn
+        self.layers = list(layers)
 
     def forward(self, x, mode="train", tape=None):
         return self._fn(tape, x, mode)
@@ -222,6 +224,10 @@ def gradcheck_suite(scope, seed=0):
         cases.append(("batch_norm", bnl, rng.standard_normal((2, 3, 4, 4, 4)), 1e-5, 1e-5, 60))
         sm = _OpBlock(lambda tape, x, mode: ag.t_softmax_channels(tape, x))
         cases.append(("softmax_channels", sm, rng.standard_normal((1, 4, 3, 3, 3)), 1e-5, 1e-5, 60))
+        conv = blocks.Conv3dLayer("conv_residual", ops.ConvSpec(4, 4, kernel=3, padding=1, groups=2),
+                                  rng, dtype=np.float64)
+        res = _OpBlock(lambda tape, x, mode: conv.forward(x, mode, tape, residual=x), conv)
+        cases.append(("conv_residual", res, x8, 1e-6, 1e-5, 60))
     elif scope == "blocks":
         mux = blocks.Multiplexer("mux", 8, rng, np.float64)
         cases.append(("multiplexer", mux, rng.standard_normal((1, 8, 4, 4, 4)), 1e-5, 1e-5, 40))
@@ -259,6 +265,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_augment_preview(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     aug_cfg = _resolve("augment", _load_config_file(args.config), args, ("crop_size",),
                        dio.AugmentConfig)
     volume, labels = dio.load_case(args.case_dir)

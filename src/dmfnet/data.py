@@ -83,10 +83,12 @@ def load_case(case_dir):
         path = case_dir / f"{name}.f32"
         if not path.is_file():
             raise DataError(f"missing modality file {path.name} in {case_dir}")
-        raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-        if raw.size != count:
-            raise DataError(
-                f"{path.name} holds {raw.size} voxels but meta dims {dims} imply {count}")
+        blob = path.read_bytes()
+        if len(blob) != 4 * count:
+            held = (f"{len(blob) // 4} voxels" if len(blob) % 4 == 0
+                    else f"{len(blob)} bytes, not whole float32 voxels,")
+            raise DataError(f"{path.name} holds {held} but meta dims {dims} imply {count}")
+        raw = np.frombuffer(blob, dtype="<f4")
         if not np.isfinite(raw).all():
             raise DataError(f"{path} holds non-finite voxels")
         channels.append(raw.reshape(dims))

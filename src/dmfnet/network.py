@@ -6,7 +6,8 @@ Layout (strides in parentheses):
     encoder: three stages of three units each; the first unit of every stage
         downsamples with stride 2; the first `dilated_unit_count` encoder
         units are DMF units, the rest MF units
-    decoder: three times [trilinear upsample x2, concat encoder skip, MF unit]
+    decoder: three times [trilinear upsample x2, concat encoder skip, MF unit];
+        the upsample writes straight into its concat buffer
     head: trilinear upsample x2 back to full resolution, then an ungrouped
         1x1x1 classifier conv with one output channel per label in CLASS_LABELS
 
@@ -145,16 +146,15 @@ class Network(Block):
         """Logits with the input's spatial dims, one channel per label in CLASS_LABELS."""
         self._check_input(ag._data(x).shape)
         h = self.stem.forward(x, mode, tape)
-        skips = [h]
+        skips = []
         for stage in self.stages:
+            skips.append(h)
             for unit in stage:
                 h = unit.forward(h, mode, tape)
-            skips.append(h)
-        # skips: stem out (1/s0), stage outputs (1/2s0, 1/4s0, 1/8s0)
-        for unit, skip in zip(self.decoder, reversed(skips[:-1])):
-            h = ag.t_trilinear_upsample(tape, h, 2)
-            h = ag.t_concat_channels(tape, h, skip)
-            h = unit.forward(h, mode, tape)
+        # skips: stem out (1/s0), the first two stage outputs (1/2s0, 1/4s0);
+        # each is released once its concat has copied it
+        for unit in self.decoder:
+            h = unit.forward(ag.t_upsample_concat(tape, h, skips.pop(), 2), mode, tape)
         if self.cfg.stem_stride != 1:
             h = ag.t_trilinear_upsample(tape, h, self.cfg.stem_stride)
         return self.classifier.forward(h, mode, tape)

@@ -446,23 +446,36 @@ def _interp_matrix(size, scale, dtype):
             + (cols == np.minimum(i0 + 1, size - 1)[:, None]) * frac).astype(dtype)
 
 
-def _resample(x, mats):
-    """Apply one (out, in) matrix per spatial axis (d, h, w), one channel at a time."""
+def _resample(x, mats, out=None):
+    """Apply one (out, in) matrix per spatial axis (d, h, w), one channel at a
+    time, into ``out`` if given. Each (n, c) volume is written through its own
+    view, which is contiguous even when ``out`` is a channel slice of a larger
+    buffer; reshaping such a slice whole would copy it."""
     md, mh, mw = mats
-    out = np.empty(x.shape[:2] + (md.shape[0], mh.shape[0], mw.shape[0]), dtype=x.dtype)
-    for src, dst in zip(x.reshape(-1, *x.shape[2:]), out.reshape(-1, *out.shape[2:])):
-        np.matmul(md, (mh @ (src @ mw.T)).reshape(src.shape[0], -1),
-                  out=dst.reshape(md.shape[0], -1))
+    if out is None:
+        out = np.empty(x.shape[:2] + (md.shape[0], mh.shape[0], mw.shape[0]), dtype=x.dtype)
+    for xi, oi in zip(x, out):
+        for src, dst in zip(xi, oi):
+            np.matmul(md, (mh @ (src @ mw.T)).reshape(src.shape[0], -1),
+                      out=dst.reshape(md.shape[0], -1))
     return out
 
 
-def trilinear_upsample(x, scale):
-    """Integer-factor trilinear upsampling (align-corners=false, clamped borders)."""
+def trilinear_upsample(x, scale, out=None):
+    """Integer-factor trilinear upsampling (align-corners=false, clamped
+    borders), into ``out`` if given: an array of the result's shape and dtype
+    whose (n, c) volumes are each C-contiguous, such as a channel slice of a
+    concat buffer."""
     x = check_volume5d(x)
     scale = _triple(scale, "scale")
     if any(s < 1 for s in scale):
         raise ConfigError(f"scale must be >= 1 per axis, got {scale}")
-    return _resample(x, [_interp_matrix(n, s, x.dtype) for n, s in zip(x.shape[2:], scale)])
+    if out is not None:
+        shape = x.shape[:2] + tuple(n * s for n, s in zip(x.shape[2:], scale))
+        if out.shape != shape or out.dtype != x.dtype or not out[0, 0].flags.c_contiguous:
+            raise ShapeError(f"out must take {x.dtype} {shape} in C-contiguous volumes, "
+                             f"got {out.dtype} {out.shape}")
+    return _resample(x, [_interp_matrix(n, s, x.dtype) for n, s in zip(x.shape[2:], scale)], out)
 
 
 def trilinear_upsample_grad(grad_out, input_shape, scale):

@@ -42,6 +42,8 @@ class TrainConfig:
         if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf):
             raise ConfigError("lr and weight_decay must be finite and non-negative, "
                               f"got {self.lr} and {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr_schedule not in ("constant", "poly"):
             raise ConfigError(f"lr_schedule must be 'constant' or 'poly', got {self.lr_schedule!r}")
 

@@ -239,6 +239,60 @@ class TestTracedOps:
         assert "omega" not in grads
 
 
+def _sweep(fn, inputs, g):
+    """(output, gradient of every input leaf, parameter gradients) of fn on a tape."""
+    tape = ag.GradTape()
+    leaves = [tape.leaf(a) for a in inputs]
+    tape.input_var = leaves[0]
+    tape.output_var = fn(tape, *leaves)
+    _, grads = ag.backward(tape, g)
+    return tape.output_var.data, [v.grad for v in leaves], grads
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFusedOps:
+    """The fused residual conv and upsample+concat give the very bits of the
+    ops they replace, forward and backward."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transpose_weight"])
+    def test_conv_residual_equals_conv_then_add(self, rng, transposed):
+        # either way a 4 -> 8 channel conv
+        if transposed:
+            mux = blocks.Multiplexer("mux", 8, rng, np.float32)
+            weight, spec = mux.weight, mux.inflate_spec
+        else:
+            layer = conv_layer(rng, c_in=4, c_out=8, groups=2, dtype=np.float32)
+            weight, spec = layer.weight, layer.spec
+        x = rng.standard_normal((2, 4, 5, 4, 6)).astype(np.float32)
+        r = rng.standard_normal((2, 8, 5, 4, 6)).astype(np.float32)
+        g = rng.standard_normal(r.shape).astype(np.float32)
+        fused = _sweep(lambda t, xv, rv: ag.t_conv3d(t, xv, weight, spec, transposed, residual=rv),
+                       [x, r], g)
+        split = _sweep(lambda t, xv, rv: ag.t_add(t, ag.t_conv3d(t, xv, weight, spec, transposed), rv),
+                       [x, r], g)
+        _assert_bitwise(fused[0], split[0])
+        for a, b in zip(fused[1], split[1]):
+            _assert_bitwise(a, b)
+        assert list(fused[2]) == [weight.name]
+        _assert_bitwise(fused[2][weight.name], split[2][weight.name])
+
+    def test_upsample_concat_equals_upsample_then_concat(self, rng):
+        # batch 2: the upsample's channel slice of the buffer is not contiguous
+        x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
+        skip = rng.standard_normal((2, 2, 6, 8, 4)).astype(np.float32)
+        g = rng.standard_normal((2, 5, 6, 8, 4)).astype(np.float32)
+        fused = _sweep(lambda t, xv, sv: ag.t_upsample_concat(t, xv, sv, 2), [x, skip], g)
+        split = _sweep(lambda t, xv, sv: ag.t_concat_channels(
+            t, ag.t_trilinear_upsample(t, xv, 2), sv), [x, skip], g)
+        _assert_bitwise(fused[0], split[0])
+        for a, b in zip(fused[1], split[1]):
+            _assert_bitwise(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
 class TestBatchNormRule:
     """The BN+ReLU backward, run in three full-size buffers, equals the
     textbook rule bit for bit and writes into none of its inputs."""
@@ -303,6 +357,10 @@ def _op_cases(rng):
                                        [v(1, 2, 3, 3, 3) for _ in range(2)]),
         "generalized_dice_loss": (lambda t, p: losses.generalized_dice_loss(p, target, tape=t),
                                   [ops.softmax_channels(v(1, 4, 3, 3, 3))]),
+        "conv3d_residual": (lambda t, x, r: ag.t_conv3d(t, x, conv.weight, spec, residual=r),
+                            [v(1, 4, 4, 4, 4), v(1, 2, 4, 4, 4)]),
+        "upsample_concat": (lambda t, x, skip: ag.t_upsample_concat(t, x, skip, 2),
+                            [v(2, 2, 2, 3, 2), v(2, 3, 4, 6, 4)]),
     }
 
 
@@ -317,6 +375,14 @@ def _bad_cases(rng):
         omega = ag.Parameter("omega", np.ones(n))
         cases[f"omega_length_{n}"] = (
             lambda t, *b, omega=omega: ag.t_branch_weighted_sum(t, list(b), omega), ys)
+    spec = ops.ConvSpec(2, 2, kernel=1)
+    conv = blocks.Conv3dLayer("c", spec, rng, dtype=np.float64)
+    cases["conv3d_residual_shape"] = (
+        lambda t, x, r: ag.t_conv3d(t, x, conv.weight, spec, residual=r),
+        [ys[0], rng.standard_normal((1, 2, 3, 3, 4))])
+    cases["upsample_concat_skip_shape"] = (
+        lambda t, x, skip: ag.t_upsample_concat(t, x, skip, 2),
+        [ys[0], rng.standard_normal((1, 2, 6, 6, 5))])
     return cases
 
 

@@ -72,6 +72,7 @@ def bad_data(tmp_path, case_dir, checkpoint):
     return {
         "no-flair": damaged("no-flair", lambda d: (d / "flair.f32").unlink()),
         "short-t1": damaged("short-t1", lambda d: (d / "t1.f32").write_bytes(bytes(100))),
+        "odd-t1": damaged("odd-t1", lambda d: (d / "t1.f32").write_bytes(bytes(101))),
         "short-seg": damaged("short-seg", lambda d: (d / dio.SEG_NAME).write_bytes(bytes(100))),
         "label-3": damaged("label-3", overwrite(dio.SEG_NAME, b"\x03")),
         "nan-t1": damaged("nan-t1", overwrite("t1.f32", np.float32(np.nan).tobytes())),
@@ -270,6 +271,14 @@ BAD_INPUTS = [
                  "missing modality file flair.f32", id="missing-modality"),
     pytest.param(_train_on("{bad[short-t1]}"), {"arch": TOY_ARCH}, 1, "holds 25 voxels",
                  id="short-modality"),
+    pytest.param(_INFER + ["--case-dir", "{bad[odd-t1]}/case_a"], _TOY, 1,
+                 "t1.f32 holds 101 bytes, not whole float32 voxels", id="odd-modality-bytes"),
+    pytest.param(_NO_AUG + ["--seed", "-1"], _TOY, 1, "seed must be >= 0, got -1",
+                 id="train-seed-negative"),
+    pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {"seed": -1}}, 1,
+                 "seed must be >= 0, got -1", id="train-config-seed-negative"),
+    pytest.param(_PREVIEW + ["--seed", "-1", "--crop-size", "8,8,8"], {}, 1,
+                 "--seed must be >= 0, got -1", id="preview-seed-negative"),
     pytest.param(_train_on("{bad[short-seg]}"), {"arch": TOY_ARCH}, 1, "seg.u8 holds 100 voxels",
                  id="short-seg"),
     pytest.param(_train_on("{bad[label-3]}"), {"arch": TOY_ARCH}, 1, "illegal values [3]",

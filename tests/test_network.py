@@ -173,8 +173,23 @@ class TestLeanTape:
         assert "relu" not in kinds
         assert kinds.count("batch_norm") == n_bn == 48
         # activation bytes of the float32 toy net at 1x4x16^3; separate
-        # batch_norm and relu nodes held 1,288,992
-        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 1_029_440
+        # batch_norm and relu nodes held 1,288,992, and separate add and
+        # upsample outputs 1,029,440
+        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 865_216
+
+    def test_dmfnet_train_tape_keeps_no_add_or_decoder_upsample(self, rng):
+        """Residual adds run inside their convs, and the decoder's upsamples
+        write into their concats: only the head's upsample is a node of its own."""
+        net = network.build_network(network.dmfnet_config(), seed=0)
+        tape = ag.GradTape()
+        tape.input_var = tape.leaf(rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32))
+        net.forward(tape.input_var, mode="train", tape=tape)
+        kinds = [v.op for v in tape.nodes]
+        assert "add" not in kinds and "concat_channels" not in kinds
+        assert kinds.count("trilinear_upsample") == 1
+        assert kinds.count("upsample_concat") == len(net.decoder) == 3
+        # one residual per multiplexer and per unit: 12 units, two each
+        assert sum(len(v.parents) == 3 for v in tape.nodes if v.op == "conv3d") == 24
 
 
 class TestDegeneracyAtNetworkScale:

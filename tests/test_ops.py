@@ -457,6 +457,25 @@ class TestTrilinearUpsample:
             tracemalloc.stop()
         assert peak <= gx.nbytes + intermediate + (1 << 20)
 
+    def test_writes_into_a_channel_slice(self, rng):
+        # batch 2: buf[:, :3] is not contiguous, but each of its volumes is
+        x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
+        buf = np.full((2, 5, 6, 8, 4), np.nan, dtype=np.float32)
+        got = ops.trilinear_upsample(x, 2, out=buf[:, :3])
+        assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(buf[:, :3], ops.trilinear_upsample(x, 2))
+        assert np.isnan(buf[:, 3:]).all()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 3, 6, 8, 5), np.float32),
+        np.empty((2, 3, 6, 8, 4), np.float64),
+        np.empty((2, 3, 6, 8, 8), np.float32)[..., ::2],  # volumes not contiguous
+    ], ids=["shape", "dtype", "strided"])
+    def test_rejects_an_out_that_does_not_fit(self, rng, out):
+        x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
+        with pytest.raises(ShapeError):
+            ops.trilinear_upsample(x, 2, out=out)
+
     def test_preserves_bounds(self, rng):
         x = rng.standard_normal((1, 3, 4, 4, 4))
         out = ops.trilinear_upsample(x, (2, 3, 2))
