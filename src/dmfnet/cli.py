@@ -218,8 +218,9 @@ def gradcheck_suite(scope, seed=0):
             cases.append((layer.name, layer, x8, 1e-6, 1e-5, 60))
         up = _OpBlock(lambda tape, x, mode: ag.t_trilinear_upsample(tape, x, 2))
         cases.append(("trilinear_upsample", up, rng.standard_normal((1, 3, 4, 4, 4)), 1e-6, 1e-5, 60))
-        cat = _OpBlock(lambda tape, x, mode: ag.t_concat_channels(tape, x, ag.t_add(tape, x, x)))
-        cases.append(("concat_add", cat, rng.standard_normal((1, 2, 4, 4, 4)), 1e-6, 1e-5, 60))
+        cat = _OpBlock(lambda tape, x, mode: ag.t_upsample_concat(
+            tape, x, ag.t_trilinear_upsample(tape, x, 2), 2))
+        cases.append(("upsample_concat", cat, rng.standard_normal((1, 2, 4, 4, 4)), 1e-6, 1e-5, 60))
         bnl = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
         cases.append(("batch_norm", bnl, rng.standard_normal((2, 3, 4, 4, 4)), 1e-5, 1e-5, 60))
         sm = _OpBlock(lambda tape, x, mode: ag.t_softmax_channels(tape, x))

@@ -284,30 +284,25 @@ def load_params(net, path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint {path} has a corrupt header: {exc}") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} header is not a JSON object")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
     items = net.state_items()
+    blobs = header.get("blobs")
+    if not isinstance(blobs, list) or len(blobs) != len(items):
+        held = f"{len(blobs)} blobs" if isinstance(blobs, list) else f"blobs {blobs!r}"
+        raise CheckpointError(f"checkpoint holds {held}, network expects {len(items)} blobs")
     loaded = []
-    blobs = header["blobs"]
-    if len(blobs) != len(items):
-        raise CheckpointError(
-            f"checkpoint holds {len(blobs)} blobs, network expects {len(items)}")
     for (name, arr), blob in zip(items, blobs):
-        if blob["name"] != name or tuple(blob["shape"]) != arr.shape:
-            raise CheckpointError(
-                f"checkpoint blob {blob['name']} {blob['shape']} does not match "
-                f"network tensor {name} {list(arr.shape)}")
-        dtype = np.dtype(blob["dtype"])
-        count = int(np.prod(arr.shape)) if arr.shape else 1
-        nbytes = dtype.itemsize * count
-        if len(raw) < off + nbytes:
+        want = {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
+        if blob != want:
+            raise CheckpointError(f"checkpoint blob {blob!r} does not match network tensor {want}")
+        if len(raw) < off + arr.nbytes:
             raise CheckpointError(f"checkpoint {path} is truncated inside blob {name}")
-        data = np.frombuffer(raw[off : off + nbytes], dtype=dtype).reshape(arr.shape)
-        if data.dtype != arr.dtype:
-            raise CheckpointError(
-                f"dtype mismatch for {name}: checkpoint {data.dtype}, network {arr.dtype}")
+        data = np.frombuffer(raw[off : off + arr.nbytes], dtype=arr.dtype).reshape(arr.shape)
         loaded.append((arr, data))
-        off += nbytes
+        off += arr.nbytes
     if off != len(raw):
         raise CheckpointError(f"{len(raw) - off} trailing bytes in checkpoint {path}")
     for arr, data in loaded:
@@ -326,8 +321,3 @@ def write_metrics(path, records):
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_metrics(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

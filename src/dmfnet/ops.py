@@ -6,8 +6,13 @@ Volumes are C-contiguous numpy arrays of shape (n, c, d, h, w), float32 by
 default. Every kernel is a pure function of its inputs (except that train-mode
 batch norm updates the running statistics of its BatchNorm3d in place, see
 :func:`batch_norm_moments`), deterministic, and safe to call concurrently on
-distinct arrays. :func:`batch_norm` and :func:`relu` are untraced references;
-the network runs BN+ReLU as one op, :func:`dmfnet.autograd.t_batch_norm`.
+distinct arrays. The network runs BN+ReLU as one op,
+:func:`dmfnet.autograd.t_batch_norm`, and fuses its residual adds and decoder
+concats into ``t_conv3d(residual=)`` and ``t_upsample_concat``. So
+:func:`batch_norm`, :func:`relu`, :func:`add` and :func:`concat_channels`, like
+autograd's ``t_relu``, ``t_add`` and ``t_concat_channels``, have no caller in
+the library: they stay only because the benchmark's tracer
+(``perfbench/spans.py``) wraps them by name. Do not add callers back.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
 (see _narrowing). By default it is an im2col GEMM over slabs of output voxels:

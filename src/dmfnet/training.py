@@ -42,6 +42,12 @@ class TrainConfig:
         if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf):
             raise ConfigError("lr and weight_decay must be finite and non-negative, "
                               f"got {self.lr} and {self.weight_decay}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1), "
+                              f"got {self.beta1} and {self.beta2}")
+        if not (0 < self.eps < np.inf and self.poly_power >= 0):
+            raise ConfigError("eps must be finite and positive and poly_power non-negative, "
+                              f"got {self.eps} and {self.poly_power}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr_schedule not in ("constant", "poly"):
@@ -134,16 +140,12 @@ def _snapshot_omega(net, epoch, log):
 def train_step(net, params, x, labels, state, cfg, lr):
     """One optimization step of ``params`` (net.parameters()) on a prepared
     batch; returns the loss."""
-    tape = ag.GradTape()
-    xv = tape.leaf(x)
-    tape.input_var = xv
-    logits = net.forward(xv, mode="train", tape=tape)
-    probs = ag.t_softmax_channels(tape, logits)
-    loss_var = generalized_dice_loss(probs, labels, tape=tape)
-    tape.output_var = loss_var
-    loss = float(loss_var.data)
+    _, tape = ag.forward_record(net, x, mode="train")
+    probs = ag.t_softmax_channels(tape, tape.output_var)
+    tape.output_var = generalized_dice_loss(probs, labels, tape=tape)
+    loss = float(tape.output_var.data)
     if np.isfinite(loss):
-        _, grads = ag.backward(tape, np.ones_like(loss_var.data))
+        _, grads = ag.backward(tape, np.ones_like(tape.output_var.data))
         adam_step(params, grads, state, cfg, lr=lr)
     return loss
 

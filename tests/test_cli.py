@@ -69,6 +69,18 @@ def bad_data(tmp_path, case_dir, checkpoint):
     empty.mkdir(parents=True)
     raw = checkpoint.read_bytes()
     head = len(dio.CHECKPOINT_MAGIC) + 8  # the first byte of the JSON header
+    end = head + int.from_bytes(raw[head - 8:head], "little")
+    header = json.loads(raw[head:end])
+
+    def reheaded(name, change):
+        """``checkpoint`` with its JSON header replaced by ``change(header)``."""
+        payload = json.dumps(change(header)).encode()
+        return written(name, dio.CHECKPOINT_MAGIC + len(payload).to_bytes(8, "little")
+                       + payload + raw[end:])
+
+    def first_blob(change):
+        return lambda h: {**h, "blobs": [change(h["blobs"][0]), *h["blobs"][1:]]}
+
     return {
         "no-flair": damaged("no-flair", lambda d: (d / "flair.f32").unlink()),
         "short-t1": damaged("short-t1", lambda d: (d / "t1.f32").write_bytes(bytes(100))),
@@ -87,6 +99,13 @@ def bad_data(tmp_path, case_dir, checkpoint):
         "channels-up": damaged("channels-up", meta('{"dims": [16, 16, 16], "channels": ["../../x"]}')),
         "cut-checkpoint": written("cut.bin", raw[:-5]),
         "corrupt-header": written("corrupt.bin", raw[:head] + b"\xff" + raw[head + 1:]),
+        "header-list": reheaded("list.bin", lambda h: [1, 2]),
+        "no-blobs": reheaded("no-blobs.bin", lambda h: {"version": 1}),
+        "blobs-int": reheaded("blobs-int.bin", lambda h: {**h, "blobs": 5}),
+        "blob-no-name": reheaded("no-name.bin", first_blob(
+            lambda b: {k: v for k, v in b.items() if k != "name"})),
+        "blob-shape-int": reheaded("shape-int.bin", first_blob(lambda b: {**b, "shape": 7})),
+        "blob-dtype": reheaded("dtype.bin", first_blob(lambda b: {**b, "dtype": "float99"})),
     }
 
 
@@ -184,7 +203,7 @@ class TestTrainInferEvaluate:
                        "--checkpoint", str(out_dir / "checkpoint.bin"),
                        "--data-dir", str(case_dir.parent), "--out", str(metrics_path)])
         assert rc == 0
-        records = dio.read_metrics(metrics_path)
+        records = [json.loads(line) for line in metrics_path.read_text().splitlines()]
         assert records[0]["case_id"] == "case_a"
         assert set(records[0]) == {"case_id", "dice_et", "dice_wt", "dice_tc"}
 
@@ -300,6 +319,15 @@ BAD_INPUTS = [
                  id="corrupt-checkpoint-header"),
     pytest.param(_INFER + ["--checkpoint", "{missing}"], _TOY, 1, "read checkpoint {missing}",
                  id="missing-checkpoint"),
+    *(pytest.param(_INFER + ["--checkpoint", f"{{bad[{name}]}}"], _TOY, 1, expect, id=name)
+      for name, expect in [
+          ("header-list", "header is not a JSON object"),
+          ("no-blobs", "checkpoint holds blobs None, network expects"),
+          ("blobs-int", "checkpoint holds blobs 5, network expects"),
+          ("blob-no-name", "checkpoint blob {{'shape': [4, 4, 3, 3, 3], 'dtype': 'float32'}} "
+                           "does not match network tensor {{'name': 'stem.weight'"),
+          ("blob-shape-int", "'shape': 7, 'dtype': 'float32'}} does not match"),
+          ("blob-dtype", "'dtype': 'float99'}} does not match")]),
     *(pytest.param(_TRAIN, {section: {key: 1}}, 1, f"unknown {section} config key(s): {key}",
                    id=f"unknown-key-{section}-{key}")
       for section, key in [("arch", "widths"), ("train", "learning_rate"), ("augment", "flip"),
@@ -335,6 +363,15 @@ BAD_INPUTS = [
     pytest.param(_NO_AUG + ["--lr", "nan"], {}, 1, "lr=nan needs", id="lr-nan"),
     pytest.param(_NO_AUG + ["--weight-decay", "inf"], {}, 1, "weight_decay=inf needs",
                  id="weight-decay-inf"),
+    *(pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {key: value}}, 1, expect,
+                   id=f"train-{key}-{value}")
+      for key, value, expect in [
+          ("beta1", 1.0, "beta1 and beta2 must lie in [0, 1), got 1.0 and 0.999"),
+          ("beta1", -3.0, "beta1 and beta2 must lie in [0, 1), got -3.0 and 0.999"),
+          ("beta2", 1.0, "beta1 and beta2 must lie in [0, 1), got 0.9 and 1.0"),
+          ("eps", 0.0, "eps must be finite and positive and poly_power non-negative, got 0.0"),
+          ("eps", -1e-8, "eps must be finite and positive and poly_power non-negative, got -1e-08"),
+          ("poly_power", -1.0, "poly_power non-negative, got 1e-08 and -1.0")]),
     pytest.param(_NO_AUG + ["--epochs", "0"], {}, 1, "epochs must be >= 1, got 0", id="epochs-0"),
     pytest.param(_NO_AUG + ["--epochs", "-3"], {}, 1, "epochs must be >= 1, got -3",
                  id="epochs-negative"),

@@ -292,4 +292,5 @@ class TestMetricsRecords:
             {"case_id": "b", "dice_et": 1.0, "dice_wt": 1.0, "dice_tc": 0.0},
         ]
         dio.write_metrics(tmp_path / "m.jsonl", records)
-        assert dio.read_metrics(tmp_path / "m.jsonl") == records
+        lines = (tmp_path / "m.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == records

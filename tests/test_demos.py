@@ -1,12 +1,18 @@
-"""The narrative demo scripts keep running (training demo excluded for time)."""
+"""The narrative demo scripts (training demo excluded for time) and the README's
+python blocks keep running."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.DOTALL | re.MULTILINE)
 FAST = [p for p in DEMOS if "training" not in p.name]
 
 
@@ -16,3 +22,12 @@ def test_demo_runs(script):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(code):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -165,9 +165,8 @@ class TestLeanTape:
 
     def test_toy_train_tape(self, rng):
         net = network.build_network(network.toy_config(), seed=0)
-        tape = ag.GradTape()
-        tape.input_var = tape.leaf(rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32))
-        net.forward(tape.input_var, mode="train", tape=tape)
+        x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
+        _, tape = ag.forward_record(net, x, mode="train")
         kinds = [v.op for v in tape.nodes]
         n_bn = sum(name.endswith(".running_mean") for name, _ in net.buffers())
         assert "relu" not in kinds
@@ -181,9 +180,8 @@ class TestLeanTape:
         """Residual adds run inside their convs, and the decoder's upsamples
         write into their concats: only the head's upsample is a node of its own."""
         net = network.build_network(network.dmfnet_config(), seed=0)
-        tape = ag.GradTape()
-        tape.input_var = tape.leaf(rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32))
-        net.forward(tape.input_var, mode="train", tape=tape)
+        x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
+        _, tape = ag.forward_record(net, x, mode="train")
         kinds = [v.op for v in tape.nodes]
         assert "add" not in kinds and "concat_channels" not in kinds
         assert kinds.count("trilinear_upsample") == 1

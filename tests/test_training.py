@@ -92,8 +92,10 @@ class TestAdamStep:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"epochs": -3}, {"lr": float("nan")},
-                                     {"weight_decay": float("inf")}],
-                             ids=["epochs-0", "epochs-negative", "lr-nan", "weight-decay-inf"])
+                                     {"weight_decay": float("inf")}, {"beta2": float("nan")},
+                                     {"eps": float("inf")}, {"poly_power": float("nan")}],
+                             ids=["epochs-0", "epochs-negative", "lr-nan", "weight-decay-inf",
+                                  "beta2-nan", "eps-inf", "poly-power-nan"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             training.TrainConfig(**bad)
