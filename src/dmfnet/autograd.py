@@ -16,7 +16,9 @@ No recorded array exists only to be read by an add or a concat, whose rules
 need no saved data: a residual add is fused into the conv that feeds it (the
 conv adds the residual into its own fresh output, :func:`t_conv3d`), and the
 decoder's upsample writes straight into its concat buffer
-(:func:`t_upsample_concat`).
+(:func:`t_upsample_concat`). Nor does the tape keep a BN+ReLU output that
+only one conv reads: that conv runs the BN+ReLU itself and rebuilds its
+output in backward from the BN input and statistics (``t_conv3d(bn=)``).
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ class Parameter:
 
 
 class Var:
-    """One recorded value in a tape."""
+    """One recorded value in a tape. ``rebuild``, set only on a conv that
+    runs its own BN+ReLU (``t_conv3d(bn=)``), returns that BN+ReLU output."""
 
-    __slots__ = ("data", "grad", "op", "parents", "backward_fn", "param")
+    __slots__ = ("data", "grad", "op", "parents", "backward_fn", "param", "rebuild")
 
     def __init__(self, data, op="leaf", parents=(), backward_fn=None, param=None):
         self.data = data
@@ -60,6 +63,7 @@ class Var:
         self.parents = parents
         self.backward_fn = backward_fn
         self.param = param
+        self.rebuild = None
 
 
 class GradTape:
@@ -171,7 +175,8 @@ def _record(tape, data, op, parents, bwd):
     return tape.node(data, op, parents, bwd)
 
 
-def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None):
+def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=None,
+             mode="train"):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
     gradient is transposed back before accumulating into the parameter.
@@ -179,11 +184,28 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None):
     A ``residual`` of the output's shape is added in place into the conv's
     fresh output, so conv and shortcut add are one node with parents
     (x, weight, residual), whose rule hands g to the residual as
-    :func:`t_add` does. The sum is bit-identical to ``t_add(conv, residual)``."""
+    :func:`t_add` does. The sum is bit-identical to ``t_add(conv, residual)``.
+
+    With ``bn`` (a BatchNorm3d), ``x`` is the BN input: the conv reads
+    ``relu(batch_norm(x))`` in ``mode``, built here and freed once read, and
+    the node's parents gain (bn.gamma, bn.beta). Backward rebuilds that array
+    bit for bit from x and the saved mean and var, runs the conv rule on it,
+    then the BN+ReLU rule of :func:`t_batch_norm`; so the tape keeps x but no
+    BN+ReLU output. Every output and gradient is bit-identical to
+    ``t_conv3d(t_batch_norm(x, bn, mode), ...)``. The node's ``rebuild``
+    returns the BN+ReLU output for the kink mask of
+    :func:`finite_diff_check`."""
     xd = _data(x)
+    rebuild = None
+    if bn is not None:
+        xd = ops.check_volume5d(xd)
+        mean, var = ops.batch_norm_moments(xd, bn, mode)
+
+        def rebuild():
+            return _bn_relu_apply(xd, mean, var, bn)
     # channel-transposed view shares storage with the parameter (tied convs)
     w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
-    data = ops.conv3d(xd, w, spec)
+    data = ops.conv3d(xd if bn is None else rebuild(), w, spec)
     parents = (x, weight)
     if residual is not None:
         rd = _data(residual)
@@ -191,55 +213,84 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None):
             raise ShapeError(f"residual shape {rd.shape} != conv output {data.shape}")
         data += rd
         parents += (residual,)
+    if bn is not None:
+        parents += (bn.gamma, bn.beta)
 
     def bwd(g):
-        gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
-        gw = ops.conv3d_weight_grad(xd, g, spec)
+        a = xd if bn is None else rebuild()
+        gw = ops.conv3d_weight_grad(a, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        return (gx, gw, g) if residual is not None else (gx, gw)
+        # the rebuilt input goes before the input gradient is made
+        relu_on = None if bn is None else a > 0
+        del a
+        gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
+        rest = () if residual is None else (g,)
+        if bn is None:
+            return (gx, gw, *rest)
+        # gx is this rule's own array: masked in place, it becomes dx
+        dx, dgamma, dbeta = _bn_relu_backward(np.multiply(gx, relu_on, out=gx), xd,
+                                              mean, var, bn, mode)
+        return (dx, gw, *rest, dgamma, dbeta)
 
-    return _record(tape, data, "conv3d", parents, bwd)
+    node = _record(tape, data, "conv3d", parents, bwd)
+    if tape is not None:
+        node.rebuild = rebuild
+    return node
 
 
-def t_batch_norm(tape, x, bn, mode="train"):
-    """relu(batch_norm(x)) as one node; ``bn`` is a BatchNorm3d. The ReLU runs
-    in place on the array batch_norm_apply allocated, never on ``x``. Backward
-    masks g with ``out > 0`` (where BN's output is > 0), then runs the BN rule."""
-    xd = ops.check_volume5d(_data(x))
-    mean, var = ops.batch_norm_moments(xd, bn, mode)
-    gamma = bn.gamma.data
-    data = ops.batch_norm_apply(xd, mean, var, gamma, bn.beta.data, bn.eps)
-    np.maximum(data, 0, out=data)
+def _bn_relu_apply(xd, mean, var, bn):
+    """relu(batch_norm(xd)) with the given moments, in one fresh array: the
+    ReLU runs in place on the array batch_norm_apply allocated."""
+    a = ops.batch_norm_apply(xd, mean, var, bn.gamma.data, bn.beta.data, bn.eps)
+    np.maximum(a, 0, out=a)
+    return a
 
+
+def _bn_relu_backward(gm, xd, mean, var, bn, mode):
+    """(dx, dgamma, dbeta) of relu(batch_norm(xd)), given ``gm``, the output
+    gradient already masked by the ReLU rule: g * (out > 0), so the
+    subgradient at exactly 0 is 0, as in t_relu. The rule owns gm and turns
+    it into dx; xd is never written.
+
+    Three full-size buffers: gm (becomes dxhat, then dx), xm and the
+    scratch t."""
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
     inv = 1.0 / np.sqrt(var + bn.eps)
     count = xd.size // xd.shape[1]
+    xm = xd - mean.reshape(shape)
+    t = xm * inv.reshape(shape)
+    dgamma = np.multiply(gm, t, out=t).sum(axis=axes)
+    dbeta = gm.sum(axis=axes)
+    dxhat = np.multiply(gm, bn.gamma.data.reshape(shape), out=gm)
+    if mode != "train":
+        # eval-mode BN is an affine map in x
+        return np.multiply(dxhat, inv.reshape(shape), out=dxhat), dgamma, dbeta
+    dvar = np.multiply(dxhat, xm, out=t).sum(axis=axes) * (-0.5) * inv**3
+    dmean = (-(dxhat).sum(axis=axes) * inv
+             + dvar * (-2.0 / count) * xm.sum(axis=axes))
+    # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
+    dx = dxhat
+    dx *= inv.reshape(shape)
+    dx += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
+    dx += dmean.reshape(shape) / count
+    return dx, dgamma, dbeta
+
+
+def t_batch_norm(tape, x, bn, mode="train"):
+    """relu(batch_norm(x)) as one node; ``bn`` is a BatchNorm3d. Backward
+    masks g with ``out > 0`` (where BN's output is > 0), then runs the BN rule.
+    The network records such a node only where several convs read its
+    output (a DMF unit's ``bn1``); a conv that alone reads a BN+ReLU runs it
+    itself, ``t_conv3d(bn=)``."""
+    xd = ops.check_volume5d(_data(x))
+    mean, var = ops.batch_norm_moments(xd, bn, mode)
+    data = _bn_relu_apply(xd, mean, var, bn)
 
     def bwd(g):
-        # Three full-size buffers: gm (becomes dxhat, then dx), xm and the
-        # scratch t. g, xd and data are never written: add hands one g to
-        # both parents, and the tape owns the other two.
-        # subgradient at exactly 0 is defined as 0, as in t_relu
-        gm = g * (data > 0)
-        xm = xd - mean.reshape(shape)
-        t = xm * inv.reshape(shape)
-        dgamma = np.multiply(gm, t, out=t).sum(axis=axes)
-        dbeta = gm.sum(axis=axes)
-        dxhat = np.multiply(gm, gamma.reshape(shape), out=gm)
-        if mode != "train":
-            # eval-mode BN is an affine map in x
-            return np.multiply(dxhat, inv.reshape(shape), out=dxhat), dgamma, dbeta
-        dvar = np.multiply(dxhat, xm, out=t).sum(axis=axes) * (-0.5) * inv**3
-        dmean = (-(dxhat).sum(axis=axes) * inv
-                 + dvar * (-2.0 / count) * xm.sum(axis=axes))
-        # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
-        dx = dxhat
-        dx *= inv.reshape(shape)
-        dx += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
-        dx += dmean.reshape(shape) / count
-        return dx, dgamma, dbeta
+        # a fresh masked copy: a residual conv hands one g to two parents
+        return _bn_relu_backward(g * (data > 0), xd, mean, var, bn, mode)
 
     return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta), bwd)
 
@@ -374,9 +425,11 @@ def _rel_err(a, b):
 
 def _loss_and_relu_outputs(block, x, mode):
     """Loss = sum of outputs, plus every ReLU output of the pass, fused BN+ReLU
-    included: its sign pattern is that of the ReLU input."""
+    included: its sign pattern is that of the ReLU input. A conv that runs
+    its own BN+ReLU gives the rebuilt BN+ReLU output."""
     out, tape = forward_record(block, x, mode=mode)
-    acts = [v.data for v in tape.nodes if v.op in ("relu", "batch_norm")]
+    acts = [v.data if v.rebuild is None else v.rebuild() for v in tape.nodes
+            if v.op in ("relu", "batch_norm") or v.rebuild is not None]
     return float(out.sum()), acts
 
 

@@ -8,6 +8,10 @@ Topology of one MF unit (BN+ReLU, one :class:`BatchNorm3d` op, before every conv
 
 Each residual add runs inside the conv before it (``residual=`` of
 :func:`dmfnet.autograd.t_conv3d`), so the tape keeps no separate conv output.
+Each BN+ReLU that one conv alone reads runs inside that conv (``bn=``), which
+rebuilds it in backward, so the tape keeps no BN+ReLU output that only one
+conv reads: only a DMF unit's ``bn1``, read by all its branches, is a node
+of its own.
 
 The multiplexer squeezes channels c -> c/2 -> c with two ungrouped 1x1x1
 convs and its own residual shortcut. A DMF unit replaces the first grouped
@@ -148,7 +152,8 @@ class BatchNorm3d(Block):
 
 
 class PreActConv(Block):
-    """BN+ReLU -> conv, the ordering used inside MF/DMF units."""
+    """BN+ReLU -> conv, the ordering used inside MF/DMF units, run as one
+    conv that reads ``relu(bn(x))`` (``bn=`` of :func:`dmfnet.autograd.t_conv3d`)."""
 
     def __init__(self, name, spec, rng, dtype=np.float32):
         self.name = name
@@ -156,8 +161,8 @@ class PreActConv(Block):
         self.conv = Conv3dLayer(f"{name}.conv", spec, rng, dtype=dtype)
 
     def forward(self, x, mode="train", tape=None, residual=None):
-        h = self.bn.forward(x, mode, tape)
-        return self.conv.forward(h, mode, tape, residual)
+        return ag.t_conv3d(tape, x, self.conv.weight, self.conv.spec, residual=residual,
+                           bn=self.bn, mode=mode)
 
 
 class Multiplexer(Block):
@@ -184,11 +189,9 @@ class Multiplexer(Block):
         self.bn_inflate = BatchNorm3d(f"{name}.bn_inflate", c_in // 2, dtype=dtype)
 
     def forward(self, x, mode="train", tape=None):
-        h = self.bn_squeeze.forward(x, mode, tape)
-        h = ag.t_conv3d(tape, h, self.weight, self.squeeze_spec)
-        h = self.bn_inflate.forward(h, mode, tape)
+        h = ag.t_conv3d(tape, x, self.weight, self.squeeze_spec, bn=self.bn_squeeze, mode=mode)
         return ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True,
-                           residual=x)
+                           residual=x, bn=self.bn_inflate, mode=mode)
 
 
 class MFUnit(Block):

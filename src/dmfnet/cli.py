@@ -229,6 +229,13 @@ def gradcheck_suite(scope, seed=0):
                                   rng, dtype=np.float64)
         res = _OpBlock(lambda tape, x, mode: conv.forward(x, mode, tape, residual=x), conv)
         cases.append(("conv_residual", res, x8, 1e-6, 1e-5, 60))
+        bnc = blocks.BatchNorm3d("bn_conv.bn", 4, dtype=np.float64)
+        tied = blocks.Conv3dLayer("bn_conv", ops.ConvSpec(4, 4, kernel=3, padding=1), rng,
+                                  dtype=np.float64)
+        fused = _OpBlock(lambda tape, x, mode: ag.t_conv3d(
+            tape, x, tied.weight, tied.spec, transpose_weight=True, residual=x, bn=bnc,
+            mode=mode), bnc, tied)
+        cases.append(("bn_conv", fused, rng.standard_normal((2, 4, 4, 4, 4)), 1e-6, 1e-5, 60))
     elif scope == "blocks":
         mux = blocks.Multiplexer("mux", 8, rng, np.float64)
         cases.append(("multiplexer", mux, rng.standard_normal((1, 8, 4, 4, 4)), 1e-5, 1e-5, 40))

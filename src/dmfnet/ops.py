@@ -386,10 +386,18 @@ def conv3d_weight_grad(x, grad_out, spec):
 
 
 def batch_norm_stats(x):
-    """Biased per-channel mean/variance over the (n, d, h, w) axes."""
+    """Biased per-channel mean/variance over the (n, d, h, w) axes.
+
+    One mean pass, then the centred squares summed in one buffer (``x.var``
+    would take the mean a second time). Bit-identical to ``x.mean`` and
+    ``x.var``: the sum of squares is divided as numpy divides it, by an intp
+    count."""
     axes = (0, 2, 3, 4)
     mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    xm = x - mean.reshape(1, -1, 1, 1, 1)
+    np.multiply(xm, xm, out=xm)
+    var = xm.sum(axis=axes)
+    np.divide(var, np.intp(x.size // x.shape[1]), out=var, casting="unsafe")
     return mean, var
 
 

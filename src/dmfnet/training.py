@@ -75,6 +75,11 @@ def adam_step(params, grads, state, cfg, lr=None):
     Coupled L2: weight_decay * theta is added to the gradient before the
     moment update. Parameters flagged decay=False (the branch weights omega)
     are exempt; decaying them would bias branch mixing toward zero.
+
+    Each tensor's update runs in two scratch arrays of its size, with the
+    operations of ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` in the
+    same order, so the result is bit-identical to that expression. The
+    gradients in ``grads`` are never written.
     """
     lr = cfg.lr if lr is None else lr
     state.t += 1
@@ -87,15 +92,25 @@ def adam_step(params, grads, state, cfg, lr=None):
         g = grads[p.name]
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for {p.name!r} at step {t}")
-        if cfg.weight_decay and p.decay:
-            g = g + cfg.weight_decay * p.data
         m = state.m[p.name]
         v = state.v[p.name]
+        s, u = np.empty_like(m), np.empty_like(m)
+        if cfg.weight_decay and p.decay:
+            # u holds the decayed gradient until the step is computed
+            g = np.add(g, np.multiply(cfg.weight_decay, p.data, out=u), out=u)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=s)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= (lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)).astype(p.data.dtype)
+        np.multiply(1.0 - cfg.beta2, g, out=s)
+        s *= g
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += cfg.eps
+        np.divide(m, bc1, out=u)
+        np.multiply(lr, u, out=u)
+        u /= s
+        p.data -= u
 
 
 @dataclass

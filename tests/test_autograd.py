@@ -150,14 +150,16 @@ class TestBackward:
 
     def test_sweep_releases_what_it_no_longer_needs(self, rng):
         """Interior gradients and rules go as the sweep passes; the output's
-        gradient, every leaf's gradient and every node's data stay."""
+        gradient, every leaf's gradient and every node's data stay. (The toy
+        tape has 83 interior nodes: each BN+ReLU that one conv reads is part
+        of that conv's node.)"""
         net = network.build_network(network.toy_config(), seed=0)
         x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
         out, tape = ag.forward_record(net, x)
         gin, grads = ag.backward(tape, np.ones_like(out))
         leaves = [v for v in tape.nodes if v.op in ("input", "param")]
         interior = [v for v in tape.nodes if v not in leaves and v is not tape.output_var]
-        assert len(interior) > 100
+        assert len(interior) == 83
         assert all(v.grad is None and v.backward_fn is None for v in interior)
         assert tape.output_var.grad is not None
         assert gin is tape.input_var.grad
@@ -280,6 +282,51 @@ class TestFusedOps:
         assert list(fused[2]) == [weight.name]
         _assert_bitwise(fused[2][weight.name], split[2][weight.name])
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("variant", ["plain", "residual", "transpose_weight"])
+    def test_bn_conv_equals_batch_norm_then_conv(self, rng, variant, mode):
+        """t_conv3d(bn=) rebuilds its BN+ReLU input in backward; output,
+        every gradient and the running statistics equal those of a
+        t_batch_norm node read by a conv. The transposed case also takes a
+        residual, as the multiplexer's inflate conv does."""
+        if variant == "transpose_weight":
+            mux = blocks.Multiplexer("mux", 8, rng, np.float32)
+            weight, spec = mux.weight, mux.inflate_spec
+        else:
+            layer = conv_layer(rng, c_in=4, c_out=8, groups=2, dtype=np.float32)
+            weight, spec = layer.weight, layer.spec
+        transposed = variant == "transpose_weight"
+        bn = blocks.BatchNorm3d("bn", 4)
+        bn.gamma.data[:] = rng.standard_normal(4)
+        bn.beta.data[:] = rng.standard_normal(4)
+        bn.running_mean[:] = rng.standard_normal(4)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, 4)
+        stats = [a.copy() for _, a in bn.buffers()]
+        x = rng.standard_normal((2, 4, 5, 4, 6)).astype(np.float32)
+        inputs = [x]
+        if variant != "plain":
+            inputs.append(rng.standard_normal((2, 8, 5, 4, 6)).astype(np.float32))
+        g = rng.standard_normal((2, 8, 5, 4, 6)).astype(np.float32)
+
+        def run(fn):
+            for (_, a), a0 in zip(bn.buffers(), stats):
+                a[:] = a0
+            return _sweep(fn, inputs, g), [a.copy() for _, a in bn.buffers()]
+
+        fused, fused_stats = run(lambda t, xv, *r: ag.t_conv3d(
+            t, xv, weight, spec, transposed, *r, bn=bn, mode=mode))
+        split, split_stats = run(lambda t, xv, *r: ag.t_conv3d(
+            t, ag.t_batch_norm(t, xv, bn, mode), weight, spec, transposed, *r))
+        assert 0 < (ops.batch_norm(x, bn, mode) > 0).mean() < 1
+        _assert_bitwise(fused[0], split[0])
+        for a, b in zip(fused[1], split[1]):
+            _assert_bitwise(a, b)
+        assert sorted(fused[2]) == sorted(split[2]) == sorted([weight.name, "bn.gamma", "bn.beta"])
+        for name in fused[2]:
+            _assert_bitwise(fused[2][name], split[2][name])
+        for a, b in zip(fused_stats, split_stats):
+            _assert_bitwise(a, b)
+
     def test_upsample_concat_equals_upsample_then_concat(self, rng):
         # batch 2: the upsample's channel slice of the buffer is not contiguous
         x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
@@ -335,6 +382,9 @@ def _op_cases(rng):
     mux = blocks.Multiplexer("mux", 4, rng, np.float64)
     bn = blocks.BatchNorm3d("bn", 3, dtype=np.float64)
     bn.running_mean[:] = v(3)
+    bn2 = blocks.BatchNorm3d("bn2", 2, dtype=np.float64)
+    bn4 = blocks.BatchNorm3d("bn4", 4, dtype=np.float64)
+    bn4.running_mean[:] = v(4)
     omega = ag.Parameter("omega", v(3))
     frozen = ag.Parameter("frozen", v(2), trainable=False)
     target = rng.choice(CLASS_LABELS, size=(1, 3, 3, 3)).astype(np.uint8)
@@ -361,6 +411,12 @@ def _op_cases(rng):
                             [v(1, 4, 4, 4, 4), v(1, 2, 4, 4, 4)]),
         "upsample_concat": (lambda t, x, skip: ag.t_upsample_concat(t, x, skip, 2),
                             [v(2, 2, 2, 3, 2), v(2, 3, 4, 6, 4)]),
+        "conv3d_bn_train": (lambda t, x, r: ag.t_conv3d(t, x, mux.weight, mux.inflate_spec, True,
+                                                        r, bn=bn2, mode="train"),
+                            [v(2, 2, 3, 3, 3), v(2, 4, 3, 3, 3)]),
+        "conv3d_bn_eval": (lambda t, x: ag.t_conv3d(t, x, mux.weight, mux.squeeze_spec,
+                                                    bn=bn4, mode="eval"),
+                           [v(2, 4, 3, 3, 3)]),
     }
 
 
@@ -380,6 +436,8 @@ def _bad_cases(rng):
     cases["conv3d_residual_shape"] = (
         lambda t, x, r: ag.t_conv3d(t, x, conv.weight, spec, residual=r),
         [ys[0], rng.standard_normal((1, 2, 3, 3, 4))])
+    cases["conv3d_bn_channels"] = (
+        lambda t, x: ag.t_conv3d(t, x, conv.weight, spec, bn=bn), [ys[0]])
     cases["upsample_concat_skip_shape"] = (
         lambda t, x, skip: ag.t_upsample_concat(t, x, skip, 2),
         [ys[0], rng.standard_normal((1, 2, 6, 6, 5))])
@@ -455,6 +513,19 @@ class TestFiniteDiffCheck:
                                    max_per_tensor=60, rng=0)
         assert rep.passed, str(rep)
         assert sum(r.masked for r in rep.rows) > 0
+
+    def test_kink_masking_sees_bn_inside_a_conv(self, rng):
+        """At one voxel per channel the BN output is beta, here exactly 0: a
+        beta probe crosses the ReLU kink of a BN+ReLU that lives only inside
+        its conv's node, and must be masked for the check to pass."""
+        pre = blocks.PreActConv("pre", ops.ConvSpec(2, 3, kernel=3, padding=1), rng, np.float64)
+        x = rng.standard_normal((1, 2, 1, 1, 1))
+        _, tape = ag.forward_record(pre, x)
+        assert [v.op for v in tape.nodes if v.parents] == ["conv3d"]
+        rep = ag.finite_diff_check(pre, x, tolerance=1e-5, step=1e-5,
+                                   max_per_tensor=60, rng=0)
+        assert rep.passed, str(rep)
+        assert {r.name: r.masked for r in rep.rows}["pre.bn.beta"] == 2
 
     def test_bn_buffers_restored(self, rng):
         bn = blocks.BatchNorm3d("bn", 2, dtype=np.float64)

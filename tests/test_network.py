@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -161,7 +162,8 @@ class TestCheckpointLayout:
 
 
 class TestLeanTape:
-    """A train forward keeps one node per BN+ReLU pair and no BN output."""
+    """A train forward keeps no BN output, and a BN+ReLU output only where
+    several convs read it."""
 
     def test_toy_train_tape(self, rng):
         net = network.build_network(network.toy_config(), seed=0)
@@ -169,12 +171,18 @@ class TestLeanTape:
         _, tape = ag.forward_record(net, x, mode="train")
         kinds = [v.op for v in tape.nodes]
         n_bn = sum(name.endswith(".running_mean") for name, _ in net.buffers())
+        n_bn1 = sum(name.endswith(".bn1.running_mean") for name, _ in net.buffers())
         assert "relu" not in kinds
-        assert kinds.count("batch_norm") == n_bn == 48
+        # each DMF unit's bn1 feeds its three branch convs; every other BN+ReLU
+        # runs inside the one conv that reads it
+        assert kinds.count("batch_norm") == n_bn1 == 6
+        assert sum(v.rebuild is not None for v in tape.nodes) == n_bn - n_bn1 == 42
+        readers = Counter(id(p) for v in tape.nodes for p in v.parents)
+        assert all(readers[id(v)] > 1 for v in tape.nodes if v.op == "batch_norm")
         # activation bytes of the float32 toy net at 1x4x16^3; separate
-        # batch_norm and relu nodes held 1,288,992, and separate add and
-        # upsample outputs 1,029,440
-        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 865_216
+        # batch_norm and relu nodes held 1,288,992, separate add and upsample
+        # outputs 1,029,440, and a BN+ReLU node before every conv 865,216
+        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 635_872
 
     def test_dmfnet_train_tape_keeps_no_add_or_decoder_upsample(self, rng):
         """Residual adds run inside their convs, and the decoder's upsamples
@@ -186,9 +194,14 @@ class TestLeanTape:
         assert "add" not in kinds and "concat_channels" not in kinds
         assert kinds.count("trilinear_upsample") == 1
         assert kinds.count("upsample_concat") == len(net.decoder) == 3
-        # one residual per multiplexer and per unit: 12 units, two each
-        assert sum(len(v.parents) == 3 for v in tape.nodes if v.op == "conv3d") == 24
-
+        # one residual per multiplexer and per unit: 12 units, two each; both
+        # convs also run their BN+ReLU, so their parents are
+        # (x, weight, residual, gamma, beta)
+        convs = [v for v in tape.nodes if v.op == "conv3d"]
+        residual = [v for v in convs if len(v.parents) == 5]
+        assert len(residual) == 24
+        assert all(v.parents[2].op != "param" and v.parents[3].param.name.endswith(".gamma")
+                   for v in residual)
 
 class TestDegeneracyAtNetworkScale:
     def test_omega_100_equals_weight_copied_mfnet(self, rng):

@@ -387,6 +387,16 @@ class TestBatchNorm:
                                       bn.gamma.data, bn.beta.data, bn.eps)
         np.testing.assert_array_equal(out, expect)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 6, 7), (2, 4, 5, 4, 6), (3, 2, 9, 9, 9),
+                                       (1, 1, 1, 1, 1), (2, 16, 17, 19, 23)])
+    def test_stats_equal_numpy_mean_and_var(self, rng, shape, dtype):
+        x = (rng.standard_normal(shape) * 3 + 1.7).astype(dtype)
+        for got, want in zip(ops.batch_norm_stats(x), (x.mean(axis=(0, 2, 3, 4)),
+                                                       x.var(axis=(0, 2, 3, 4)))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_spatial_extent_rejected(self):
         bn = blocks.BatchNorm3d("bn", 2)
         with pytest.raises(ShapeError):

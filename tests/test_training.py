@@ -83,6 +83,30 @@ class TestAdamStep:
             training.adam_step([p], {"p": np.array([g])}, state, cfg)
         np.testing.assert_array_equal(p.data, [1.5])
 
+    @pytest.mark.parametrize("decay", [0.0, 0.01])
+    def test_float32_steps_equal_the_expression(self, rng, decay):
+        """The scratch-buffer update gives the bits of the plain expression,
+        and leaves the gradients as they were."""
+        p = ag.Parameter("p", rng.standard_normal((3, 4, 5)).astype(np.float32))
+        theta = p.data.copy()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        cfg = training.TrainConfig(weight_decay=decay)
+        state = training.AdamState([p])
+        for t in range(1, 4):
+            g = rng.standard_normal(theta.shape).astype(np.float32)
+            before = g.copy()
+            training.adam_step([p], {"p": g}, state, cfg, lr=0.003)
+            assert np.array_equal(g, before)
+            if decay:
+                g = g + decay * theta
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            theta = theta - (0.003 * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)).astype(np.float32)
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == theta.tobytes()
+
     def test_poly_schedule_decays(self):
         cfg = training.TrainConfig(lr=0.1, lr_schedule="poly")
         lrs = [cfg.lr_at(s, 100) for s in (0, 50, 99, 100)]
