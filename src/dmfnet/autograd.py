@@ -16,9 +16,11 @@ No recorded array exists only to be read by an add or a concat, whose rules
 need no saved data: a residual add is fused into the conv that feeds it (the
 conv adds the residual into its own fresh output, :func:`t_conv3d`), and the
 decoder's upsample writes straight into its concat buffer
-(:func:`t_upsample_concat`). Nor does the tape keep a BN+ReLU output that
-only one conv reads: that conv runs the BN+ReLU itself and rebuilds its
-output in backward from the BN input and statistics (``t_conv3d(bn=)``).
+(:func:`t_upsample_concat`). Nor does the tape keep a conv operand that is
+cheap to remake: a BN+ReLU output that only one conv reads, or the head's
+upsample. That conv builds the operand itself and rebuilds it in backward
+from what the tape keeps anyway, the BN input and statistics
+(``t_conv3d(bn=)``) or the upsample's input (``t_conv3d(upsample=)``).
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def _record(tape, data, op, parents, bwd):
 
 
 def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=None,
-             mode="train"):
+             upsample=None, mode="train"):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
     gradient is transposed back before accumulating into the parameter.
@@ -186,26 +188,46 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     (x, weight, residual), whose rule hands g to the residual as
     :func:`t_add` does. The sum is bit-identical to ``t_add(conv, residual)``.
 
-    With ``bn`` (a BatchNorm3d), ``x`` is the BN input: the conv reads
-    ``relu(batch_norm(x))`` in ``mode``, built here and freed once read, and
-    the node's parents gain (bn.gamma, bn.beta). Backward rebuilds that array
-    bit for bit from x and the saved mean and var, runs the conv rule on it,
-    then the BN+ReLU rule of :func:`t_batch_norm`; so the tape keeps x but no
-    BN+ReLU output. Every output and gradient is bit-identical to
-    ``t_conv3d(t_batch_norm(x, bn, mode), ...)``. The node's ``rebuild``
-    returns the BN+ReLU output for the kink mask of
-    :func:`finite_diff_check`."""
+    With ``bn`` (a BatchNorm3d) or ``upsample`` (a scale), the conv reads an
+    operand built from ``x``: ``relu(batch_norm(x))`` in ``mode``, or
+    ``trilinear_upsample(x, upsample)``. The operand is built here and freed
+    once read; backward rebuilds it bit for bit (from x and the saved mean and
+    var, or from x alone) for the weight gradient and frees it before the
+    input gradient is made. That gradient then goes through the BN+ReLU rule
+    of :func:`t_batch_norm`, whose ReLU mask comes block by block from the
+    same apply arithmetic (an operand of one block keeps its mask instead),
+    or through ``trilinear_upsample_grad``. So the tape keeps x but no
+    operand. With ``bn`` the node's parents gain (bn.gamma, bn.beta). Every
+    output and gradient is bit-identical to
+    ``t_conv3d(t_batch_norm(x, bn, mode), ...)`` or
+    ``t_conv3d(t_trilinear_upsample(x, upsample), ...)``. With ``bn`` the
+    node's ``rebuild`` returns the BN+ReLU output for the kink mask of
+    :func:`finite_diff_check`; an upsample is no ReLU output, so there
+    ``rebuild`` stays None."""
     xd = _data(x)
-    rebuild = None
     if bn is not None:
         xd = ops.check_volume5d(xd)
         mean, var = ops.batch_norm_moments(xd, bn, mode)
 
-        def rebuild():
-            return _bn_relu_apply(xd, mean, var, bn)
+        def build():
+            return ops.batch_norm_apply(xd, mean, var, bn.gamma.data, bn.beta.data, bn.eps,
+                                        relu=True)
+
+        def relu_on(c):
+            return ops.batch_norm_apply(xd[:, c], mean[c], var[c], bn.gamma.data[c],
+                                        bn.beta.data[c], bn.eps) > 0
+    elif upsample is not None:
+        def build():
+            return ops.trilinear_upsample(xd, upsample)
+    else:
+        def build():
+            return xd
     # channel-transposed view shares storage with the parameter (tied convs)
     w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
-    data = ops.conv3d(xd if bn is None else rebuild(), w, spec)
+    a = build()
+    in_shape = a.shape
+    data = ops.conv3d(a, w, spec)
+    del a
     parents = (x, weight)
     if residual is not None:
         rd = _data(residual)
@@ -217,80 +239,84 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
         parents += (bn.gamma, bn.beta)
 
     def bwd(g):
-        a = xd if bn is None else rebuild()
+        a = build()
         gw = ops.conv3d_weight_grad(a, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        # the rebuilt input goes before the input gradient is made
-        relu_on = None if bn is None else a > 0
+        # the rebuilt operand goes before the input gradient is made; a BN+ReLU
+        # operand of one block keeps its ReLU mask, cheaper than remaking it
+        on = a > 0 if bn is not None and a.nbytes <= ops.BLOCK_BYTES else None
         del a
-        gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
+        gx = ops.conv3d_input_grad(g, w, spec, in_shape)
         rest = () if residual is None else (g,)
+        if upsample is not None:
+            gx = ops.trilinear_upsample_grad(gx, xd.shape, upsample)
         if bn is None:
             return (gx, gw, *rest)
-        # gx is this rule's own array: masked in place, it becomes dx
-        dx, dgamma, dbeta = _bn_relu_backward(np.multiply(gx, relu_on, out=gx), xd,
-                                              mean, var, bn, mode)
+        # gx is this rule's own array: it becomes dx
+        mask = relu_on if on is None else (lambda c: on[:, c])
+        dx, dgamma, dbeta = _bn_relu_backward(gx, mask, xd, mean, var, bn, mode, out=gx)
         return (dx, gw, *rest, dgamma, dbeta)
 
     node = _record(tape, data, "conv3d", parents, bwd)
-    if tape is not None:
-        node.rebuild = rebuild
+    if tape is not None and bn is not None:
+        node.rebuild = build
     return node
 
 
-def _bn_relu_apply(xd, mean, var, bn):
-    """relu(batch_norm(xd)) with the given moments, in one fresh array: the
-    ReLU runs in place on the array batch_norm_apply allocated."""
-    a = ops.batch_norm_apply(xd, mean, var, bn.gamma.data, bn.beta.data, bn.eps)
-    np.maximum(a, 0, out=a)
-    return a
+def _bn_relu_backward(g, relu_on, xd, mean, var, bn, mode, out):
+    """(dx, dgamma, dbeta) of relu(batch_norm(xd)) given its output gradient
+    ``g``, with dx written into ``out`` (which may be g itself). One channel
+    block at a time (see :func:`dmfnet.ops.channel_blocks`): the block of g,
+    masked by ``relu_on(c)``, the ReLU's on-mask of channels c, goes into
+    out's block, so the subgradient at exactly 0 is 0, as in t_relu; the BN
+    rule then turns it into dx in place. g is read only where out has not
+    been written, and xd is never written.
 
-
-def _bn_relu_backward(gm, xd, mean, var, bn, mode):
-    """(dx, dgamma, dbeta) of relu(batch_norm(xd)), given ``gm``, the output
-    gradient already masked by the ReLU rule: g * (out > 0), so the
-    subgradient at exactly 0 is 0, as in t_relu. The rule owns gm and turns
-    it into dx; xd is never written.
-
-    Three full-size buffers: gm (becomes dxhat, then dx), xm and the
-    scratch t."""
-    axes = (0, 2, 3, 4)
+    Scratch: xm and t, one block each, and the block's mask."""
     shape = (1, -1, 1, 1, 1)
     inv = 1.0 / np.sqrt(var + bn.eps)
+    inv3 = inv**3
     count = xd.size // xd.shape[1]
-    xm = xd - mean.reshape(shape)
-    t = xm * inv.reshape(shape)
-    dgamma = np.multiply(gm, t, out=t).sum(axis=axes)
-    dbeta = gm.sum(axis=axes)
-    dxhat = np.multiply(gm, bn.gamma.data.reshape(shape), out=gm)
-    if mode != "train":
-        # eval-mode BN is an affine map in x
-        return np.multiply(dxhat, inv.reshape(shape), out=dxhat), dgamma, dbeta
-    dvar = np.multiply(dxhat, xm, out=t).sum(axis=axes) * (-0.5) * inv**3
-    dmean = (-(dxhat).sum(axis=axes) * inv
-             + dvar * (-2.0 / count) * xm.sum(axis=axes))
-    # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
-    dx = dxhat
-    dx *= inv.reshape(shape)
-    dx += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
-    dx += dmean.reshape(shape) / count
-    return dx, dgamma, dbeta
+    gamma = bn.gamma.data
+    dgamma, dbeta = np.empty_like(inv), np.empty_like(inv)
+    for c in ops.channel_blocks(xd):
+        gm = np.multiply(g[:, c], relu_on(c), out=out[:, c])
+        xm = xd[:, c] - mean[c].reshape(shape)
+        t = xm * inv[c].reshape(shape)
+        dgamma[c] = ops.channel_sum(np.multiply(gm, t, out=t))
+        dbeta[c] = ops.channel_sum(gm)
+        dxhat = np.multiply(gm, gamma[c].reshape(shape), out=gm)
+        if mode == "train":
+            dvar = ops.channel_sum(np.multiply(dxhat, xm, out=t)) * (-0.5) * inv3[c]
+            dmean = (-ops.channel_sum(dxhat) * inv[c]
+                     + dvar * (-2.0 / count) * ops.channel_sum(xm))
+            # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
+            dxhat *= inv[c].reshape(shape)
+            dxhat += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
+            dxhat += dmean.reshape(shape) / count
+        else:
+            # eval-mode BN is an affine map in x
+            dxhat *= inv[c].reshape(shape)
+        # this block's scratch goes before the next block's is made
+        del xm, t
+    return out, dgamma, dbeta
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
     """relu(batch_norm(x)) as one node; ``bn`` is a BatchNorm3d. Backward
-    masks g with ``out > 0`` (where BN's output is > 0), then runs the BN rule.
-    The network records such a node only where several convs read its
-    output (a DMF unit's ``bn1``); a conv that alone reads a BN+ReLU runs it
-    itself, ``t_conv3d(bn=)``."""
+    masks g with ``out > 0`` (where BN's output is > 0) block by block and
+    runs the BN rule into a fresh dx. The network records such a node only
+    where several convs read its output (a DMF unit's ``bn1``); a conv that
+    alone reads a BN+ReLU runs it itself, ``t_conv3d(bn=)``."""
     xd = ops.check_volume5d(_data(x))
     mean, var = ops.batch_norm_moments(xd, bn, mode)
-    data = _bn_relu_apply(xd, mean, var, bn)
+    data = ops.batch_norm_apply(xd, mean, var, bn.gamma.data, bn.beta.data, bn.eps, relu=True)
 
     def bwd(g):
-        # a fresh masked copy: a residual conv hands one g to two parents
-        return _bn_relu_backward(g * (data > 0), xd, mean, var, bn, mode)
+        # g is not written: a residual conv hands one g to two parents
+        return _bn_relu_backward(g, lambda c: data[:, c] > 0, xd, mean, var, bn, mode,
+                                 out=np.empty_like(g))
 
     return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta), bwd)
 
@@ -319,6 +345,10 @@ def t_concat_channels(tape, a, b):
 
 
 def t_trilinear_upsample(tape, x, scale):
+    """Traced trilinear upsample. The network does not call it: the head runs
+    its upsample inside the classifier conv (``t_conv3d(upsample=)``). It
+    stays for the gradient checks and because the benchmark's tracer
+    (``perfbench/spans.py``) wraps it by name."""
     xd = _data(x)
 
     def bwd(g):
@@ -339,7 +369,9 @@ def t_upsample_concat(tape, x, skip, scale):
     data[:, c:] = sd
 
     def bwd(g):
-        return ops.trilinear_upsample_grad(g[:, :c], xd.shape, scale), g[:, c:]
+        # a copy of the skip's channels: a view would keep all of g alive
+        # until the skip's last rule has run
+        return ops.trilinear_upsample_grad(g[:, :c], xd.shape, scale), g[:, c:].copy()
 
     return _record(tape, data, "upsample_concat", (x, skip), bwd)
 

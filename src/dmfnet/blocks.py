@@ -124,8 +124,8 @@ class Conv3dLayer(Block):
         self.weight = Parameter(f"{name}.weight",
                                 kaiming_normal(rng, spec.weight_shape, fan_in, dtype))
 
-    def forward(self, x, mode="train", tape=None, residual=None):
-        return ag.t_conv3d(tape, x, self.weight, self.spec, residual=residual)
+    def forward(self, x, mode="train", tape=None, residual=None, upsample=None):
+        return ag.t_conv3d(tape, x, self.weight, self.spec, residual=residual, upsample=upsample)
 
 
 class BatchNorm3d(Block):

@@ -236,6 +236,10 @@ def gradcheck_suite(scope, seed=0):
             tape, x, tied.weight, tied.spec, transpose_weight=True, residual=x, bn=bnc,
             mode=mode), bnc, tied)
         cases.append(("bn_conv", fused, rng.standard_normal((2, 4, 4, 4, 4)), 1e-6, 1e-5, 60))
+        head = blocks.Conv3dLayer("upsample_conv", ops.ConvSpec(3, 4, kernel=3, padding=1), rng,
+                                  dtype=np.float64)
+        up_conv = _OpBlock(lambda tape, x, mode: head.forward(x, mode, tape, upsample=2), head)
+        cases.append(("upsample_conv", up_conv, rng.standard_normal((2, 3, 3, 3, 3)), 1e-6, 1e-5, 60))
     elif scope == "blocks":
         mux = blocks.Multiplexer("mux", 8, rng, np.float64)
         cases.append(("multiplexer", mux, rng.standard_normal((1, 8, 4, 4, 4)), 1e-5, 1e-5, 40))

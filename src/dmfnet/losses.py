@@ -45,9 +45,22 @@ def region_specs(et_labels=frozenset({4})):
 REGIONS = region_specs()
 
 
+def _member(labels, values):
+    """Elementwise ``labels in values``: one lookup in a 256-entry table for
+    uint8 labels, one comparison per value otherwise."""
+    if labels.dtype == np.uint8:
+        table = np.zeros(256, dtype=bool)
+        table[[v for v in values if 0 <= v < 256]] = True
+        return table[labels]
+    out = np.zeros(labels.shape, dtype=bool)
+    for v in values:
+        out |= labels == v
+    return out
+
+
 def check_labels(labels, name="labels"):
     labels = np.asarray(labels)
-    legal = np.isin(labels, CLASS_LABELS)
+    legal = _member(labels, CLASS_LABELS)
     if not legal.all():
         bad = np.unique(labels[~legal])
         raise DataError(f"{name} contains illegal values {bad.tolist()}; legal: {CLASS_LABELS}")
@@ -124,10 +137,9 @@ def dice_region(pred, gt, region):
     gt = check_labels(gt, "gt")
     if pred.shape != gt.shape:
         raise ShapeError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-    labels = sorted(region.labels)
-    a = np.isin(pred, labels)
-    b = np.isin(gt, labels)
-    total = int(a.sum()) + int(b.sum())
+    a = _member(pred, region.labels)
+    b = _member(gt, region.labels)
+    total = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
     if total == 0:
         return 1.0
-    return 2.0 * int((a & b).sum()) / total
+    return 2.0 * int(np.count_nonzero(a & b)) / total

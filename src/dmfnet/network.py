@@ -9,7 +9,9 @@ Layout (strides in parentheses):
     decoder: three times [trilinear upsample x2, concat encoder skip, MF unit];
         the upsample writes straight into its concat buffer
     head: trilinear upsample x2 back to full resolution, then an ungrouped
-        1x1x1 classifier conv with one output channel per label in CLASS_LABELS
+        1x1x1 classifier conv with one output channel per label in CLASS_LABELS;
+        the conv builds the upsample itself and rebuilds it in backward, so
+        the tape keeps no full-resolution activation
 
 The default stage widths were tuned (starting from 32/64/128 and adjusting,
 see README) until the complexity accounting in :mod:`dmfnet.analysis`
@@ -155,9 +157,9 @@ class Network(Block):
         # each is released once its concat has copied it
         for unit in self.decoder:
             h = unit.forward(ag.t_upsample_concat(tape, h, skips.pop(), 2), mode, tape)
-        if self.cfg.stem_stride != 1:
-            h = ag.t_trilinear_upsample(tape, h, self.cfg.stem_stride)
-        return self.classifier.forward(h, mode, tape)
+        # the classifier reads the upsample to full resolution, built inside its conv
+        up = self.cfg.stem_stride if self.cfg.stem_stride != 1 else None
+        return self.classifier.forward(h, mode, tape, upsample=up)
 
     # -- parameter access --------------------------------------------------
 

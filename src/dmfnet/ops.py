@@ -6,13 +6,20 @@ Volumes are C-contiguous numpy arrays of shape (n, c, d, h, w), float32 by
 default. Every kernel is a pure function of its inputs (except that train-mode
 batch norm updates the running statistics of its BatchNorm3d in place, see
 :func:`batch_norm_moments`), deterministic, and safe to call concurrently on
-distinct arrays. The network runs BN+ReLU as one op,
-:func:`dmfnet.autograd.t_batch_norm`, and fuses its residual adds and decoder
-concats into ``t_conv3d(residual=)`` and ``t_upsample_concat``. So
-:func:`batch_norm`, :func:`relu`, :func:`add` and :func:`concat_channels`, like
-autograd's ``t_relu``, ``t_add`` and ``t_concat_channels``, have no caller in
-the library: they stay only because the benchmark's tracer
-(``perfbench/spans.py``) wraps them by name. Do not add callers back.
+distinct arrays. The network runs BN+ReLU as one op (``relu=True`` of
+:func:`batch_norm_apply`), and fuses its residual adds and decoder concats
+into ``t_conv3d(residual=)`` and ``t_upsample_concat``. So :func:`batch_norm`,
+:func:`relu`, :func:`add` and :func:`concat_channels`, like autograd's
+``t_relu``, ``t_add`` and ``t_concat_channels``, have no caller in the
+library: they stay only because the benchmark's tracer (``perfbench/spans.py``)
+wraps them by name. Do not add callers back.
+
+The batch-norm passes (statistics, apply with its ReLU, and autograd's
+backward rule) run one block of whole channels at a time, about BLOCK_BYTES
+each (:func:`channel_blocks`), so each block's passes run while it is in
+cache and their scratch is a few blocks, not volumes. Their per-channel
+sums are :func:`channel_sum`'s, which add in numpy's order for a whole
+array, so every blocked pass is bit-identical to its whole-volume form.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
 (see _narrowing). By default it is an im2col GEMM over slabs of output voxels:
@@ -385,29 +392,63 @@ def conv3d_weight_grad(x, grad_out, spec):
     return gw.reshape(spec.weight_shape)
 
 
+# Bytes of one channel block of a BN+ReLU pass (see channel_blocks): the
+# backward's few block-sized arrays then stay within a core's 2 MiB L2
+BLOCK_BYTES = 512 << 10
+
+
+def channel_blocks(x):
+    """Slices of ``x``'s channel axis, each as many whole channels as fit
+    BLOCK_BYTES (one at least)."""
+    step = max(1, BLOCK_BYTES * x.shape[1] // x.nbytes)
+    return [slice(c, c + step) for c in range(0, x.shape[1], step)]
+
+
+def channel_sum(x):
+    """Per-channel sum over the (n, d, h, w) axes in numpy's order for a whole
+    array: each (d, h, w) volume pairwise, then the n volume sums in turn.
+    (numpy would sum a one-channel block of a batch as one pairwise run.)"""
+    p = x.sum(axis=(2, 3, 4))
+    s = p[0]
+    for row in p[1:]:
+        s = s + row
+    return s
+
+
 def batch_norm_stats(x):
     """Biased per-channel mean/variance over the (n, d, h, w) axes.
 
-    One mean pass, then the centred squares summed in one buffer (``x.var``
-    would take the mean a second time). Bit-identical to ``x.mean`` and
-    ``x.var``: the sum of squares is divided as numpy divides it, by an intp
-    count."""
-    axes = (0, 2, 3, 4)
-    mean = x.mean(axis=axes)
-    xm = x - mean.reshape(1, -1, 1, 1, 1)
-    np.multiply(xm, xm, out=xm)
-    var = xm.sum(axis=axes)
-    np.divide(var, np.intp(x.size // x.shape[1]), out=var, casting="unsafe")
+    Per channel block: one mean pass, then the centred squares summed in one
+    scratch block (``x.var`` would take the mean a second time). Bit-identical
+    to ``x.mean`` and ``x.var``: the sums are :func:`channel_sum`'s, divided
+    as numpy divides them, by an intp count into the sum's dtype."""
+    shape = (1, -1, 1, 1, 1)
+    count = np.intp(x.size // x.shape[1])
+    mean = np.empty(x.shape[1], dtype=x.dtype)
+    var = np.empty_like(mean)
+    for c in channel_blocks(x):
+        xb = x[:, c]
+        np.divide(channel_sum(xb), count, out=mean[c], casting="unsafe")
+        xm = xb - mean[c].reshape(shape)
+        np.multiply(xm, xm, out=xm)
+        np.divide(channel_sum(xm), count, out=var[c], casting="unsafe")
     return mean, var
 
 
-def batch_norm_apply(x, mean, var, gamma, beta, eps):
+def batch_norm_apply(x, mean, var, gamma, beta, eps, relu=False):
     """gamma * (x - mean) / sqrt(var + eps) + beta, as one per-channel scale
-    and shift: one full-volume product, then an in-place add."""
+    and shift, followed by max(., 0) when ``relu``: per channel block, a
+    product into the fresh output, an in-place add and an in-place ReLU."""
     shape = (1, -1, 1, 1, 1)
     scale = gamma / np.sqrt(var + eps)
-    out = x * scale.reshape(shape)
-    out += (beta - mean * scale).reshape(shape)
+    shift = beta - mean * scale
+    out = np.empty(x.shape, dtype=np.result_type(x, scale))
+    for c in channel_blocks(x):
+        o = out[:, c]
+        np.multiply(x[:, c], scale[c].reshape(shape), out=o)
+        o += shift[c].reshape(shape)
+        if relu:
+            np.maximum(o, 0, out=o)
     return out
 
 

@@ -200,8 +200,10 @@ def train(net, dataset, cfg, aug_cfg=None):
                     vol, lab = dio.augment(vol, lab, aug_cfg, rng)
                 vols.append(vol)
                 labs.append(lab)
-            x = np.stack(vols).astype(net.dtype)
+            x = np.stack(vols).astype(net.dtype, copy=False)
             y = np.stack(labs)
+            # the batch is held once, in x and y
+            del vols, labs, vol, lab
             lr = cfg.lr_at(step, total_steps)
             loss = train_step(net, params, x, y, state, cfg, lr)
             if not np.isfinite(loss):

@@ -109,6 +109,11 @@ class TestPublishedTotals:
         assert abs(rep.params_millions - 3.88) / 3.88 < 0.02
         assert abs(rep.flops_g - 27.04) / 27.04 < 0.10
 
+    def test_dmfnet_flops_pinned(self):
+        """The conv multiply-adds of the paper's 1x4x128^3 crop, exactly."""
+        net = network.build_network(network.dmfnet_config(), seed=0)
+        assert analysis.count_flops(net, (1, 4, 128, 128, 128)).total_flops == 26_949_345_280
+
     def test_dmf_unit_count_in_default_net(self):
         net = network.build_network(network.dmfnet_config(), seed=0)
         rep = analysis.count_flops(net)

@@ -1,5 +1,7 @@
 """Tape recording, backward rules and the finite-difference verifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,15 +153,15 @@ class TestBackward:
     def test_sweep_releases_what_it_no_longer_needs(self, rng):
         """Interior gradients and rules go as the sweep passes; the output's
         gradient, every leaf's gradient and every node's data stay. (The toy
-        tape has 83 interior nodes: each BN+ReLU that one conv reads is part
-        of that conv's node.)"""
+        tape has 82 interior nodes: each BN+ReLU that one conv reads is part
+        of that conv's node, and so is the head's upsample.)"""
         net = network.build_network(network.toy_config(), seed=0)
         x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
         out, tape = ag.forward_record(net, x)
         gin, grads = ag.backward(tape, np.ones_like(out))
         leaves = [v for v in tape.nodes if v.op in ("input", "param")]
         interior = [v for v in tape.nodes if v not in leaves and v is not tape.output_var]
-        assert len(interior) == 83
+        assert len(interior) == 82
         assert all(v.grad is None and v.backward_fn is None for v in interior)
         assert tape.output_var.grad is not None
         assert gin is tape.input_var.grad
@@ -327,6 +329,27 @@ class TestFusedOps:
         for a, b in zip(fused_stats, split_stats):
             _assert_bitwise(a, b)
 
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_upsample_conv_equals_upsample_then_conv(self, rng, kernel):
+        """t_conv3d(upsample=) builds the upsample inside the call and rebuilds
+        it in backward: output, input and weight gradients equal those of a
+        t_trilinear_upsample node read by a conv. The node reads as a plain
+        conv: op conv3d, the weight at parents[1], no ReLU rebuild."""
+        layer = blocks.Conv3dLayer("head", ops.ConvSpec(3, 4, kernel=kernel, padding=kernel // 2),
+                                   rng, np.float32)
+        x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
+        g = rng.standard_normal((2, 4, 6, 8, 4)).astype(np.float32)
+        fused = _sweep(lambda t, xv: layer.forward(xv, tape=t, upsample=2), [x], g)
+        split = _sweep(lambda t, xv: layer.forward(ag.t_trilinear_upsample(t, xv, 2), tape=t),
+                       [x], g)
+        _assert_bitwise(fused[0], split[0])
+        _assert_bitwise(fused[1][0], split[1][0])
+        _assert_bitwise(fused[2]["head.weight"], split[2]["head.weight"])
+        tape = ag.GradTape()
+        node = layer.forward(tape.leaf(x), tape=tape, upsample=2)
+        assert node.op == "conv3d" and node.parents[1].param is layer.weight
+        assert node.rebuild is None and len(tape.nodes) == 3
+
     def test_upsample_concat_equals_upsample_then_concat(self, rng):
         # batch 2: the upsample's channel slice of the buffer is not contiguous
         x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
@@ -341,21 +364,38 @@ class TestFusedOps:
 
 
 class TestBatchNormRule:
-    """The BN+ReLU backward, run in three full-size buffers, equals the
-    textbook rule bit for bit and writes into none of its inputs."""
+    """The BN+ReLU backward, run one channel block at a time, equals the
+    textbook rule bit for bit, in a t_batch_norm node and inside a conv, and
+    writes into none of its inputs; its scratch is a few blocks, not volumes."""
+
+    @staticmethod
+    def _bn(rng, c, dtype):
+        bn = blocks.BatchNorm3d("bn", c, dtype=dtype)
+        bn.gamma.data[:] = rng.standard_normal(c)
+        bn.beta.data[:] = rng.standard_normal(c)
+        bn.running_mean[:] = rng.standard_normal(c)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+        return bn
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_equals_textbook_rule(self, rng, n, mode):
-        bn = blocks.BatchNorm3d("bn", 3)
-        bn.gamma.data[:] = rng.standard_normal(3)
-        bn.beta.data[:] = rng.standard_normal(3)
-        bn.running_mean[:] = rng.standard_normal(3)
-        bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
-        x = rng.standard_normal((n, 3, 5, 6, 7)).astype(np.float32)
-        g = rng.standard_normal(x.shape).astype(np.float32)
+    def test_equals_textbook_rule(self, rng, monkeypatch, n, mode):
+        """In float32 and float64, in one block and in blocks of two
+        channels, two and one."""
+        for dtype in (np.float32, np.float64):
+            for several in (False, True):
+                with monkeypatch.context() as mp:
+                    if several:
+                        mp.setattr(ops, "BLOCK_BYTES", 2 * n * 5 * 6 * 7 * np.dtype(dtype).itemsize)
+                    self._check_rule(rng, n, mode, dtype, 3 if several else 1)
+
+    def _check_rule(self, rng, n, mode, dtype, n_blocks):
+        bn = self._bn(rng, 5, dtype)
+        x = rng.standard_normal((n, 5, 5, 6, 7)).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        assert len(ops.channel_blocks(x)) == n_blocks
         if mode == "train":
-            mean, var = ops.batch_norm_stats(x)
+            mean, var = x.mean(axis=(0, 2, 3, 4)), x.var(axis=(0, 2, 3, 4))
         else:
             mean, var = bn.running_mean.copy(), bn.running_var.copy()
         tape = ag.GradTape()
@@ -366,10 +406,37 @@ class TestBatchNormRule:
         want = batch_norm_relu_backward_reference(g, x, node.data, mean, var, bn.gamma.data,
                                                   bn.eps, mode)
         for a, b in zip(got, want):
-            assert a.dtype == b.dtype == np.float32
-            assert np.array_equal(a, b)
+            _assert_bitwise(a, b)
         for a, b in zip((g, x, node.data), before):
             assert np.array_equal(a, b)
+        # inside a conv the mask comes from the apply arithmetic, not a saved
+        # output (or, for one block, from the rebuilt operand)
+        spec = ops.ConvSpec(5, 5, kernel=1)
+        w = rng.standard_normal(spec.weight_shape).astype(dtype)
+        conv = ag.t_conv3d(tape, tape.leaf(x), ag.Parameter("w", w), spec, bn=bn, mode=mode)
+        dx = conv.backward_fn(g)[0]
+        gx = ops.conv3d_input_grad(g, w, spec, x.shape)
+        want = batch_norm_relu_backward_reference(gx, x, node.data, mean, var, bn.gamma.data,
+                                                  bn.eps, mode)
+        _assert_bitwise(dx, want[0])
+
+    def test_scratch_is_blocks_not_volumes(self, rng):
+        """Beyond its fresh dx, a rule on an 8 MiB volume holds at most three
+        blocks at once (xm, t and the mask); the whole-volume rule held two
+        more volumes and a full-size mask."""
+        bn = self._bn(rng, 64, np.float32)
+        x = rng.standard_normal((1, 64, 32, 32, 32)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        assert len(ops.channel_blocks(x)) == x.nbytes // ops.BLOCK_BYTES >= 8
+        tape = ag.GradTape()
+        node = ag.t_batch_norm(tape, tape.leaf(x), bn, "train")
+        tracemalloc.start()
+        try:
+            node.backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes < peak <= x.nbytes + 3 * ops.BLOCK_BYTES
 
 
 def _op_cases(rng):

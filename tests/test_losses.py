@@ -176,6 +176,17 @@ class TestDiceRegion:
         pred = np.full((1, 2, 2, 2), 1, dtype=np.uint8)
         assert losses.dice_region(pred, pred, et) == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_equals_isin_counts(self, rng, dtype):
+        """The table lookup (uint8) and the comparisons (any other dtype) count
+        the voxels np.isin would."""
+        a = rng.choice([0, 1, 2, 4], size=(2, 5, 6, 7)).astype(dtype)
+        b = rng.choice([0, 1, 2, 4], size=(2, 5, 6, 7)).astype(dtype)
+        for region in losses.region_specs() + losses.region_specs(et_labels={1}):
+            ia, ib = np.isin(a, list(region.labels)), np.isin(b, list(region.labels))
+            want = 2.0 * int((ia & ib).sum()) / (int(ia.sum()) + int(ib.sum()))
+            assert losses.dice_region(a, b, region) == want
+
     def test_illegal_labels_rejected(self):
         good = np.zeros((1, 2, 2, 2), dtype=np.uint8)
         bad = np.full((1, 2, 2, 2), 7, dtype=np.uint8)

@@ -181,18 +181,23 @@ class TestLeanTape:
         assert all(readers[id(v)] > 1 for v in tape.nodes if v.op == "batch_norm")
         # activation bytes of the float32 toy net at 1x4x16^3; separate
         # batch_norm and relu nodes held 1,288,992, separate add and upsample
-        # outputs 1,029,440, and a BN+ReLU node before every conv 865,216
-        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 635_872
+        # outputs 1,029,440, a BN+ReLU node before every conv 865,216, and
+        # the head's upsample node 635,872
+        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 504_800
 
     def test_dmfnet_train_tape_keeps_no_add_or_decoder_upsample(self, rng):
-        """Residual adds run inside their convs, and the decoder's upsamples
-        write into their concats: only the head's upsample is a node of its own."""
+        """Residual adds run inside their convs, the decoder's upsamples write
+        into their concats and the head's upsample runs inside the classifier
+        conv: no upsample is a node of its own."""
         net = network.build_network(network.dmfnet_config(), seed=0)
         x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
         _, tape = ag.forward_record(net, x, mode="train")
         kinds = [v.op for v in tape.nodes]
         assert "add" not in kinds and "concat_channels" not in kinds
-        assert kinds.count("trilinear_upsample") == 1
+        assert "trilinear_upsample" not in kinds
+        head = tape.output_var
+        assert head.op == "conv3d" and head.parents[1].param is net.classifier.weight
+        assert head.data.shape[2:] == x.shape[2:] == tuple(2 * s for s in head.parents[0].data.shape[2:])
         assert kinds.count("upsample_concat") == len(net.decoder) == 3
         # one residual per multiplexer and per unit: 12 units, two each; both
         # convs also run their BN+ReLU, so their parents are

@@ -397,6 +397,35 @@ class TestBatchNorm:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("blocking", ["one", "several", "real"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blocked_passes_equal_unblocked(self, rng, monkeypatch, n, dtype, blocking):
+        """Statistics and apply (+ReLU), run channel block by channel block,
+        equal numpy's mean and var and the whole-volume formula bit for bit:
+        in one block, in blocks of two channels and one (the last), and at
+        the real BLOCK_BYTES on a volume that splits into several."""
+        shape = (n, 12, 32, 32, 32) if blocking == "real" else (n, 5, 6, 7, 8)
+        x = (rng.standard_normal(shape) * 3 + 1.7).astype(dtype)
+        if blocking == "several":
+            monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * x.nbytes // shape[1])
+        n_blocks = len(ops.channel_blocks(x))
+        assert n_blocks == 1 if blocking == "one" else n_blocks > 1
+        axes = (0, 2, 3, 4)
+        mean, var = ops.batch_norm_stats(x)
+        for got, want in zip((mean, var), (x.mean(axis=axes), x.var(axis=axes))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        gamma = rng.standard_normal(shape[1]).astype(dtype)
+        beta = rng.standard_normal(shape[1]).astype(dtype)
+        scale = gamma / np.sqrt(var + 1e-5)
+        want = x * scale.reshape(1, -1, 1, 1, 1)
+        want += (beta - mean * scale).reshape(1, -1, 1, 1, 1)
+        got = ops.batch_norm_apply(x, mean, var, gamma, beta, 1e-5)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = ops.batch_norm_apply(x, mean, var, gamma, beta, 1e-5, relu=True)
+        assert 0 < (got > 0).mean() < 1
+        assert got.tobytes() == np.maximum(want, 0).tobytes()
+
     def test_zero_spatial_extent_rejected(self):
         bn = blocks.BatchNorm3d("bn", 2)
         with pytest.raises(ShapeError):
