@@ -303,7 +303,7 @@ def cmd_evaluate(args):
         print(json.dumps(rec, sort_keys=True))
     print(json.dumps({"case_id": "mean", **means}, sort_keys=True))
     if args.out:
-        dio.write_metrics(args.out, records)
+        dio.write_jsonl(args.out, records)
         _log(f"wrote {args.out}")
     return 0
 

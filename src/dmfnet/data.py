@@ -310,12 +310,13 @@ def load_params(net, path):
 
 
 # ---------------------------------------------------------------------------
-# Metric records
+# JSON-lines records
 # ---------------------------------------------------------------------------
 
 
-def write_metrics(path, records):
-    """One JSON record per case: {case_id, dice_et, dice_wt, dice_tc}."""
+def write_jsonl(path, records):
+    """One JSON line per record, keys sorted: the metrics file's per-case
+    {case_id, dice_et, dice_wt, dice_tc} and the train log's records."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

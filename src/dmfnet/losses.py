@@ -24,7 +24,6 @@ from .errors import DataError, ShapeError
 from .network import CLASS_LABELS
 
 GDL_EPS = 1e-5
-_LABEL_TO_CLASS = {label: i for i, label in enumerate(CLASS_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,7 @@ REGIONS = region_specs()
 
 
 def _member(labels, values):
-    """Elementwise ``labels in values``: one lookup in a 256-entry table for
-    uint8 labels, one comparison per value otherwise."""
-    if labels.dtype == np.uint8:
-        table = np.zeros(256, dtype=bool)
-        table[[v for v in values if 0 <= v < 256]] = True
-        return table[labels]
+    """Elementwise ``labels in values``, one comparison per value."""
     out = np.zeros(labels.shape, dtype=bool)
     for v in values:
         out |= labels == v
@@ -68,17 +62,13 @@ def check_labels(labels, name="labels"):
 
 
 def one_hot(target, dtype=np.float32):
-    """Label volume (n, d, h, w) -> one-hot (n, len(CLASS_LABELS), d, h, w)."""
+    """Label volume (n, d, h, w) -> one-hot (n, len(CLASS_LABELS), d, h, w):
+    channel i is ``target == CLASS_LABELS[i]``, cast to ``dtype``."""
     target = check_labels(target, "target")
     if target.ndim != 4:
         raise ShapeError(f"target must be rank-4 (n, d, h, w), got shape {target.shape}")
-    classes = np.zeros_like(target, dtype=np.intp)
-    for label, idx in _LABEL_TO_CLASS.items():
-        if idx:
-            classes[target == label] = idx
-    oh = np.zeros((target.shape[0], len(CLASS_LABELS)) + target.shape[1:], dtype=dtype)
-    np.put_along_axis(oh, classes[:, None], 1.0, axis=1)
-    return oh
+    labels = np.array(CLASS_LABELS).reshape(1, -1, 1, 1, 1)
+    return (target[:, None] == labels).astype(dtype)
 
 
 def _gdl_terms(p, r, eps):

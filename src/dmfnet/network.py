@@ -75,6 +75,8 @@ class ArchConfig:
             raise ConfigError(f"groups must be at least 1, got {self.groups}")
         names = ("stem", "enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
         for name, c in zip(names, self.stage_channels):
+            if c < 1:
+                raise ConfigError(f"stage {name} width must be at least 1, got {c}")
             if c % self.groups:
                 raise ConfigError(
                     f"stage {name} width {c} is not divisible by groups={self.groups}")

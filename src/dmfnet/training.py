@@ -9,7 +9,6 @@ unit once per epoch so their trajectories can be exported and plotted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,9 +75,7 @@ def adam_step(params, grads, state, cfg, lr=None):
     moment update. Parameters flagged decay=False (the branch weights omega)
     are exempt; decaying them would bias branch mixing toward zero.
 
-    Each tensor's update runs in two scratch arrays of its size, with the
-    operations of ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` in the
-    same order, so the result is bit-identical to that expression. The
+    The update is ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``; the
     gradients in ``grads`` are never written.
     """
     lr = cfg.lr if lr is None else lr
@@ -92,25 +89,15 @@ def adam_step(params, grads, state, cfg, lr=None):
         g = grads[p.name]
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for {p.name!r} at step {t}")
+        if cfg.weight_decay and p.decay:
+            g = g + cfg.weight_decay * p.data
         m = state.m[p.name]
         v = state.v[p.name]
-        s, u = np.empty_like(m), np.empty_like(m)
-        if cfg.weight_decay and p.decay:
-            # u holds the decayed gradient until the step is computed
-            g = np.add(g, np.multiply(cfg.weight_decay, p.data, out=u), out=u)
         m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=s)
+        m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=s)
-        s *= g
-        v += s
-        np.divide(v, bc2, out=s)
-        np.sqrt(s, out=s)
-        s += cfg.eps
-        np.divide(m, bc1, out=u)
-        np.multiply(lr, u, out=u)
-        u /= s
-        p.data -= u
+        v += (1.0 - cfg.beta2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass
@@ -125,13 +112,8 @@ class TrainLog:
         return [rec["loss"] for rec in self.steps]
 
     def save_jsonl(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            for rec in self.steps:
-                fh.write(json.dumps({"record": "step", **rec}, sort_keys=True) + "\n")
-            for rec in self.omega:
-                fh.write(json.dumps({"record": "omega", **rec}, sort_keys=True) + "\n")
+        dio.write_jsonl(path, [{"record": "step", **rec} for rec in self.steps]
+                        + [{"record": "omega", **rec} for rec in self.omega])
 
     def save_omega_csv(self, path):
         """Branch-weight trajectories, one row per (epoch, unit) and one

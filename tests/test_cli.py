@@ -270,6 +270,12 @@ BAD_INPUTS = [
     pytest.param(_ANALYZE, {"arch": {"groups": 0}}, 1, "groups", id="groups-config-0"),
     pytest.param(_ANALYZE, {"arch": {"dilation_rates": []}}, 1, "dilation rates",
                  id="empty-dilation-rates"),
+    *(pytest.param(_ANALYZE, {"arch": {"stage_channels": widths}}, 1, expect,
+                   id=f"stage-width-{name}")
+      for name, widths, expect in [
+          ("zero", [8, 16, 24, 32, 16, 16, 0], "stage dec3 width must be at least 1, got 0"),
+          ("negative", [-8, 16, 24, 32, 16, 16, 8],
+           "stage stem width must be at least 1, got -8")]),
     pytest.param(_PREVIEW + ["--crop-size", "16,16"], {}, 1, "crop_size", id="preview-crop-rank-2"),
     pytest.param(_PREVIEW + ["--crop-size", "0,16,16"], {}, 1, "crop_size", id="preview-crop-zero"),
     pytest.param(_TRAIN + ["--crop-size", "0,16,16"], {"arch": TOY_ARCH}, 1, "crop_size",

@@ -291,6 +291,6 @@ class TestMetricsRecords:
             {"case_id": "a", "dice_et": 0.5, "dice_wt": 0.75, "dice_tc": 1.0},
             {"case_id": "b", "dice_et": 1.0, "dice_wt": 1.0, "dice_tc": 0.0},
         ]
-        dio.write_metrics(tmp_path / "m.jsonl", records)
+        dio.write_jsonl(tmp_path / "m.jsonl", records)
         lines = (tmp_path / "m.jsonl").read_text().splitlines()
         assert [json.loads(line) for line in lines] == records

@@ -85,8 +85,8 @@ class TestAdamStep:
 
     @pytest.mark.parametrize("decay", [0.0, 0.01])
     def test_float32_steps_equal_the_expression(self, rng, decay):
-        """The scratch-buffer update gives the bits of the plain expression,
-        and leaves the gradients as they were."""
+        """The update gives the bits of the Adam expression written out step
+        by step, and leaves the gradients as they were."""
         p = ag.Parameter("p", rng.standard_normal((3, 4, 5)).astype(np.float32))
         theta = p.data.copy()
         m = np.zeros_like(theta)
