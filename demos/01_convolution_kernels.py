@@ -23,7 +23,7 @@ print("3x3x3 ones * ones ->", ops.conv3d(x, w, spec).ravel())  # [27.]
 # tensor shrinks to c_in/g input channels per filter.
 spec_g = ops.ConvSpec(c_in=8, c_out=8, kernel=3, padding=1, groups=4)
 print("\ngrouped conv weight shape:", spec_g.weight_shape)
-print("parameters: ", spec_g.weight_count, "=", "27*8*8/4")
+print("parameters: ", np.prod(spec_g.weight_shape), "=", "27*8*8/4")
 
 x = rng.standard_normal((1, 8, 6, 6, 6)).astype(np.float32)
 w = rng.standard_normal(spec_g.weight_shape).astype(np.float32)

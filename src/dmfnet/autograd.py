@@ -21,6 +21,7 @@ cheap to remake: a BN+ReLU output that only one conv reads, or the head's
 upsample. That conv builds the operand itself and rebuilds it in backward
 from what the tape keeps anyway, the BN input and statistics
 (``t_conv3d(bn=)``) or the upsample's input (``t_conv3d(upsample=)``).
+Both BN+ReLU ops take their moments, output and rule from one :func:`_bn_relu`.
 """
 
 from __future__ import annotations
@@ -194,11 +195,11 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     once read; backward rebuilds it bit for bit (from x and the saved mean and
     var, or from x alone) for the weight gradient and frees it before the
     input gradient is made. That gradient then goes through the BN+ReLU rule
-    of :func:`t_batch_norm`, whose ReLU mask comes block by block from the
-    same apply arithmetic (an operand of one block keeps its mask instead),
-    or through ``trilinear_upsample_grad``. So the tape keeps x but no
-    operand. With ``bn`` the node's parents gain (bn.gamma, bn.beta). Every
-    output and gradient is bit-identical to
+    of :func:`_bn_relu`, as in :func:`t_batch_norm`, whose ReLU mask is
+    remade block by block from the same apply arithmetic (an operand of one
+    block is kept for its mask instead), or through ``trilinear_upsample_grad``.
+    So the tape keeps x but no operand. With ``bn`` the node's parents gain
+    (bn.gamma, bn.beta). Every output and gradient is bit-identical to
     ``t_conv3d(t_batch_norm(x, bn, mode), ...)`` or
     ``t_conv3d(t_trilinear_upsample(x, upsample), ...)``. With ``bn`` the
     node's ``rebuild`` returns the BN+ReLU output for the kink mask of
@@ -206,16 +207,7 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     ``rebuild`` stays None."""
     xd = _data(x)
     if bn is not None:
-        xd = ops.check_volume5d(xd)
-        mean, var = ops.batch_norm_moments(xd, bn, mode)
-
-        def build():
-            return ops.batch_norm_apply(xd, mean, var, bn.gamma.data, bn.beta.data, bn.eps,
-                                        relu=True)
-
-        def relu_on(c):
-            return ops.batch_norm_apply(xd[:, c], mean[c], var[c], bn.gamma.data[c],
-                                        bn.beta.data[c], bn.eps) > 0
+        build, bn_rule = _bn_relu(xd, bn, mode)
     elif upsample is not None:
         def build():
             return ops.trilinear_upsample(xd, upsample)
@@ -244,8 +236,8 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
         # the rebuilt operand goes before the input gradient is made; a BN+ReLU
-        # operand of one block keeps its ReLU mask, cheaper than remaking it
-        on = a > 0 if bn is not None and a.nbytes <= ops.BLOCK_BYTES else None
+        # operand of one block is kept for its ReLU mask, cheaper than remaking it
+        kept = a if bn is not None and a.nbytes <= ops.BLOCK_BYTES else None
         del a
         gx = ops.conv3d_input_grad(g, w, spec, in_shape)
         rest = () if residual is None else (g,)
@@ -254,8 +246,7 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
         if bn is None:
             return (gx, gw, *rest)
         # gx is this rule's own array: it becomes dx
-        mask = relu_on if on is None else (lambda c: on[:, c])
-        dx, dgamma, dbeta = _bn_relu_backward(gx, mask, xd, mean, var, bn, mode, out=gx)
+        dx, dgamma, dbeta = bn_rule(gx, kept, out=gx)
         return (dx, gw, *rest, dgamma, dbeta)
 
     node = _record(tape, data, "conv3d", parents, bwd)
@@ -264,61 +255,69 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     return node
 
 
-def _bn_relu_backward(g, relu_on, xd, mean, var, bn, mode, out):
-    """(dx, dgamma, dbeta) of relu(batch_norm(xd)) given its output gradient
-    ``g``, with dx written into ``out`` (which may be g itself). One channel
-    block at a time (see :func:`dmfnet.ops.channel_blocks`): the block of g,
-    masked by ``relu_on(c)``, the ReLU's on-mask of channels c, goes into
-    out's block, so the subgradient at exactly 0 is 0, as in t_relu; the BN
-    rule then turns it into dx in place. g is read only where out has not
-    been written, and xd is never written.
+def _bn_relu(xd, bn, mode):
+    """relu(batch_norm(xd)) with ``bn`` (a BatchNorm3d) in ``mode``, for
+    :func:`t_batch_norm` and ``t_conv3d(bn=)``: checks xd, takes its moments
+    and returns ``build(c)``, the output on channels c (all by default), and
+    ``rule(g, kept, out)``, its (dx, dgamma, dbeta) given the output gradient
+    g, with dx written into ``out`` (which may be g itself). The rule runs one
+    channel block at a time (:func:`dmfnet.ops.channel_blocks`): the block of
+    g, masked by ``kept > 0`` (the caller's kept output) or else by
+    ``build(c) > 0``, goes into out's block, so the subgradient at exactly 0
+    is 0, as in t_relu; the BN rule then turns it into dx in place. g is read
+    only where out has not been written, and xd is never written.
 
     Scratch: xm and t, one block each, and the block's mask."""
-    shape = (1, -1, 1, 1, 1)
-    inv = 1.0 / np.sqrt(var + bn.eps)
-    inv3 = inv**3
-    count = xd.size // xd.shape[1]
-    gamma = bn.gamma.data
-    dgamma, dbeta = np.empty_like(inv), np.empty_like(inv)
-    for c in ops.channel_blocks(xd):
-        gm = np.multiply(g[:, c], relu_on(c), out=out[:, c])
-        xm = xd[:, c] - mean[c].reshape(shape)
-        t = xm * inv[c].reshape(shape)
-        dgamma[c] = ops.channel_sum(np.multiply(gm, t, out=t))
-        dbeta[c] = ops.channel_sum(gm)
-        dxhat = np.multiply(gm, gamma[c].reshape(shape), out=gm)
-        if mode == "train":
-            dvar = ops.channel_sum(np.multiply(dxhat, xm, out=t)) * (-0.5) * inv3[c]
-            dmean = (-ops.channel_sum(dxhat) * inv[c]
-                     + dvar * (-2.0 / count) * ops.channel_sum(xm))
-            # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
-            dxhat *= inv[c].reshape(shape)
-            dxhat += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
-            dxhat += dmean.reshape(shape) / count
-        else:
-            # eval-mode BN is an affine map in x
-            dxhat *= inv[c].reshape(shape)
-        # this block's scratch goes before the next block's is made
-        del xm, t
-    return out, dgamma, dbeta
+    xd = ops.check_volume5d(xd)
+    mean, var = bn.moments(xd, mode)
+
+    def build(c=slice(None)):
+        return ops.batch_norm_apply(xd[:, c], mean[c], var[c], bn.gamma.data[c], bn.beta.data[c],
+                                    bn.eps, relu=True)
+
+    def rule(g, kept, out):
+        shape = (1, -1, 1, 1, 1)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        inv3 = inv**3
+        count = xd.size // xd.shape[1]
+        dgamma, dbeta = np.empty_like(inv), np.empty_like(inv)
+        for c in ops.channel_blocks(xd):
+            gm = np.multiply(g[:, c], (build(c) if kept is None else kept[:, c]) > 0,
+                             out=out[:, c])
+            xm = xd[:, c] - mean[c].reshape(shape)
+            t = xm * inv[c].reshape(shape)
+            dgamma[c] = ops.channel_sum(np.multiply(gm, t, out=t))
+            dbeta[c] = ops.channel_sum(gm)
+            dxhat = np.multiply(gm, bn.gamma.data[c].reshape(shape), out=gm)
+            if mode == "train":
+                dvar = ops.channel_sum(np.multiply(dxhat, xm, out=t)) * (-0.5) * inv3[c]
+                dmean = (-ops.channel_sum(dxhat) * inv[c]
+                         + dvar * (-2.0 / count) * ops.channel_sum(xm))
+                # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
+                dxhat *= inv[c].reshape(shape)
+                dxhat += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
+                dxhat += dmean.reshape(shape) / count
+            else:
+                # eval-mode BN is an affine map in x
+                dxhat *= inv[c].reshape(shape)
+            # this block's scratch goes before the next block's is made
+            del xm, t
+        return out, dgamma, dbeta
+
+    return build, rule
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
     """relu(batch_norm(x)) as one node; ``bn`` is a BatchNorm3d. Backward
-    masks g with ``out > 0`` (where BN's output is > 0) block by block and
-    runs the BN rule into a fresh dx. The network records such a node only
+    masks g with its kept ``out > 0`` block by block and runs the BN rule of
+    :func:`_bn_relu` into a fresh dx. The network records such a node only
     where several convs read its output (a DMF unit's ``bn1``); a conv that
     alone reads a BN+ReLU runs it itself, ``t_conv3d(bn=)``."""
-    xd = ops.check_volume5d(_data(x))
-    mean, var = ops.batch_norm_moments(xd, bn, mode)
-    data = ops.batch_norm_apply(xd, mean, var, bn.gamma.data, bn.beta.data, bn.eps, relu=True)
-
-    def bwd(g):
-        # g is not written: a residual conv hands one g to two parents
-        return _bn_relu_backward(g, lambda c: data[:, c] > 0, xd, mean, var, bn, mode,
-                                 out=np.empty_like(g))
-
-    return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta), bwd)
+    build, rule = _bn_relu(_data(x), bn, mode)
+    data = build()
+    # g is not written: a residual conv hands one g to two parents
+    return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta),
+                   lambda g: rule(g, data, out=np.empty_like(g)))
 
 
 def t_relu(tape, x):

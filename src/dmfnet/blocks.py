@@ -36,7 +36,7 @@ import numpy as np
 from . import autograd as ag
 from . import ops
 from .autograd import Parameter
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 
 def kaiming_normal(rng, shape, fan_in, dtype):
@@ -65,6 +65,16 @@ class MFUnitConfig:
             raise ConfigError(f"unit stride must be 1 or 2, got {self.stride}")
 
 
+def check_dilated(rates, weight_mode):
+    """A DMF unit's dilation rates as a tuple of ints, once they and its weight_mode pass."""
+    rates = tuple(int(d) for d in rates)
+    if not rates or any(d < 1 for d in rates) or len(set(rates)) != len(rates):
+        raise ConfigError(f"need one or more positive, distinct dilation rates, got {rates}")
+    if weight_mode not in ("learnable", "fixed_equal"):
+        raise ConfigError(f"weight_mode must be 'learnable' or 'fixed_equal', got {weight_mode!r}")
+    return rates
+
+
 @dataclass(frozen=True)
 class DMFUnitConfig(MFUnitConfig):
     dilation_rates: tuple = (1, 2, 3)
@@ -72,12 +82,7 @@ class DMFUnitConfig(MFUnitConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        rates = tuple(int(d) for d in self.dilation_rates)
-        object.__setattr__(self, "dilation_rates", rates)
-        if not rates or any(d < 1 for d in rates) or len(set(rates)) != len(rates):
-            raise ConfigError(f"need one or more positive, distinct dilation rates, got {rates}")
-        if self.weight_mode not in ("learnable", "fixed_equal"):
-            raise ConfigError(f"weight_mode must be 'learnable' or 'fixed_equal', got {self.weight_mode!r}")
+        object.__setattr__(self, "dilation_rates", check_dilated(self.dilation_rates, self.weight_mode))
 
 
 class Block:
@@ -124,22 +129,40 @@ class Conv3dLayer(Block):
         self.weight = Parameter(f"{name}.weight",
                                 kaiming_normal(rng, spec.weight_shape, fan_in, dtype))
 
-    def forward(self, x, mode="train", tape=None, residual=None, upsample=None):
-        return ag.t_conv3d(tape, x, self.weight, self.spec, residual=residual, upsample=upsample)
+    def forward(self, x, mode="train", tape=None, upsample=None):
+        return ag.t_conv3d(tape, x, self.weight, self.spec, upsample=upsample)
 
 
 class BatchNorm3d(Block):
     """Pre-activation BN+ReLU and the one holder of batch-norm state: learnable
-    gamma/beta plus running statistics, read by ops.batch_norm_moments."""
+    gamma/beta plus running statistics, read and updated by :meth:`moments`."""
 
-    def __init__(self, name, channels, dtype=np.float32, eps=1e-5, momentum=0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, name, channels, dtype=np.float32):
         self.name = name
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
+
+    def moments(self, x, mode):
+        """The per-channel (mean, var) that batch norm normalizes ``x`` with:
+        in train mode the batch statistics, which also update
+        ``running_mean/var`` in place; in eval mode copies of the running stats."""
+        if x.shape[1] != self.running_mean.shape[0]:
+            raise ShapeError(f"input has {x.shape[1]} channels, batch norm expects "
+                             f"{self.running_mean.shape[0]}")
+        if mode == "train":
+            mean, var = ops.batch_norm_stats(x)
+            m = self.momentum
+            self.running_mean[:] = (1 - m) * self.running_mean + m * mean
+            self.running_var[:] = (1 - m) * self.running_var + m * var
+            return mean, var
+        if mode == "eval":
+            return self.running_mean.copy(), self.running_var.copy()
+        raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
 
     def forward(self, x, mode="train", tape=None):
         return ag.t_batch_norm(tape, x, self, mode)
@@ -178,7 +201,6 @@ class Multiplexer(Block):
         if c_in % 2:
             raise ConfigError(f"multiplexer input channels must be even, got {c_in}")
         self.name = name
-        self.c_in = c_in
         self.squeeze_spec = ops.ConvSpec(c_in, c_in // 2, kernel=1, padding=0)
         self.inflate_spec = ops.ConvSpec(c_in // 2, c_in, kernel=1, padding=0)
         # attribute order is the checkpoint order: squeeze BN, weight, inflate BN

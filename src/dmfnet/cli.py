@@ -227,7 +227,8 @@ def gradcheck_suite(scope, seed=0):
         cases.append(("softmax_channels", sm, rng.standard_normal((1, 4, 3, 3, 3)), 1e-5, 1e-5, 60))
         conv = blocks.Conv3dLayer("conv_residual", ops.ConvSpec(4, 4, kernel=3, padding=1, groups=2),
                                   rng, dtype=np.float64)
-        res = _OpBlock(lambda tape, x, mode: conv.forward(x, mode, tape, residual=x), conv)
+        res = _OpBlock(lambda tape, x, mode: ag.t_conv3d(tape, x, conv.weight, conv.spec,
+                                                         residual=x), conv)
         cases.append(("conv_residual", res, x8, 1e-6, 1e-5, 60))
         bnc = blocks.BatchNorm3d("bn_conv.bn", 4, dtype=np.float64)
         tied = blocks.Conv3dLayer("bn_conv", ops.ConvSpec(4, 4, kernel=3, padding=1), rng,

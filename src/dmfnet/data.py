@@ -77,7 +77,7 @@ def load_case(case_dir):
     if "channels" in meta and meta["channels"] != list(MODALITIES):
         raise DataError(f"{meta_path} lists channels {meta['channels']!r}, not {list(MODALITIES)}")
     dims = tuple(dims)
-    count = int(np.prod(dims))
+    count = dims[0] * dims[1] * dims[2]  # in Python ints: np.prod wraps in int64
     channels = []
     for name in MODALITIES:
         path = case_dir / f"{name}.f32"

@@ -82,10 +82,10 @@ def _gdl_terms(p, r, eps):
     return w, num, den
 
 
-def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
+def generalized_dice_loss(probs, target, tape=None):
     """GDL = 1 - 2 * sum_c w_c <r_c, p_c> / sum_c w_c (|r_c| + |p_c|).
 
-    Class weights w_c = 1/|r_c|^2, stabilized by ``eps`` in both the weight
+    Class weights w_c = 1/|r_c|^2, stabilized by ``GDL_EPS`` in both the weight
     denominator and the outer denominator, so crops lacking a class stay
     well-defined. ``probs`` must be softmax outputs; ``target`` a label
     volume. Differentiable through probs when recorded on a tape.
@@ -102,13 +102,13 @@ def generalized_dice_loss(probs, target, tape=None, eps=GDL_EPS):
         raise ShapeError("probs do not sum to 1 over channels; apply softmax_channels first")
     r = one_hot(target, dtype=p.dtype)
 
-    w, num, den = _gdl_terms(p, r, eps)
-    data = np.asarray(1.0 - 2.0 * num / (den + eps), dtype=p.dtype)
+    w, num, den = _gdl_terms(p, r, GDL_EPS)
+    data = np.asarray(1.0 - 2.0 * num / (den + GDL_EPS), dtype=p.dtype)
 
     def bwd(g):
         # d/dp_cn [1 - 2 num/(den+eps)] = -2 (w_c r_cn (den+eps) - num w_c) / (den+eps)^2
         shape = (1, -1, 1, 1, 1)
-        denom = den + eps
+        denom = den + GDL_EPS
         dnum = w.reshape(shape) * r
         dden = np.broadcast_to(w.reshape(shape), p.shape)
         grad = -2.0 * (dnum * denom - num * dden) / (denom * denom)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import ops
-from .blocks import Block, Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig
+from .blocks import Block, Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig, check_dilated
 from .errors import ConfigError, ShapeError
 
 # BraTS label alphabet; class index i maps to CLASS_LABELS[i]
@@ -59,7 +59,8 @@ class ArchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
-        object.__setattr__(self, "dilation_rates", tuple(int(d) for d in self.dilation_rates))
+        # checked here too: a net with no DMF unit builds none to check them
+        object.__setattr__(self, "dilation_rates", check_dilated(self.dilation_rates, self.weight_mode))
         if len(self.stage_channels) != 7:
             raise ConfigError(
                 "stage_channels needs 7 entries (stem, enc1..enc3, dec1..dec3), "
@@ -80,6 +81,9 @@ class ArchConfig:
             if c % self.groups:
                 raise ConfigError(
                     f"stage {name} width {c} is not divisible by groups={self.groups}")
+        # scaled_channels cannot round a width that the multiplier makes inf
+        if not np.isfinite(max(self.stage_channels) * self.width_multiplier):
+            raise ConfigError(f"width_multiplier {self.width_multiplier} overflows the stage widths")
 
     def scaled_channels(self):
         """Stage widths after the multiplier, rounded to multiples of groups."""

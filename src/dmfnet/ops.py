@@ -4,9 +4,9 @@ per-voxel softmax.
 
 Volumes are C-contiguous numpy arrays of shape (n, c, d, h, w), float32 by
 default. Every kernel is a pure function of its inputs (except that train-mode
-batch norm updates the running statistics of its BatchNorm3d in place, see
-:func:`batch_norm_moments`), deterministic, and safe to call concurrently on
-distinct arrays. The network runs BN+ReLU as one op (``relu=True`` of
+:func:`batch_norm` updates the running statistics of its BatchNorm3d in place,
+through ``BatchNorm3d.moments``), deterministic, and safe to call concurrently
+on distinct arrays. The network runs BN+ReLU as one op (``relu=True`` of
 :func:`batch_norm_apply`), and fuses its residual adds and decoder concats
 into ``t_conv3d(residual=)`` and ``t_upsample_concat``. So :func:`batch_norm`,
 :func:`relu`, :func:`add` and :func:`concat_channels`, like autograd's
@@ -124,11 +124,6 @@ class ConvSpec:
                 )
             out.append(o)
         return tuple(out)
-
-    @property
-    def weight_count(self):
-        """Learnable scalars: k_d*k_h*k_w*c_in*c_out/g."""
-        return self.c_out * (self.c_in // self.groups) * int(np.prod(self.kernel))
 
 
 def same_padding(kernel, dilation=1):
@@ -452,33 +447,11 @@ def batch_norm_apply(x, mean, var, gamma, beta, eps, relu=False):
     return out
 
 
-def batch_norm_moments(x, bn, mode):
-    """The per-channel (mean, var) that batch norm normalizes ``x`` with.
-
-    ``bn`` is a :class:`dmfnet.blocks.BatchNorm3d`. Train mode returns the
-    batch statistics and updates ``bn.running_mean/var`` in place; eval mode
-    returns copies of the running stats.
-    """
-    if x.shape[1] != bn.running_mean.shape[0]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, batch norm expects {bn.running_mean.shape[0]}"
-        )
-    if mode == "train":
-        mean, var = batch_norm_stats(x)
-        m = bn.momentum
-        bn.running_mean[:] = (1 - m) * bn.running_mean + m * mean
-        bn.running_var[:] = (1 - m) * bn.running_var + m * var
-        return mean, var
-    if mode == "eval":
-        return bn.running_mean.copy(), bn.running_var.copy()
-    raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-
-
 def batch_norm(x, bn, mode="train"):
     """Batch normalization over (n, d, h, w) per channel, with the statistics
-    of :func:`batch_norm_moments`."""
+    of ``bn.moments`` (``bn`` is a :class:`dmfnet.blocks.BatchNorm3d`)."""
     x = check_volume5d(x)
-    mean, var = batch_norm_moments(x, bn, mode)
+    mean, var = bn.moments(x, mode)
     return batch_norm_apply(x, mean, var, bn.gamma.data, bn.beta.data, bn.eps)
 
 

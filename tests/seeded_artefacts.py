@@ -1,6 +1,8 @@
-"""Print the sha256 of every artefact of one seeded CLI session.
+"""Print the sha256 of every artefact of one seeded CLI session, or compare
+two checkouts' artefacts.
 
     python3 tests/seeded_artefacts.py [CHECKOUT]
+    python3 tests/seeded_artefacts.py CHECKOUT OTHER
 
 Runs the CLI of CHECKOUT's ``src/`` (default: this checkout) single-threaded
 in a temporary directory:
@@ -16,7 +18,9 @@ in a temporary directory:
 
 Two checkouts that print the same lines produce the same bytes. The hashes
 depend on the BLAS build, so they are compared between checkouts on one
-host, never pinned.
+host, never pinned. Given two checkouts, the script runs the recipe on
+each, prints one line per artefact whose bytes differ and exits 1 if any
+does.
 """
 
 from __future__ import annotations
@@ -76,7 +80,23 @@ def run(checkout):
     return [(name, hashlib.sha256(blob).hexdigest()) for name, blob in rows]
 
 
+def _digests(checkout):
+    """name -> sha256 of ``run(checkout)``, in a process of its own: run
+    imports the checkout's dmfnet, and a process imports one."""
+    out = subprocess.run([sys.executable, __file__, str(checkout)], check=True,
+                         capture_output=True, text=True).stdout
+    return {name: digest for digest, name in (line.split("  ", 1) for line in out.splitlines())}
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        a, b = map(_digests, sys.argv[1:])
+        differ = [name for name in dict.fromkeys([*a, *b]) if a.get(name) != b.get(name)]
+        for name in differ:
+            print(f"{name}: {a.get(name)} != {b.get(name)}")
+        if not differ:
+            print(f"all {len(a)} artefacts match")
+        sys.exit(1 if differ else 0)
     checkout = sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     for name, digest in run(checkout):
         print(f"{digest}  {name}")

@@ -61,6 +61,12 @@ def bad_data(tmp_path, case_dir, checkpoint):
     def meta(text):
         return lambda d: (d / dio.META_NAME).write_text(text)
 
+    def huge_dims(d):
+        """dims whose voxel count is 2**64, which int64 wraps to 0, and empty modality files."""
+        meta('{"dims": [4294967296, 4294967296, 1]}')(d)
+        for name in dio.MODALITIES:
+            (d / f"{name}.f32").write_bytes(b"")
+
     def written(name, blob):
         (tmp_path / "bad" / name).write_bytes(blob)
         return tmp_path / "bad" / name
@@ -95,6 +101,7 @@ def bad_data(tmp_path, case_dir, checkpoint):
         "dims-float": damaged("dims-float", meta('{"dims": [16.9, 16, 16]}')),
         "dims-bool": damaged("dims-bool", meta('{"dims": [true, 4096, 1]}')),
         "dims-rank-2": damaged("dims-rank-2", meta('{"dims": [64, 64]}')),
+        "dims-huge": damaged("dims-huge", huge_dims),
         "channels-int": damaged("channels-int", meta('{"dims": [16, 16, 16], "channels": 5}')),
         "channels-up": damaged("channels-up", meta('{"dims": [16, 16, 16], "channels": ["../../x"]}')),
         "cut-checkpoint": written("cut.bin", raw[:-5]),
@@ -248,6 +255,7 @@ class TestTrainInferEvaluate:
 
 
 _ANALYZE = ["analyze", "--arch", "toy", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
+_MFNET = ["analyze", "--arch", "mfnet", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
 
 
 def _train_on(data):
@@ -270,6 +278,20 @@ BAD_INPUTS = [
     pytest.param(_ANALYZE, {"arch": {"groups": 0}}, 1, "groups", id="groups-config-0"),
     pytest.param(_ANALYZE, {"arch": {"dilation_rates": []}}, 1, "dilation rates",
                  id="empty-dilation-rates"),
+    # dilated-unit settings are checked with the arch config, not only when a DMF unit is built
+    pytest.param(_ANALYZE, {"arch": {"dilated_unit_count": 0, "dilation_rates": []}}, 1,
+                 "need one or more positive, distinct dilation rates, got ()",
+                 id="no-dmf-unit-empty-dilation-rates"),
+    pytest.param(_ANALYZE, {"arch": {"dilated_unit_count": 0, "weight_mode": "bogus"}}, 1,
+                 "weight_mode must be 'learnable' or 'fixed_equal', got 'bogus'",
+                 id="no-dmf-unit-weight-mode"),
+    *(pytest.param(_MFNET, {"arch": {"dilation_rates": rates}}, 1,
+                   f"distinct dilation rates, got {tuple(rates)}", id=f"mfnet-dilation-rates-{name}")
+      for name, rates in [("empty", []), ("zeros", [0, 0]), ("negative", [-1])]),
+    pytest.param(_ANALYZE + ["--width-multiplier", "1e308"], {}, 1,
+                 "width_multiplier 1e+308 overflows the stage widths", id="width-multiplier-flag-huge"),
+    pytest.param(_ANALYZE, {"arch": {"width_multiplier": 1e308}}, 1,
+                 "width_multiplier 1e+308 overflows the stage widths", id="width-multiplier-key-huge"),
     *(pytest.param(_ANALYZE, {"arch": {"stage_channels": widths}}, 1, expect,
                    id=f"stage-width-{name}")
       for name, widths, expect in [
@@ -387,6 +409,9 @@ BAD_INPUTS = [
         ("dims-rank-2", "needs 'dims', three positive integers, got [64, 64]"),
         ("channels-int", "meta.json lists channels 5, not"),
         ("channels-up", "meta.json lists channels ['../../x'], not")]),
+    pytest.param(_PREVIEW + ["--case-dir", "{bad[dims-huge]}/case_a"], {}, 1,
+                 "f32 holds 0 voxels but meta dims (4294967296, 4294967296, 1) imply "
+                 "18446744073709551616", id="dims-huge"),
     pytest.param(_INFER + ["--case-dir", "{bad[nan-t1]}/case_a"], _TOY, 1,
                  "{bad[nan-t1]}/case_a/t1.f32 holds non-finite voxels", id="nan-voxel"),
     pytest.param(_INFER + ["--out", "{data}"], _TOY, 1, "Is a directory: '{data}'",

@@ -26,7 +26,7 @@ class TestConvSpec:
 
     def test_weight_count_formula(self):
         spec = ops.ConvSpec(32, 32, kernel=3, groups=16)
-        assert spec.weight_count == 27 * 32 * 32 // 16
+        assert np.prod(spec.weight_shape) == 27 * 32 * 32 // 16
 
     def test_same_padding(self):
         assert ops.same_padding(3) == (1, 1, 1)
