@@ -16,12 +16,12 @@ No recorded array exists only to be read by an add or a concat, whose rules
 need no saved data: a residual add is fused into the conv that feeds it (the
 conv adds the residual into its own fresh output, :func:`t_conv3d`), and the
 decoder's upsample writes straight into its concat buffer
-(:func:`t_upsample_concat`). Nor does the tape keep a conv operand that is
-cheap to remake: a BN+ReLU output that only one conv reads, or the head's
-upsample. That conv builds the operand itself and rebuilds it in backward
+(:func:`t_upsample_concat`). Nor does the tape keep a BN+ReLU output that
+only one conv reads: that conv builds it itself and rebuilds it in backward
 from what the tape keeps anyway, the BN input and statistics
-(``t_conv3d(bn=)``) or the upsample's input (``t_conv3d(upsample=)``).
-Both BN+ReLU ops take their moments, output and rule from one :func:`_bn_relu`.
+(``t_conv3d(bn=)``). Both BN+ReLU ops take their moments, output and rule
+from one :func:`_bn_relu`. The head upsamples the classifier's logits
+(:func:`t_trilinear_upsample`), not dec3's wider features.
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ def _record(tape, data, op, parents, bwd):
     return tape.node(data, op, parents, bwd)
 
 
-def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=None,
-             upsample=None, mode="train"):
+def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=None, mode="train"):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
     gradient is transposed back before accumulating into the parameter.
@@ -189,28 +188,21 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     (x, weight, residual), whose rule hands g to the residual as
     :func:`t_add` does. The sum is bit-identical to ``t_add(conv, residual)``.
 
-    With ``bn`` (a BatchNorm3d) or ``upsample`` (a scale), the conv reads an
-    operand built from ``x``: ``relu(batch_norm(x))`` in ``mode``, or
-    ``trilinear_upsample(x, upsample)``. The operand is built here and freed
-    once read; backward rebuilds it bit for bit (from x and the saved mean and
-    var, or from x alone) for the weight gradient and frees it before the
-    input gradient is made. That gradient then goes through the BN+ReLU rule
-    of :func:`_bn_relu`, as in :func:`t_batch_norm`, whose ReLU mask is
-    remade block by block from the same apply arithmetic (an operand of one
-    block is kept for its mask instead), or through ``trilinear_upsample_grad``.
-    So the tape keeps x but no operand. With ``bn`` the node's parents gain
-    (bn.gamma, bn.beta). Every output and gradient is bit-identical to
-    ``t_conv3d(t_batch_norm(x, bn, mode), ...)`` or
-    ``t_conv3d(t_trilinear_upsample(x, upsample), ...)``. With ``bn`` the
-    node's ``rebuild`` returns the BN+ReLU output for the kink mask of
-    :func:`finite_diff_check`; an upsample is no ReLU output, so there
-    ``rebuild`` stays None."""
+    With ``bn`` (a BatchNorm3d) the conv reads ``relu(batch_norm(x))`` in
+    ``mode``, built here and freed once read; backward rebuilds it bit for
+    bit from x and the saved mean and var for the weight gradient and frees
+    it before the input gradient is made. That gradient then goes through
+    the BN+ReLU rule of :func:`_bn_relu`, as in :func:`t_batch_norm`, whose
+    ReLU mask is remade block by block from the same apply arithmetic (an
+    operand of one block is kept for its mask instead). So the tape keeps x
+    but no operand, and the node's parents gain (bn.gamma, bn.beta). Every
+    output and gradient is bit-identical to
+    ``t_conv3d(t_batch_norm(x, bn, mode), ...)``. The node's ``rebuild``
+    returns the BN+ReLU output for the kink mask of
+    :func:`finite_diff_check`."""
     xd = _data(x)
     if bn is not None:
         build, bn_rule = _bn_relu(xd, bn, mode)
-    elif upsample is not None:
-        def build():
-            return ops.trilinear_upsample(xd, upsample)
     else:
         def build():
             return xd
@@ -241,8 +233,6 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
         del a
         gx = ops.conv3d_input_grad(g, w, spec, in_shape)
         rest = () if residual is None else (g,)
-        if upsample is not None:
-            gx = ops.trilinear_upsample_grad(gx, xd.shape, upsample)
         if bn is None:
             return (gx, gw, *rest)
         # gx is this rule's own array: it becomes dx
@@ -344,10 +334,9 @@ def t_concat_channels(tape, a, b):
 
 
 def t_trilinear_upsample(tape, x, scale):
-    """Traced trilinear upsample. The network does not call it: the head runs
-    its upsample inside the classifier conv (``t_conv3d(upsample=)``). It
-    stays for the gradient checks and because the benchmark's tracer
-    (``perfbench/spans.py``) wraps it by name."""
+    """Traced trilinear upsample: the network's head, which brings the
+    classifier's logits back to full resolution. Its rule reads only x's
+    shape."""
     xd = _data(x)
 
     def bwd(g):

@@ -129,8 +129,8 @@ class Conv3dLayer(Block):
         self.weight = Parameter(f"{name}.weight",
                                 kaiming_normal(rng, spec.weight_shape, fan_in, dtype))
 
-    def forward(self, x, mode="train", tape=None, upsample=None):
-        return ag.t_conv3d(tape, x, self.weight, self.spec, upsample=upsample)
+    def forward(self, x, mode="train", tape=None):
+        return ag.t_conv3d(tape, x, self.weight, self.spec)
 
 
 class BatchNorm3d(Block):

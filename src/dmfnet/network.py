@@ -8,10 +8,11 @@ Layout (strides in parentheses):
         units are DMF units, the rest MF units
     decoder: three times [trilinear upsample x2, concat encoder skip, MF unit];
         the upsample writes straight into its concat buffer
-    head: trilinear upsample x2 back to full resolution, then an ungrouped
-        1x1x1 classifier conv with one output channel per label in CLASS_LABELS;
-        the conv builds the upsample itself and rebuilds it in backward, so
-        the tape keeps no full-resolution activation
+    head: an ungrouped, bias-free 1x1x1 classifier conv with one output channel
+        per label in CLASS_LABELS, then trilinear upsample x(stem stride) of the
+        logits to full resolution; the upsample acts on each channel alone, so
+        this equals classifying upsampled features, with the conv at 1/stride^3
+        of the voxels
 
 The default stage widths were tuned (starting from 32/64/128 and adjusting,
 see README) until the complexity accounting in :mod:`dmfnet.analysis`
@@ -84,6 +85,10 @@ class ArchConfig:
         # scaled_channels cannot round a width that the multiplier makes inf
         if not np.isfinite(max(self.stage_channels) * self.width_multiplier):
             raise ConfigError(f"width_multiplier {self.width_multiplier} overflows the stage widths")
+        # numpy refuses arrays over intp-max bytes; no weight exceeds 2 * widest^2 * 27 float64s
+        widest = max(self.input_channels, *self.scaled_channels())
+        if 2 * widest**2 * 27 * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"a width of {widest} channels overflows numpy's array size limit")
 
     def scaled_channels(self):
         """Stage widths after the multiplier, rounded to multiples of groups."""
@@ -163,9 +168,9 @@ class Network(Block):
         # each is released once its concat has copied it
         for unit in self.decoder:
             h = unit.forward(ag.t_upsample_concat(tape, h, skips.pop(), 2), mode, tape)
-        # the classifier reads the upsample to full resolution, built inside its conv
-        up = self.cfg.stem_stride if self.cfg.stem_stride != 1 else None
-        return self.classifier.forward(h, mode, tape, upsample=up)
+        logits = self.classifier.forward(h, mode, tape)
+        s = self.cfg.stem_stride
+        return logits if s == 1 else ag.t_trilinear_upsample(tape, logits, s)
 
     # -- parameter access --------------------------------------------------
 

@@ -153,11 +153,14 @@ def train(net, dataset, cfg, aug_cfg=None):
     Volumes are assumed normalized. When `aug_cfg` is given every sample is
     cropped/flipped/rotated/jittered first; otherwise cases are used as-is and,
     for batches over 1, must share one shape (DataError before the first step).
+    A batch_size larger than the dataset is a ConfigError.
     Halts with the step index and last finite loss if the loss leaves the
     finite range.
     """
     if not dataset:
         raise ConfigError("dataset is empty")
+    if cfg.batch_size > len(dataset):
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(dataset)} case(s)")
     shapes = sorted({vol.shape for vol, _ in dataset})
     if aug_cfg is None and cfg.batch_size > 1 and len(shapes) > 1:
         raise DataError(f"batch_size {cfg.batch_size} without augmentation needs cases of "
@@ -166,15 +169,14 @@ def train(net, dataset, cfg, aug_cfg=None):
     state = AdamState(params)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    steps_per_epoch = max(len(dataset) // cfg.batch_size, 1)
+    steps_per_epoch = len(dataset) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     last_finite = None
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         for b in range(steps_per_epoch):
-            picks = [dataset[order[(b * cfg.batch_size + k) % len(dataset)]]
-                     for k in range(cfg.batch_size)]
+            picks = [dataset[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
             vols = []
             labs = []
             for vol, lab in picks:

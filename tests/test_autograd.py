@@ -153,15 +153,16 @@ class TestBackward:
     def test_sweep_releases_what_it_no_longer_needs(self, rng):
         """Interior gradients and rules go as the sweep passes; the output's
         gradient, every leaf's gradient and every node's data stay. (The toy
-        tape has 82 interior nodes: each BN+ReLU that one conv reads is part
-        of that conv's node, and so is the head's upsample.)"""
+        tape has 83 interior nodes: each BN+ReLU that one conv reads is part
+        of that conv's node, and the head is the classifier conv and the
+        upsample of its logits.)"""
         net = network.build_network(network.toy_config(), seed=0)
         x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
         out, tape = ag.forward_record(net, x)
         gin, grads = ag.backward(tape, np.ones_like(out))
         leaves = [v for v in tape.nodes if v.op in ("input", "param")]
         interior = [v for v in tape.nodes if v not in leaves and v is not tape.output_var]
-        assert len(interior) == 82
+        assert len(interior) == 83
         assert all(v.grad is None and v.backward_fn is None for v in interior)
         assert tape.output_var.grad is not None
         assert gin is tape.input_var.grad
@@ -328,27 +329,6 @@ class TestFusedOps:
             _assert_bitwise(fused[2][name], split[2][name])
         for a, b in zip(fused_stats, split_stats):
             _assert_bitwise(a, b)
-
-    @pytest.mark.parametrize("kernel", [1, 3])
-    def test_upsample_conv_equals_upsample_then_conv(self, rng, kernel):
-        """t_conv3d(upsample=) builds the upsample inside the call and rebuilds
-        it in backward: output, input and weight gradients equal those of a
-        t_trilinear_upsample node read by a conv. The node reads as a plain
-        conv: op conv3d, the weight at parents[1], no ReLU rebuild."""
-        layer = blocks.Conv3dLayer("head", ops.ConvSpec(3, 4, kernel=kernel, padding=kernel // 2),
-                                   rng, np.float32)
-        x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
-        g = rng.standard_normal((2, 4, 6, 8, 4)).astype(np.float32)
-        fused = _sweep(lambda t, xv: layer.forward(xv, tape=t, upsample=2), [x], g)
-        split = _sweep(lambda t, xv: layer.forward(ag.t_trilinear_upsample(t, xv, 2), tape=t),
-                       [x], g)
-        _assert_bitwise(fused[0], split[0])
-        _assert_bitwise(fused[1][0], split[1][0])
-        _assert_bitwise(fused[2]["head.weight"], split[2]["head.weight"])
-        tape = ag.GradTape()
-        node = layer.forward(tape.leaf(x), tape=tape, upsample=2)
-        assert node.op == "conv3d" and node.parents[1].param is layer.weight
-        assert node.rebuild is None and len(tape.nodes) == 3
 
     def test_upsample_concat_equals_upsample_then_concat(self, rng):
         # batch 2: the upsample's channel slice of the buffer is not contiguous

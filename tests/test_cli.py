@@ -2,6 +2,7 @@
 
 import json
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -292,6 +293,13 @@ BAD_INPUTS = [
                  "width_multiplier 1e+308 overflows the stage widths", id="width-multiplier-flag-huge"),
     pytest.param(_ANALYZE, {"arch": {"width_multiplier": 1e308}}, 1,
                  "width_multiplier 1e+308 overflows the stage widths", id="width-multiplier-key-huge"),
+    # widths that numpy could not make a weight of, refused before anything is allocated
+    pytest.param(_ANALYZE + ["--width-multiplier", "9223372036854775808"], {}, 1,
+                 "a width of 295147905179352825856 channels overflows numpy's array size limit",
+                 id="width-multiplier-flag-2e63"),
+    pytest.param(_ANALYZE, {"arch": {"input_channels": 9223372036854775808}}, 1,
+                 "a width of 9223372036854775808 channels overflows numpy's array size limit",
+                 id="input-channels-key-2e63"),
     *(pytest.param(_ANALYZE, {"arch": {"stage_channels": widths}}, 1, expect,
                    id=f"stage-width-{name}")
       for name, widths, expect in [
@@ -314,6 +322,8 @@ BAD_INPUTS = [
                  1, "--no-augment", id="no-augment-augment-key"),
     pytest.param(_train_on("{bad[uneven]}") + ["--no-augment", "--batch-size", "2"],
                  {"arch": TOY_ARCH}, 1, "(4, 16, 16, 16), (4, 16, 16, 24)", id="unequal-batch"),
+    pytest.param(_TRAIN + ["--batch-size", "2", "--crop-size", "16,16,16"], _TOY, 1,
+                 "batch_size 2 exceeds the 1 case(s)", id="batch-over-dataset"),
     pytest.param(_train_on("{bad[no-flair]}"), {"arch": TOY_ARCH}, 1,
                  "missing modality file flair.f32", id="missing-modality"),
     pytest.param(_train_on("{bad[short-t1]}"), {"arch": TOY_ARCH}, 1, "holds 25 voxels",
@@ -480,3 +490,19 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "total params" in proc.stdout
+
+    def test_failed_allocation_is_one_error_line(self):
+        """A weight that cannot be allocated ends as one error: line, exit 1. The
+        child runs under a 2 GiB address-space cap of its own; the toy net at
+        10^4x width fails at its first multiplexer weight (23.8 GiB), when the
+        child holds about 155 MiB."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "dmfnet.cli", "analyze", "--arch", "toy",
+                               "--input-shape", "1,4,16,16,16", "--width-multiplier", "1e4"],
+                              capture_output=True, text=True, preexec_fn=cap, timeout=120)
+        lines = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1
+        assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+        assert lines[-1].startswith("error: Unable to allocate")

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dmfnet import analysis, autograd as ag, network
+from dmfnet import analysis, autograd as ag, network, ops
 from dmfnet.blocks import DMFUnit, MFUnit
 from dmfnet.errors import ConfigError, ShapeError
 
@@ -72,6 +72,22 @@ class TestBuildAndForward:
         x = np.zeros((1, 4, 16, 16, 16), dtype=np.float32)
         logits = net.forward(x, mode="eval")
         np.testing.assert_array_equal(logits, 0.0)
+
+    def test_classify_then_upsample_equals_upsample_then_classify(self, rng):
+        """The head classifies dec3's output and then upsamples the logits. The
+        classifier is a bias-free 1x1x1 conv and the upsample acts on each
+        channel alone, so this equals classifying the upsampled features up
+        to float64 rounding, with the same labels."""
+        net = network.build_network(network.toy_config(), seed=0, dtype=np.float64)
+        x = rng.standard_normal((1, 4, 32, 32, 32))
+        logits = net.forward(x, mode="eval")
+        _, tape = ag.forward_record(net, x, mode="eval")
+        dec3 = tape.output_var.parents[0].parents[0].data
+        by_hand = ops.conv3d(ops.trilinear_upsample(dec3, net.cfg.stem_stride),
+                             net.classifier.weight.data, net.classifier.spec)
+        assert np.abs(logits - by_hand).max() / np.abs(by_hand).max() < 1e-14
+        np.testing.assert_array_equal(network.predict_labels(logits),
+                                      network.predict_labels(by_hand))
 
     def test_width_multiplier_monotone(self):
         counts = []
@@ -179,25 +195,26 @@ class TestLeanTape:
         assert sum(v.rebuild is not None for v in tape.nodes) == n_bn - n_bn1 == 42
         readers = Counter(id(p) for v in tape.nodes for p in v.parents)
         assert all(readers[id(v)] > 1 for v in tape.nodes if v.op == "batch_norm")
-        # activation bytes of the float32 toy net at 1x4x16^3; separate
-        # batch_norm and relu nodes held 1,288,992, separate add and upsample
-        # outputs 1,029,440, a BN+ReLU node before every conv 865,216, and
-        # the head's upsample node 635,872
-        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 504_800
+        # activation bytes of the float32 toy net at 1x4x16^3, of which the
+        # head's 4-channel logits at half resolution are 8,192
+        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 512_992
 
     def test_dmfnet_train_tape_keeps_no_add_or_decoder_upsample(self, rng):
-        """Residual adds run inside their convs, the decoder's upsamples write
-        into their concats and the head's upsample runs inside the classifier
-        conv: no upsample is a node of its own."""
+        """Residual adds run inside their convs and the decoder's upsamples
+        write into their concats; the one upsample node is the head's, and it
+        reads the classifier's 4-channel logits, not dec3's 16 channels."""
         net = network.build_network(network.dmfnet_config(), seed=0)
         x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
         _, tape = ag.forward_record(net, x, mode="train")
         kinds = [v.op for v in tape.nodes]
         assert "add" not in kinds and "concat_channels" not in kinds
-        assert "trilinear_upsample" not in kinds
+        assert kinds.count("trilinear_upsample") == 1
         head = tape.output_var
-        assert head.op == "conv3d" and head.parents[1].param is net.classifier.weight
-        assert head.data.shape[2:] == x.shape[2:] == tuple(2 * s for s in head.parents[0].data.shape[2:])
+        logits = head.parents[0]
+        assert head.op == "trilinear_upsample"
+        assert logits.op == "conv3d" and logits.parents[1].param is net.classifier.weight
+        assert logits.data.shape[1] == head.data.shape[1] == 4
+        assert head.data.shape[2:] == x.shape[2:] == tuple(2 * s for s in logits.data.shape[2:])
         assert kinds.count("upsample_concat") == len(net.decoder) == 3
         # one residual per multiplexer and per unit: 12 units, two each; both
         # convs also run their BN+ReLU, so their parents are
