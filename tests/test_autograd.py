@@ -330,6 +330,30 @@ class TestFusedOps:
         for a, b in zip(fused_stats, split_stats):
             _assert_bitwise(a, b)
 
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_upsample_conv_equals_upsample_then_conv(self, rng, kernel):
+        """A conv reading an upsample is two plain nodes, with no fused form:
+        a trilinear_upsample node and a conv3d node whose parents are that
+        node and the weight. Output, input and weight gradients equal the ops
+        composed by hand."""
+        layer = blocks.Conv3dLayer("head", ops.ConvSpec(3, 4, kernel=kernel, padding=kernel // 2),
+                                   rng, np.float32)
+        x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
+        g = rng.standard_normal((2, 4, 6, 8, 4)).astype(np.float32)
+        out, (gx,), grads = _sweep(
+            lambda t, xv: layer.forward(ag.t_trilinear_upsample(t, xv, 2), tape=t), [x], g)
+        up = ops.trilinear_upsample(x, 2)
+        w = layer.weight.data
+        _assert_bitwise(out, ops.conv3d(up, w, layer.spec))
+        _assert_bitwise(gx, ops.trilinear_upsample_grad(
+            ops.conv3d_input_grad(g, w, layer.spec, up.shape), x.shape, 2))
+        _assert_bitwise(grads["head.weight"], ops.conv3d_weight_grad(up, g, layer.spec))
+        tape = ag.GradTape()
+        node = layer.forward(ag.t_trilinear_upsample(tape, tape.leaf(x), 2), tape=tape)
+        assert node.op == "conv3d" and node.parents[0].op == "trilinear_upsample"
+        assert node.parents[1].param is layer.weight
+        assert node.rebuild is None and len(tape.nodes) == 4
+
     def test_upsample_concat_equals_upsample_then_concat(self, rng):
         # batch 2: the upsample's channel slice of the buffer is not contiguous
         x = rng.standard_normal((2, 3, 3, 4, 2)).astype(np.float32)
