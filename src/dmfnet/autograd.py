@@ -254,10 +254,11 @@ def _bn_relu(xd, bn, mode):
     channel block at a time (:func:`dmfnet.ops.channel_blocks`): the block of
     g, masked by ``kept > 0`` (the caller's kept output) or else by
     ``build(c) > 0``, goes into out's block, so the subgradient at exactly 0
-    is 0, as in t_relu; the BN rule then turns it into dx in place. g is read
-    only where out has not been written, and xd is never written.
+    is 0, as in t_relu; the BN rule then turns it into dx in place, in the
+    closed form of the chain rule of Ioffe & Szegedy. g is read only where
+    out has not been written, and xd is never written.
 
-    Scratch: xm and t, one block each, and the block's mask."""
+    Scratch: xhat and the ``gm * xhat`` product, one block each, and the mask."""
     xd = ops.check_volume5d(xd)
     mean, var = bn.moments(xd, mode)
 
@@ -268,30 +269,25 @@ def _bn_relu(xd, bn, mode):
     def rule(g, kept, out):
         shape = (1, -1, 1, 1, 1)
         inv = 1.0 / np.sqrt(var + bn.eps)
-        inv3 = inv**3
         count = xd.size // xd.shape[1]
         dgamma, dbeta = np.empty_like(inv), np.empty_like(inv)
         for c in ops.channel_blocks(xd):
             gm = np.multiply(g[:, c], (build(c) if kept is None else kept[:, c]) > 0,
                              out=out[:, c])
-            xm = xd[:, c] - mean[c].reshape(shape)
-            t = xm * inv[c].reshape(shape)
-            dgamma[c] = ops.channel_sum(np.multiply(gm, t, out=t))
+            xhat = xd[:, c] - mean[c].reshape(shape)
+            xhat *= inv[c].reshape(shape)
+            dgamma[c] = ops.channel_sum(gm * xhat)
             dbeta[c] = ops.channel_sum(gm)
-            dxhat = np.multiply(gm, bn.gamma.data[c].reshape(shape), out=gm)
             if mode == "train":
-                dvar = ops.channel_sum(np.multiply(dxhat, xm, out=t)) * (-0.5) * inv3[c]
-                dmean = (-ops.channel_sum(dxhat) * inv[c]
-                         + dvar * (-2.0 / count) * ops.channel_sum(xm))
-                # dx = dxhat * inv + (dvar * 2/count) * xm + dmean / count, summed in that order
-                dxhat *= inv[c].reshape(shape)
-                dxhat += np.multiply(dvar.reshape(shape) * (2.0 / count), xm, out=t)
-                dxhat += dmean.reshape(shape) / count
-            else:
-                # eval-mode BN is an affine map in x
-                dxhat *= inv[c].reshape(shape)
+                # dx = gamma inv (gm - (dbeta + xhat dgamma) / count); eval-mode
+                # BN is an affine map in x, so there dx = gamma inv gm
+                xhat *= dgamma[c].reshape(shape)
+                xhat += dbeta[c].reshape(shape)
+                xhat /= count
+                gm -= xhat
+            gm *= (bn.gamma.data[c] * inv[c]).reshape(shape)
             # this block's scratch goes before the next block's is made
-            del xm, t
+            del xhat
         return out, dgamma, dbeta
 
     return build, rule

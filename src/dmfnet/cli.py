@@ -47,11 +47,12 @@ def _load_config_file(path):
 
 def _fits(value, default):
     """Whether a file or flag value has its field default's type: an int field takes no
-    bool, a float field any finite number, a tuple field a list of such items."""
+    bool, a float field any number that converts to a finite float, a tuple field a list
+    of such items."""
     if isinstance(default, tuple):
         return type(value) in (list, tuple) and all(_fits(v, default[0]) for v in value)
     if isinstance(default, float):
-        return type(value) is int or type(value) is float and np.isfinite(value)
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is type(default)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, hold_floats
 from .losses import check_labels
 
 MODALITIES = ("t1", "t1ce", "t2", "flair")
@@ -140,13 +140,17 @@ class AugmentConfig:
     intensity_scale: tuple = (0.9, 1.1)
 
     def __post_init__(self):
+        hold_floats(self)
         object.__setattr__(self, "crop_size", tuple(int(s) for s in self.crop_size))
         if len(self.crop_size) != 3 or min(self.crop_size) < 1:
             raise ConfigError(f"crop_size must be three positive sizes, got {self.crop_size}")
         for name in ("rotate_degrees", "intensity_shift", "intensity_scale"):
-            pair = tuple(getattr(self, name))
+            pair = getattr(self, name)
             if len(pair) != 2 or pair[0] > pair[1]:
                 raise ConfigError(f"{name} must be two numbers, low <= high, got {pair}")
+            # rng.uniform refuses a range whose width overflows
+            if not np.isfinite(pair[1] - pair[0]):
+                raise ConfigError(f"{name} {pair} spans more than a float can hold")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ConfigError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
 

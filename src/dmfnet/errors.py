@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the float check of the
+config classes."""
+
+import dataclasses
 
 
 class DMFNetError(Exception):
@@ -34,3 +37,19 @@ class TrainingDiverged(DMFNetError, RuntimeError):
         super().__init__(
             f"loss became non-finite at step {step}; last finite loss was {last_finite_loss}"
         )
+
+
+def hold_floats(cfg):
+    """Store each field of the frozen dataclass ``cfg`` whose default is a float, or a
+    tuple of floats, as a float or a tuple of floats; a value that no float can hold
+    (a string, or an int beyond the float range) is a ConfigError."""
+    for f in dataclasses.fields(cfg):
+        one = isinstance(f.default, float)
+        if not (one or isinstance(f.default, tuple) and isinstance(f.default[0], float)):
+            continue
+        value = getattr(cfg, f.name)
+        try:
+            held = float(value) if one else tuple(float(v) for v in value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{f.name} needs numbers a float can hold, got {value!r}") from None
+        object.__setattr__(cfg, f.name, held)

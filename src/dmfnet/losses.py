@@ -78,7 +78,7 @@ def _gdl_terms(p, r, eps):
     inter = (r * p).sum(axis=axes)
     p_sum = p.sum(axis=axes)
     num = (w * inter).sum()
-    den = (w * (r_sum + p_sum)).sum()
+    den = (w * (r_sum + p_sum)).sum() + eps
     return w, num, den
 
 
@@ -103,16 +103,11 @@ def generalized_dice_loss(probs, target, tape=None):
     r = one_hot(target, dtype=p.dtype)
 
     w, num, den = _gdl_terms(p, r, GDL_EPS)
-    data = np.asarray(1.0 - 2.0 * num / (den + GDL_EPS), dtype=p.dtype)
+    data = np.asarray(1.0 - 2.0 * num / den, dtype=p.dtype)
 
     def bwd(g):
-        # d/dp_cn [1 - 2 num/(den+eps)] = -2 (w_c r_cn (den+eps) - num w_c) / (den+eps)^2
-        shape = (1, -1, 1, 1, 1)
-        denom = den + GDL_EPS
-        dnum = w.reshape(shape) * r
-        dden = np.broadcast_to(w.reshape(shape), p.shape)
-        grad = -2.0 * (dnum * denom - num * dden) / (denom * denom)
-        return (g * grad.astype(p.dtype),)
+        # d/dp_cn [1 - 2 num/den] = w_c (-2/den^2) (r_cn den - num)
+        return (g * w.reshape(1, -1, 1, 1, 1) * (-2.0 / (den * den)) * (r * den - num),)
 
     out = _record(tape, data, "generalized_dice_loss", (probs,), bwd)
     return float(out) if tape is None else out

@@ -30,7 +30,7 @@ import numpy as np
 from . import autograd as ag
 from . import ops
 from .blocks import Block, Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig, check_dilated
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, hold_floats
 
 # BraTS label alphabet; class index i maps to CLASS_LABELS[i]
 CLASS_LABELS = (0, 1, 2, 4)
@@ -59,6 +59,7 @@ class ArchConfig:
     stem_stride: int = 2
 
     def __post_init__(self):
+        hold_floats(self)
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
         # checked here too: a net with no DMF unit builds none to check them
         object.__setattr__(self, "dilation_rates", check_dilated(self.dilation_rates, self.weight_mode))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import data as dio
-from .errors import ConfigError, DataError, GradientError, TrainingDiverged
+from .errors import ConfigError, DataError, GradientError, TrainingDiverged, hold_floats
 from .losses import REGIONS, dice_region, generalized_dice_loss
 from .network import segment
 
@@ -35,6 +35,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        hold_floats(self)
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

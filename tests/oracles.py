@@ -3,8 +3,9 @@
 These deliberately avoid the vectorized code paths of the package: the conv
 reference is a literal nested-loop translation of the definition, the
 trilinear reference evaluates the full eight-corner formula per voxel, the
-batch-norm reference is the textbook backward with one temporary per term,
-and the Adam reference runs the textbook scalar recurrences.
+batch-norm references are the closed-form and the chain-rule backward with
+one temporary per term, and the Adam reference runs the textbook scalar
+recurrences.
 """
 
 import numpy as np
@@ -83,9 +84,31 @@ def trilinear_reference(x, scale):
 
 
 def batch_norm_relu_backward_reference(g, x, out, mean, var, gamma, eps, mode):
-    """(dx, dgamma, dbeta) of relu(batch_norm(x)) by the textbook rule, one
-    fresh temporary per term. ``out`` is the forward output; ``mean`` and
+    """(dx, dgamma, dbeta) of relu(batch_norm(x)) by the closed-form rule, one
+    fresh temporary per term: with g masked by ``out > 0``,
+    ``dx = gamma inv (g - (dbeta + xhat dgamma) / count)`` in train mode and
+    ``gamma inv g`` in eval mode. ``out`` is the forward output; ``mean`` and
     ``var`` are the statistics it normalized with."""
+    axes = (0, 2, 3, 4)
+    shape = (1, -1, 1, 1, 1)
+    inv = 1.0 / np.sqrt(var + eps)
+    count = x.size // x.shape[1]
+    g = g * (out > 0)
+    xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    scale = (gamma * inv).reshape(shape)
+    if mode != "train":
+        return g * scale, dgamma, dbeta
+    dx = (g - (xhat * dgamma.reshape(shape) + dbeta.reshape(shape)) / count) * scale
+    return dx, dgamma, dbeta
+
+
+def batch_norm_relu_backward_chain_rule(g, x, out, mean, var, gamma, eps, mode):
+    """(dx, dgamma, dbeta) of relu(batch_norm(x)) by the textbook chain rule
+    of Ioffe & Szegedy, through dxhat, dvar and dmean, one fresh temporary per
+    term. Its arithmetic differs from the closed form's, so it serves as a
+    float64 cross-check, not a bitwise oracle."""
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
     inv = 1.0 / np.sqrt(var + eps)

@@ -9,7 +9,7 @@ from dmfnet import autograd as ag, blocks, losses, network, ops
 from dmfnet.errors import ConfigError, ShapeError
 from dmfnet.network import CLASS_LABELS
 
-from oracles import batch_norm_relu_backward_reference
+from oracles import batch_norm_relu_backward_chain_rule, batch_norm_relu_backward_reference
 
 
 class ReluBlock:
@@ -369,8 +369,9 @@ class TestFusedOps:
 
 class TestBatchNormRule:
     """The BN+ReLU backward, run one channel block at a time, equals the
-    textbook rule bit for bit, in a t_batch_norm node and inside a conv, and
-    writes into none of its inputs; its scratch is a few blocks, not volumes."""
+    closed-form rule bit for bit, in a t_batch_norm node and inside a conv, and
+    writes into none of its inputs; it agrees with the textbook chain rule in
+    float64; its scratch is a few blocks, not volumes."""
 
     @staticmethod
     def _bn(rng, c, dtype):
@@ -423,6 +424,27 @@ class TestBatchNormRule:
         want = batch_norm_relu_backward_reference(gx, x, node.data, mean, var, bn.gamma.data,
                                                   bn.eps, mode)
         _assert_bitwise(dx, want[0])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_agrees_with_chain_rule(self, rng, n, mode):
+        """The closed form and the chain rule through dxhat, dvar and dmean
+        are one gradient: in float64 the rule's dx, dgamma and dbeta differ
+        from the chain rule's by at most 1e-12 of the largest entry."""
+        bn = self._bn(rng, 5, np.float64)
+        x = rng.standard_normal((n, 5, 5, 6, 7))
+        g = rng.standard_normal(x.shape)
+        if mode == "train":
+            mean, var = x.mean(axis=(0, 2, 3, 4)), x.var(axis=(0, 2, 3, 4))
+        else:
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        tape = ag.GradTape()
+        node = ag.t_batch_norm(tape, tape.leaf(x), bn, mode)
+        got = node.backward_fn(g)
+        want = batch_norm_relu_backward_chain_rule(g, x, node.data, mean, var, bn.gamma.data,
+                                                   bn.eps, mode)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_scratch_is_blocks_not_volumes(self, rng):
         """Beyond its fresh dx, a rule on an 8 MiB volume holds at most three

@@ -300,6 +300,15 @@ BAD_INPUTS = [
     pytest.param(_ANALYZE, {"arch": {"input_channels": 9223372036854775808}}, 1,
                  "a width of 9223372036854775808 channels overflows numpy's array size limit",
                  id="input-channels-key-2e63"),
+    # an int key for a float field is held as a float, so it meets the same checks
+    pytest.param(_ANALYZE, {"arch": {"width_multiplier": 9223372036854775808}}, 1,
+                 "a width of 295147905179352825856 channels overflows numpy's array size limit",
+                 id="width-multiplier-key-2e63"),
+    pytest.param(_ANALYZE, {"arch": {"width_multiplier": 10**400}}, 1,
+                 f"arch config key width_multiplier={10**400} needs",
+                 id="width-multiplier-key-1e400"),
+    pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {"lr": 10**400}}, 1,
+                 f"train config key lr={10**400} needs", id="train-lr-1e400"),
     *(pytest.param(_ANALYZE, {"arch": {"stage_channels": widths}}, 1, expect,
                    id=f"stage-width-{name}")
       for name, widths, expect in [
@@ -398,6 +407,15 @@ BAD_INPUTS = [
           ("augment", "crop_size", "abc")]),
     pytest.param(_TRAIN, {"augment": {"rotate_degrees": [1, 2, 3]}}, 1,
                  "rotate_degrees must be two numbers", id="augment-rotate_degrees-3"),
+    # a range whose width overflows, refused before rng.uniform sees it
+    *(pytest.param(_TRAIN, {"arch": TOY_ARCH, "augment": {name: [-1e308, 1e308]}}, 1,
+                   f"{name} (-1e+308, 1e+308) spans more than a float can hold",
+                   id=f"augment-{name}-overflow")
+      for name in ("rotate_degrees", "intensity_shift", "intensity_scale")),
+    pytest.param(_PREVIEW + ["--config", "{config}", "--crop-size", "8,8,8"],
+                 {"augment": {"rotate_degrees": [-1e308, 1e308]}}, 1,
+                 "rotate_degrees (-1e+308, 1e+308) spans more than a float can hold",
+                 id="preview-rotate_degrees-overflow"),
     pytest.param(_NO_AUG + ["--lr", "nan"], {}, 1, "lr=nan needs", id="lr-nan"),
     pytest.param(_NO_AUG + ["--weight-decay", "inf"], {}, 1, "weight_decay=inf needs",
                  id="weight-decay-inf"),
