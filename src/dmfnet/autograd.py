@@ -17,10 +17,11 @@ need no saved data: a residual add is fused into the conv that feeds it (the
 conv adds the residual into its own fresh output, :func:`t_conv3d`), and the
 decoder's upsample writes straight into its concat buffer
 (:func:`t_upsample_concat`). Nor does the tape keep a BN+ReLU output that
-only one conv reads: that conv builds it itself and rebuilds it in backward
-from what the tape keeps anyway, the BN input and statistics
-(``t_conv3d(bn=)``). Both BN+ReLU ops take their moments, output and rule
-from one :func:`_bn_relu`. The head upsamples the classifier's logits
+only one conv reads: that conv's kernels read it a band of depth planes at a
+time, in the forward and again for the weight gradient, from what the tape
+keeps anyway, the BN input and statistics (``t_conv3d(bn=)``), so no pass
+makes it whole. Both BN+ReLU ops take their moments, output and rule from
+one :func:`_bn_relu`. The head upsamples the classifier's logits
 (:func:`t_trilinear_upsample`), not dec3's wider features.
 """
 
@@ -55,7 +56,8 @@ class Parameter:
 
 class Var:
     """One recorded value in a tape. ``rebuild``, set only on a conv that
-    runs its own BN+ReLU (``t_conv3d(bn=)``), returns that BN+ReLU output."""
+    runs its own BN+ReLU (``t_conv3d(bn=)``), returns that BN+ReLU output as
+    one array; the conv itself never makes it whole."""
 
     __slots__ = ("data", "grad", "op", "parents", "backward_fn", "param", "rebuild")
 
@@ -189,29 +191,28 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     :func:`t_add` does. The sum is bit-identical to ``t_add(conv, residual)``.
 
     With ``bn`` (a BatchNorm3d) the conv reads ``relu(batch_norm(x))`` in
-    ``mode``, built here and freed once read; backward rebuilds it bit for
-    bit from x and the saved mean and var for the weight gradient and frees
-    it before the input gradient is made. That gradient then goes through
-    the BN+ReLU rule of :func:`_bn_relu`, as in :func:`t_batch_norm`, whose
-    ReLU mask is remade block by block from the same apply arithmetic (an
-    operand of one block is kept for its mask instead). So the tape keeps x
-    but no operand, and the node's parents gain (bn.gamma, bn.beta). Every
-    output and gradient is bit-identical to
-    ``t_conv3d(t_batch_norm(x, bn, mode), ...)``. The node's ``rebuild``
-    returns the BN+ReLU output for the kink mask of
+    ``mode``, never whole: ``ops.conv3d`` gets x and the BN affine (the
+    moments, gamma, beta and eps) and makes the operand a band of depth
+    planes at a time (``bn=`` of :func:`dmfnet.ops.conv3d`), and backward
+    hands ``ops.conv3d_weight_grad`` the same affine, so it remakes the bands
+    bit for bit from x and the saved mean and var. The input gradient then
+    goes through the BN+ReLU rule of :func:`_bn_relu`, as in
+    :func:`t_batch_norm`, whose ReLU mask is remade block by block from the
+    same apply arithmetic; an operand of one block is built whole once
+    instead, for the weight gradient and as the mask. So the tape keeps x but
+    no operand, and the node's parents gain (bn.gamma, bn.beta). Every output
+    and gradient is bit-identical to ``t_conv3d(t_batch_norm(x, bn, mode),
+    ...)``, except a 1x1x1 weight gradient over more than one band, whose
+    voxel sum adds the bands' sums in turn. The node's ``rebuild`` returns
+    the BN+ReLU output, whole, for the kink mask of
     :func:`finite_diff_check`."""
     xd = _data(x)
+    affine = None
     if bn is not None:
-        build, bn_rule = _bn_relu(xd, bn, mode)
-    else:
-        def build():
-            return xd
+        affine, build, bn_rule = _bn_relu(xd, bn, mode)
     # channel-transposed view shares storage with the parameter (tied convs)
     w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
-    a = build()
-    in_shape = a.shape
-    data = ops.conv3d(a, w, spec)
-    del a
+    data = ops.conv3d(xd, w, spec, bn=affine)
     parents = (x, weight)
     if residual is not None:
         rd = _data(residual)
@@ -223,15 +224,16 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
         parents += (bn.gamma, bn.beta)
 
     def bwd(g):
-        a = build()
-        gw = ops.conv3d_weight_grad(a, g, spec)
+        # a BN+ReLU operand of one block is built whole, for the weight
+        # gradient and as the rule's ReLU mask: cheaper than making it twice
+        kept = build() if bn is not None and xd.nbytes <= ops.BLOCK_BYTES else None
+        if kept is None:
+            gw = ops.conv3d_weight_grad(xd, g, spec, bn=affine)
+        else:
+            gw = ops.conv3d_weight_grad(kept, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        # the rebuilt operand goes before the input gradient is made; a BN+ReLU
-        # operand of one block is kept for its ReLU mask, cheaper than remaking it
-        kept = a if bn is not None and a.nbytes <= ops.BLOCK_BYTES else None
-        del a
-        gx = ops.conv3d_input_grad(g, w, spec, in_shape)
+        gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
         rest = () if residual is None else (g,)
         if bn is None:
             return (gx, gw, *rest)
@@ -248,23 +250,25 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
 def _bn_relu(xd, bn, mode):
     """relu(batch_norm(xd)) with ``bn`` (a BatchNorm3d) in ``mode``, for
     :func:`t_batch_norm` and ``t_conv3d(bn=)``: checks xd, takes its moments
-    and returns ``build(c)``, the output on channels c (all by default), and
-    ``rule(g, kept, out)``, its (dx, dgamma, dbeta) given the output gradient
-    g, with dx written into ``out`` (which may be g itself). The rule runs one
-    channel block at a time (:func:`dmfnet.ops.channel_blocks`): the block of
-    g, masked by ``kept > 0`` (the caller's kept output) or else by
-    ``build(c) > 0``, goes into out's block, so the subgradient at exactly 0
-    is 0, as in t_relu; the BN rule then turns it into dx in place, in the
-    closed form of the chain rule of Ioffe & Szegedy. g is read only where
-    out has not been written, and xd is never written.
+    and returns the affine (mean, var, gamma, beta, eps) that the conv kernels
+    read it through (``bn=`` of :func:`dmfnet.ops.conv3d`), ``build(c)``, the
+    output on channels c (all by default), and ``rule(g, kept, out)``, its
+    (dx, dgamma, dbeta) given the output gradient g, with dx written into
+    ``out`` (which may be g itself). The rule runs one channel block at a
+    time (:func:`dmfnet.ops.channel_blocks`): the block of g, masked by
+    ``kept > 0`` (the caller's kept output) or else by ``build(c) > 0``, goes
+    into out's block, so the subgradient at exactly 0 is 0, as in t_relu; the
+    BN rule then turns it into dx in place, in the closed form of the chain
+    rule of Ioffe & Szegedy. g is read only where out has not been written,
+    and xd is never written.
 
     Scratch: xhat and the ``gm * xhat`` product, one block each, and the mask."""
     xd = ops.check_volume5d(xd)
     mean, var = bn.moments(xd, mode)
+    affine = (mean, var, bn.gamma.data, bn.beta.data, bn.eps)
 
     def build(c=slice(None)):
-        return ops.batch_norm_apply(xd[:, c], mean[c], var[c], bn.gamma.data[c], bn.beta.data[c],
-                                    bn.eps, relu=True)
+        return ops.batch_norm_apply(xd[:, c], *(a[c] for a in affine[:4]), bn.eps, relu=True)
 
     def rule(g, kept, out):
         shape = (1, -1, 1, 1, 1)
@@ -290,7 +294,7 @@ def _bn_relu(xd, bn, mode):
             del xhat
         return out, dgamma, dbeta
 
-    return build, rule
+    return affine, build, rule
 
 
 def t_batch_norm(tape, x, bn, mode="train"):
@@ -299,7 +303,7 @@ def t_batch_norm(tape, x, bn, mode="train"):
     :func:`_bn_relu` into a fresh dx. The network records such a node only
     where several convs read its output (a DMF unit's ``bn1``); a conv that
     alone reads a BN+ReLU runs it itself, ``t_conv3d(bn=)``."""
-    build, rule = _bn_relu(_data(x), bn, mode)
+    _, build, rule = _bn_relu(_data(x), bn, mode)
     data = build()
     # g is not written: a residual conv hands one g to two parents
     return _record(tape, data, "batch_norm", (x, bn.gamma, bn.beta),

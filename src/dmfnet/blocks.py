@@ -8,10 +8,10 @@ Topology of one MF unit (BN+ReLU, one :class:`BatchNorm3d` op, before every conv
 
 Each residual add runs inside the conv before it (``residual=`` of
 :func:`dmfnet.autograd.t_conv3d`), so the tape keeps no separate conv output.
-Each BN+ReLU that one conv alone reads runs inside that conv (``bn=``), which
-rebuilds it in backward, so the tape keeps no BN+ReLU output that only one
-conv reads: only a DMF unit's ``bn1``, read by all its branches, is a node
-of its own.
+Each BN+ReLU that one conv alone reads runs inside that conv (``bn=``), whose
+kernels read it a band of planes at a time, forward and backward, so the tape
+keeps no BN+ReLU output that only one conv reads: only a DMF unit's ``bn1``,
+read by all its branches, is a node of its own.
 
 The multiplexer squeezes channels c -> c/2 -> c with two ungrouped 1x1x1
 convs and its own residual shortcut. A DMF unit replaces the first grouped

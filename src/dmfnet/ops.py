@@ -33,7 +33,11 @@ gradient copies shifted output-gradient columns and reads the input in place.
 No pass pads its operand: each tap's window is clipped at the volume border,
 and what it would read outside counts as zero. Either buffer holds at most
 SLAB_BYTES, so a pass's scratch is one slab. A 1x1x1 stride-1 unpadded conv
-copies nothing: its operand is its columns. The input gradient is a transposed
+copies nothing: its operand is its columns. A forward or weight-gradient pass
+given a BN affine (``bn=``) reads relu(batch_norm(x)) without making it whole:
+it applies :func:`batch_norm_apply` to the depth planes its slabs read, a band
+of at most SLAB_BYTES (or one slab's planes, if more) in one reused buffer,
+so its scratch is one slab plus one band. The input gradient is a transposed
 conv done as gathers: one stride-1 conv per stride phase, reading the output
 gradient in place from the phase's own start, so a widening conv's phases run
 as kn2row.
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -146,8 +150,54 @@ def _check_conv_args(x, weight, spec):
 
 
 # Bytes of scratch a conv pass holds at once: im2col columns, or the kn2row
-# GEMM output Y (one output row at least).
+# GEMM output Y (one output row at least); and a BN+ReLU operand's band.
 SLAB_BYTES = 8 << 20
+
+
+class _Band:
+    """The operand of a conv pass, read by depth planes. Without ``bn`` it is
+    x itself. With ``bn`` = (mean, var, gamma, beta, eps) it is
+    ``batch_norm_apply(x, *bn, relu=True)``, made a band of whole planes at a
+    time into one reused buffer: as many planes as fit SLAB_BYTES, or as one
+    read asks for if more. A read past the band remakes it from the read's
+    first plane on, so an operand that fits is made once per pass."""
+
+    def __init__(self, x, bn):
+        self.x, self.bn = x, bn
+        self.planes, self.lo, self.hi = x, 0, x.shape[2]
+        self.cap = x.shape[2]
+        if bn is not None:
+            self.hi = 0
+            self.cap = min(self.cap, max(1, SLAB_BYTES * x.shape[2] // x.nbytes))
+            self.buf = np.empty(0, dtype=x.dtype)
+
+    def __call__(self, p0, p1):
+        """(planes, first): an (n, c, planes, h, w) C-contiguous array (or x)
+        whose depth plane i is the operand's plane first + i, for a read of
+        planes p0 .. p1-1."""
+        if p0 < self.lo or p1 > self.hi:
+            x = self.x
+            self.lo, self.hi = p0, min(x.shape[2], p0 + max(self.cap, p1 - p0))
+            shape = x.shape[:2] + (self.hi - p0,) + x.shape[3:]
+            size = prod(shape)
+            if self.buf.size < size:
+                self.planes = self.buf = None  # the old band goes before a larger one is made
+                self.buf = np.empty(size, dtype=x.dtype)
+            self.planes = self.buf[:size].reshape(shape)
+            batch_norm_apply(x[:, :, p0:self.hi], *self.bn, relu=True, out=self.planes)
+        return self.planes, self.lo
+
+    def fit(self, planes, spec):
+        """At most ``planes`` output planes per slab of a ``spec`` conv, and no
+        more than the band holds the input planes of (one at least)."""
+        if self.cap == self.x.shape[2]:
+            return planes
+        return min(planes, max(1, (self.cap - spec.effective_kernel[0]) // spec.stride[0] + 1))
+
+    def whole(self):
+        """(planes, first) for each band of a pass that reads every plane once."""
+        for p0 in range(0, self.x.shape[2], self.cap):
+            yield self(p0, min(self.x.shape[2], p0 + self.cap))
 
 
 def _slab_extent(line_bytes, out_planes, out_rows, halo=0):
@@ -184,8 +234,9 @@ def _boxes(spec, start, in_spatial, out_spatial, steps):
     return d, h, w[0]
 
 
-def _slabs(x, spec, out_spatial, start):
-    """im2col of ``x`` in slabs of output voxels whose columns fit SLAB_BYTES.
+def _slabs(x, spec, out_spatial, start, bn=None):
+    """im2col of ``x`` (or, with ``bn``, of its BN+ReLU: see :class:`_Band`)
+    in slabs of output voxels whose columns fit SLAB_BYTES.
 
     Output voxel o's tap t reads x at start + o*stride + t*dilation per axis;
     reads outside the volume count as zero. A slab is whole output depth
@@ -204,12 +255,15 @@ def _slabs(x, spec, out_spatial, start):
     do, ho, wo = out_spatial
     taps = list(product(*map(range, spec.kernel)))
     line_elems = n * spec.c_in * len(taps) * wo
+    band = _Band(x, bn)
     dz, dy = _slab_extent(line_elems * x.itemsize, do, ho)
+    dz = band.fit(dz, spec)
     buf = np.zeros((n, g, cig * len(taps), dz * dy * wo), dtype=x.dtype)
-    xg = x.reshape(n, g, cig, *x.shape[2:])
     bz, by, bx = _boxes(spec, start, x.shape[2:], out_spatial, (dz, dy, wo))
     last = [None] * len(taps)  # per tap: (box, ez, ey) of its last slab; None while all zero
     for z0, zboxes in bz.items():
+        planes, zboxes = _band_boxes(band, zboxes)
+        xg = planes.reshape(n, g, cig, *planes.shape[2:])
         for y0, yboxes in by.items():
             ez, ey = min(dz, do - z0), min(dy, ho - y0)
             cols = buf[..., :ez * ey * wo]
@@ -235,6 +289,22 @@ def _slabs(x, spec, out_spatial, start):
             yield slice(first, first + ez * ey * wo), cols
 
 
+def _band_boxes(band, zboxes):
+    """The band that holds the planes a slab's depth boxes read (the current
+    one if they read none), and the boxes with their plane slices made
+    relative to it."""
+    if band.bn is None:
+        return band.x, zboxes
+    reads = [bd[2] for bd in zboxes if bd]
+    if not reads:
+        return band.planes, zboxes
+    planes, z = band(min(r.start for r in reads), max(r.stop for r in reads))
+    if z:
+        zboxes = [bd and (bd[0], bd[1], slice(bd[2].start - z, bd[2].stop - z, bd[2].step))
+                  for bd in zboxes]
+    return planes, zboxes
+
+
 def _pointwise(spec):
     """A 1x1x1 stride-1 unpadded conv, whose columns are its operand itself."""
     return spec.kernel == (1, 1, 1) and spec.stride == (1, 1, 1) and not any(spec.padding)
@@ -248,11 +318,12 @@ def _narrowing(spec, span=1):
     return spec.stride == (1, 1, 1) and 2 * spec.c_out * span <= spec.c_in
 
 
-def _kn2row(x, weight, spec, out, start):
+def _kn2row(x, weight, spec, out, start, bn=None):
     """Stride-1 conv as kn2row: per slab and kernel plane a, one GEMM
     Y = W[a] @ x over the input rows the slab reads, with no column copy, then
     out += the part of each of the plane's kh*kw windows of Y, shifted into
-    place by its tap, that lies inside the volume.
+    place by its tap, that lies inside the volume. With ``bn`` x is read as
+    its BN+ReLU (:class:`_Band`).
 
     Y holds c_out/g * kh * kw rows per input voxel and at most SLAB_BYTES.
     """
@@ -260,7 +331,6 @@ def _kn2row(x, weight, spec, out, start):
     kd, kh, kw = spec.kernel
     hi, wi = x.shape[3:]
     do, ho, wo = out.shape[2:]
-    xf = x.reshape(n, g, cig, -1)
     # (kd, g, kh*kw*c_out/g, c_in/g): the taps of one kernel plane stacked as rows
     wk = weight.reshape(g, cog, cig, kd, kh * kw).transpose(3, 0, 4, 1, 2)
     wk = wk.reshape(kd, g, -1, cig)
@@ -271,10 +341,14 @@ def _kn2row(x, weight, spec, out, start):
     # make more than ho + halo
     extra = max(halo, hi - ho)
     row_elems = n * spec.c_out * kh * kw * wi
+    band = _Band(x, bn)
     dz, dy = _slab_extent(row_elems * x.itemsize, do, ho, extra)
+    dz = band.fit(dz, spec)
     buf = np.empty(row_elems * dz * (dy + extra), dtype=x.dtype)
     bz, by, bx = _boxes(spec, start, x.shape[2:], out.shape[2:], (dz, dy, wo))
     for z0, zboxes in bz.items():
+        planes, zboxes = _band_boxes(band, zboxes)
+        xf = planes.reshape(n, g, cig, -1)
         for y0, yboxes in by.items():
             ey = min(dy, ho - y0)
             # input rows read: all of each plane, or the slab's rows and their halo
@@ -297,10 +371,11 @@ def _kn2row(x, weight, spec, out, start):
     return out
 
 
-def _conv(x, weight, spec, out=None, start=None):
+def _conv(x, weight, spec, out=None, start=None, bn=None):
     """conv3d without argument checks or bias, into ``out`` (C-contiguous) if
-    given. Output voxel o's tap t reads x at start + o*stride + t*dilation per
-    axis (``start`` is -padding by default); reads outside x count as zero."""
+    given. Output voxel o's tap t reads x (or, with ``bn``, its BN+ReLU: see
+    :class:`_Band`) at start + o*stride + t*dilation per axis (``start`` is
+    -padding by default); reads outside x count as zero."""
     n, g = x.shape[0], spec.groups
     if start is None:
         start = tuple(-p for p in spec.padding)
@@ -311,22 +386,29 @@ def _conv(x, weight, spec, out=None, start=None):
     # one column row per group makes an outer product, which BLAS does 5x slower
     contract = np.multiply if wk.shape[2] == 1 else np.matmul
     if _pointwise(spec) and not any(start) and out.shape[2:] == x.shape[2:]:
-        contract(wk, x.reshape(n, g, wk.shape[2], -1), out=flat)
+        plane = x[0, 0, 0].size
+        for planes, z in _Band(x, bn).whole():
+            contract(wk, planes.reshape(n, g, wk.shape[2], -1),
+                     out=flat[..., z * plane:(z + planes.shape[2]) * plane])
     elif _narrowing(spec):
-        _kn2row(x, weight, spec, out, start)
+        _kn2row(x, weight, spec, out, start, bn)
     else:
-        for vox, cols in _slabs(x, spec, out.shape[2:], start):
+        for vox, cols in _slabs(x, spec, out.shape[2:], start, bn):
             contract(wk, cols, out=flat[..., vox])
     return out
 
 
-def conv3d(x, weight, spec):
+def conv3d(x, weight, spec, bn=None):
     """Grouped, strided, dilated 3D cross-correlation, without bias.
 
     x: (n, c_in, d, h, w); weight: (c_out, c_in/g, kd, kh, kw).
-    Output channel group i reads only input channel group i.
+    Output channel group i reads only input channel group i. With ``bn`` =
+    (mean, var, gamma, beta, eps) the conv reads
+    ``batch_norm_apply(x, *bn, relu=True)`` instead of x, a band of depth
+    planes at a time, never whole; the output has the very bits of the conv
+    of that whole array.
     """
-    return _conv(_check_conv_args(x, weight, spec), weight, spec)
+    return _conv(_check_conv_args(x, weight, spec), weight, spec, bn=bn)
 
 
 def conv3d_input_grad(grad_out, weight, spec, input_shape):
@@ -359,29 +441,43 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
     return gx
 
 
-def conv3d_weight_grad(x, grad_out, spec):
+def conv3d_weight_grad(x, grad_out, spec, bn=None):
     """Gradient of conv3d w.r.t. its weight tensor, with the columns copied
-    from the input or, for a narrowing conv, from grad_out."""
+    from the input or, for a narrowing conv, from grad_out. With ``bn`` the
+    input is read as its BN+ReLU, as :func:`conv3d` reads it; a 1x1x1 conv's
+    voxel sum then runs per band."""
     x = check_volume5d(x)
     n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
-    xf = x.reshape(n, g, cig, -1)
+    plane = x[0, 0, 0].size
     go = grad_out.reshape(n, g, spec.c_out // g, -1)
     if _pointwise(spec):
-        return np.matmul(go, xf.swapaxes(2, 3)).sum(0).reshape(spec.weight_shape)
-    narrow = _narrowing(spec, xf.shape[3] / go.shape[3])
+        parts = (np.matmul(go[..., z * plane:(z + planes.shape[2]) * plane],
+                           planes.reshape(n, g, cig, -1).swapaxes(2, 3)).sum(0)
+                 for planes, z in _Band(x, bn).whole())
+        gw = next(parts)
+        for part in parts:
+            gw += part
+        return gw.reshape(spec.weight_shape)
+    narrow = _narrowing(spec, prod(x.shape[2:]) / go.shape[3])
     if narrow:
         # input voxel v takes tap t from grad_out at v + p - t*d, so the
         # columns are im2col of grad_out over the input's extent, read from
-        # p - d*(k-1), with the taps flipped
+        # p - d*(k-1), with the taps flipped, and the rows are the input's
         cspec = ConvSpec(spec.c_out, spec.c_in, spec.kernel, dilation=spec.dilation, groups=g)
         start = tuple(p - d * (k - 1) for k, d, p in zip(spec.kernel, spec.dilation, spec.padding))
-        src, rows, extent = grad_out, xf, x.shape[2:]
+        slabs = _slabs(grad_out, cspec, x.shape[2:], start)
+        band = _Band(x, bn)
     else:
-        cspec, start = spec, tuple(-p for p in spec.padding)
-        src, rows, extent = x, go, grad_out.shape[2:]
+        slabs = _slabs(x, spec, grad_out.shape[2:], tuple(-p for p in spec.padding), bn)
     gw = 0
-    for vox, cols in _slabs(src, cspec, extent, start):
-        gw += np.matmul(rows[..., vox], cols.swapaxes(2, 3)).sum(0)
+    for vox, cols in slabs:
+        if narrow:
+            # the band of the input planes the slab's voxels lie in
+            planes, z = band(vox.start // plane, -(-vox.stop // plane))
+            rows = planes.reshape(n, g, cig, -1)[..., vox.start - z * plane:vox.stop - z * plane]
+        else:
+            rows = go[..., vox]
+        gw += np.matmul(rows, cols.swapaxes(2, 3)).sum(0)
     if narrow:  # (g, c_in/g, c_out/g, *kernel) with the taps flipped
         gw = gw.reshape(g, cig, -1, *spec.kernel)[..., ::-1, ::-1, ::-1].swapaxes(1, 2)
     return gw.reshape(spec.weight_shape)
@@ -430,14 +526,16 @@ def batch_norm_stats(x):
     return mean, var
 
 
-def batch_norm_apply(x, mean, var, gamma, beta, eps, relu=False):
+def batch_norm_apply(x, mean, var, gamma, beta, eps, relu=False, out=None):
     """gamma * (x - mean) / sqrt(var + eps) + beta, as one per-channel scale
     and shift, followed by max(., 0) when ``relu``: per channel block, a
-    product into the fresh output, an in-place add and an in-place ReLU."""
+    product into the output (fresh, or ``out``), an in-place add and an
+    in-place ReLU."""
     shape = (1, -1, 1, 1, 1)
     scale = gamma / np.sqrt(var + eps)
     shift = beta - mean * scale
-    out = np.empty(x.shape, dtype=np.result_type(x, scale))
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, scale))
     for c in channel_blocks(x):
         o = out[:, c]
         np.multiply(x[:, c], scale[c].reshape(shape), out=o)

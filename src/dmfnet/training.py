@@ -77,7 +77,9 @@ def adam_step(params, grads, state, cfg, lr=None):
     are exempt; decaying them would bias branch mixing toward zero.
 
     The update is ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``; the
-    gradients in ``grads`` are never written.
+    gradients in ``grads`` are never written. A non-finite gradient, or an
+    update that leaves a weight non-finite (a huge lr or weight_decay), is a
+    GradientError naming the parameter and the step.
     """
     lr = cfg.lr if lr is None else lr
     state.t += 1
@@ -88,7 +90,7 @@ def adam_step(params, grads, state, cfg, lr=None):
         if not p.trainable:
             continue
         g = grads[p.name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise GradientError(f"non-finite gradient for {p.name!r} at step {t}")
         if cfg.weight_decay and p.decay:
             g = g + cfg.weight_decay * p.data
@@ -99,6 +101,8 @@ def adam_step(params, grads, state, cfg, lr=None):
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        if not np.isfinite(p.data).all():
+            raise GradientError(f"the update left non-finite weights in {p.name!r} at step {t}")
 
 
 @dataclass

@@ -465,6 +465,112 @@ class TestBatchNormRule:
         assert x.nbytes < peak <= x.nbytes + 3 * ops.BLOCK_BYTES
 
 
+class TestBandedOperand:
+    """``t_conv3d(bn=)`` reads its BN+ReLU operand a band of depth planes at a
+    time, on every conv path, and gives the bits of the conv of the whole
+    operand; no pass holds an operand-sized array."""
+
+    # (spec, path): padding past same_padding leaves slabs whose taps read no
+    # plane inside the volume
+    @pytest.mark.parametrize("spec,path", [
+        pytest.param(ops.ConvSpec(8, 4, kernel=1), "pointwise", id="pointwise"),
+        pytest.param(ops.ConvSpec(8, 4, padding=1, groups=2), "kn2row", id="kn2row"),
+        pytest.param(ops.ConvSpec(4, 8, padding=1, groups=2), "im2col", id="im2col"),
+        pytest.param(ops.ConvSpec(4, 8, stride=2, padding=1, groups=2), "im2col", id="stride2"),
+        pytest.param(ops.ConvSpec(8, 4, kernel=1, stride=2), "im2col", id="pointwise-stride2"),
+        pytest.param(ops.ConvSpec(8, 4, dilation=2, padding=2, groups=2), "kn2row",
+                     id="kn2row-dilation2"),
+        pytest.param(ops.ConvSpec(4, 8, dilation=2, padding=2, groups=2), "im2col",
+                     id="im2col-dilation2"),
+        pytest.param(ops.ConvSpec(4, 8, stride=2, dilation=3, padding=3, groups=2), "im2col",
+                     id="stride2-dilation3"),
+        pytest.param(ops.ConvSpec(8, 4, dilation=3, padding=(7, 3, 3), groups=2), "kn2row",
+                     id="kn2row-dilation3-past"),
+        pytest.param(ops.ConvSpec(4, 8, padding=(4, 1, 1), groups=2), "im2col", id="im2col-past")])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_bands_equal_the_whole_operand(self, rng, monkeypatch, spec, path, mode):
+        """SLAB_BYTES holds two planes of the operand and BLOCK_BYTES one, so
+        the forward and the weight gradient each read it in several bands, and
+        a 3x3x3 slab that reads past its band remakes it. A 1x1x1 conv's
+        weight gradient adds its bands' contractions in turn (at stride 2 a
+        band is the one plane that a slab of one output plane reads)."""
+        x = rng.standard_normal((2, spec.c_in, 9, 8, 6))
+        plane = x[:, :, 0].nbytes
+        monkeypatch.setattr(ops, "SLAB_BYTES", 2 * plane)
+        monkeypatch.setattr(ops, "BLOCK_BYTES", plane)
+        assert path == ("pointwise" if ops._pointwise(spec) else
+                        "kn2row" if ops._narrowing(spec) else "im2col")
+        bn = TestBatchNormRule._bn(rng, spec.c_in, np.float64)
+        weight = ag.Parameter("w", rng.standard_normal(spec.weight_shape))
+        g = rng.standard_normal((2, spec.c_out) + spec.out_spatial(x.shape[2:]))
+        if mode == "train":
+            mean, var = ops.batch_norm_stats(x)
+        else:
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        a = ops.batch_norm_apply(x, mean, var, bn.gamma.data, bn.beta.data, bn.eps, relu=True)
+        assert 0 < (a > 0).mean() < 1
+
+        depths = []
+        apply = ops.batch_norm_apply
+        monkeypatch.setattr(ops, "batch_norm_apply",
+                            lambda v, *args, **kw: depths.append(v.shape[2]) or apply(v, *args, **kw))
+        tape = ag.GradTape()
+        node = ag.t_conv3d(tape, tape.leaf(x), weight, spec, bn=bn, mode=mode)
+        forward_depths, depths[:] = depths[:], []
+        gw = node.backward_fn(g)[1]
+        _assert_bitwise(node.data, ops.conv3d(a, weight.data, spec))
+        if spec.kernel == (1, 1, 1):
+            # bands of two input planes, which at stride 2 give one output plane
+            s, step = spec.stride[0], 2 // spec.stride[0]
+            parts = [ops.conv3d_weight_grad(a[:, :, z * s:(z + step) * s], g[:, :, z:z + step], spec)
+                     for z in range(0, g.shape[2], step)]
+            want = parts[0]
+            for part in parts[1:]:
+                want += part
+        else:
+            want = ops.conv3d_weight_grad(a, g, spec)
+        _assert_bitwise(gw, want)
+        # the weight gradient's bands come first; the BN rule's masks follow
+        # as channel blocks of the whole depth
+        for seen in (forward_depths, depths[:depths.index(9)]):
+            assert len(seen) > 2 and max(seen) < 9
+        if spec.kernel[0] == 3:  # some planes were made again for a later slab
+            assert sum(forward_depths) > 9
+        if spec.padding[0] > spec.effective_kernel[0] // 2:  # taps past the volume
+            assert not node.data[:, :, 0].any()
+
+    def test_eval_forward_holds_no_operand(self, rng):
+        """dec3's first grouped conv (96 -> 16, g16) on a 40.5 MiB operand in
+        eval mode holds its output, one slab and one band."""
+        spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
+        x = rng.standard_normal((1, 96, 48, 48, 48), dtype=np.float32)
+        bn = TestBatchNormRule._bn(rng, 96, np.float32)
+        weight = ag.Parameter("w", rng.standard_normal(spec.weight_shape, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = ag.t_conv3d(None, x, weight, spec, bn=bn, mode="eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * ops.SLAB_BYTES + (1 << 20) < x.nbytes
+
+    def test_weight_grad_holds_no_operand(self, rng):
+        """The same conv's weight gradient, with its operand read by bands,
+        holds one slab of grad_out's columns and one band."""
+        spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
+        x = rng.standard_normal((1, 96, 48, 48, 48), dtype=np.float32)
+        g = rng.standard_normal((1, 16, 48, 48, 48), dtype=np.float32)
+        bn = TestBatchNormRule._bn(rng, 96, np.float32)
+        affine = (bn.running_mean, bn.running_var, bn.gamma.data, bn.beta.data, bn.eps)
+        tracemalloc.start()
+        try:
+            gw = ops.conv3d_weight_grad(x, g, spec, bn=affine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gw.nbytes + 2 * ops.SLAB_BYTES + (1 << 20) < x.nbytes
+
+
 def _op_cases(rng):
     """name -> (fn(tape, *inputs), input arrays) for every traced op and the GDL."""
     def v(*shape):

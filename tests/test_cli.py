@@ -309,6 +309,11 @@ BAD_INPUTS = [
                  id="width-multiplier-key-1e400"),
     pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {"lr": 10**400}}, 1,
                  f"train config key lr={10**400} needs", id="train-lr-1e400"),
+    # finite settings whose first update overflows the weights: nothing is saved
+    pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {"lr": 1e308}}, 1,
+                 "the update left non-finite weights in", id="train-lr-1e308"),
+    pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {"weight_decay": 1e308}}, 1,
+                 "the update left non-finite weights in", id="train-weight-decay-1e308"),
     *(pytest.param(_ANALYZE, {"arch": {"stage_channels": widths}}, 1, expect,
                    id=f"stage-width-{name}")
       for name, widths, expect in [

@@ -75,6 +75,16 @@ class TestAdamStep:
         with pytest.raises(GradientError, match="p"):
             training.adam_step([p], {"p": np.array([1.0, np.nan])}, state, cfg)
 
+    @pytest.mark.parametrize("setting", [{"lr": 1e308}, {"weight_decay": 1e308}])
+    def test_nonfinite_update_aborts(self, setting):
+        """A finite gradient whose update overflows a float32 weight (to inf,
+        or to NaN through an infinite moment) stops the run."""
+        p = ag.Parameter("p", np.ones(2, dtype=np.float32))
+        state = training.AdamState([p])
+        cfg = training.TrainConfig(**setting)
+        with pytest.raises(GradientError, match="non-finite weights in 'p' at step 1"):
+            training.adam_step([p], {"p": np.ones(2, dtype=np.float32)}, state, cfg)
+
     def test_lr_zero_keeps_params_invariant(self):
         p = ag.Parameter("p", np.array([1.5]))
         state = training.AdamState([p])
