@@ -255,11 +255,19 @@ def gradcheck_suite(scope, seed=0):
     return cases
 
 
+def _numpy_seed(args):
+    """``--seed`` of a command that hands it straight to numpy."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def cmd_gradcheck(args):
+    seed = _numpy_seed(args)
     failures = 0
-    for name, block, x, tol, step, probes in gradcheck_suite(args.scope, args.seed):
+    for name, block, x, tol, step, probes in gradcheck_suite(args.scope, seed):
         report = ag.finite_diff_check(block, x, tolerance=tol, step=step,
-                                      max_per_tensor=probes, rng=args.seed)
+                                      max_per_tensor=probes, rng=seed)
         status = "PASS" if report.passed else "FAIL"
         worst = max((r.max_rel_err for r in report.rows), default=0.0)
         print(f"{status} {name} (tol {tol:g}, worst rel err {worst:.3e})")
@@ -275,13 +283,12 @@ def cmd_gradcheck(args):
 
 
 def cmd_augment_preview(args):
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    seed = _numpy_seed(args)
     aug_cfg = _resolve("augment", _load_config_file(args.config), args, ("crop_size",),
                        dio.AugmentConfig)
     volume, labels = dio.load_case(args.case_dir)
     volume = dio.normalize(volume)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     out_vol, out_lab = dio.augment(volume, labels, aug_cfg, rng)
     dio.save_case(args.out_dir, out_vol, out_lab)
     _log(f"wrote augmented case to {args.out_dir}")

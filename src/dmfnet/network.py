@@ -251,12 +251,11 @@ def predict_labels(logits):
 def segment(net, x):
     """BraTS labels (n, d, h, w) for (n, c, d, h, w) volumes of any spatial size.
 
-    Zero-pads the high end of each spatial axis to a multiple of the net's
-    downsample factor (a volume that needs no padding is not copied), runs the
-    eval forward, takes the argmax and crops the labels back. A net without
-    ``cfg`` (any object with ``forward``) is not padded.
+    Zero-pads the high end of each spatial axis to a multiple of
+    ``net.cfg.downsample_factor`` (a volume that needs no padding is not
+    copied), runs the eval forward, takes the argmax and crops the labels back.
     """
-    f = net.cfg.downsample_factor if hasattr(net, "cfg") else 1
+    f = net.cfg.downsample_factor
     size = x.shape[2:]
     pads = ((0, 0), (0, 0)) + tuple((0, -s % f) for s in size)
     logits = net.forward(np.pad(x, pads) if any(p for _, p in pads) else x, mode="eval")

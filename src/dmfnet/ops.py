@@ -15,32 +15,31 @@ library: they stay only because the benchmark's tracer (``perfbench/spans.py``)
 wraps them by name. Do not add callers back.
 
 The batch-norm passes (statistics, apply with its ReLU, and autograd's
-backward rule) run one block of whole channels at a time, about BLOCK_BYTES
+backward rule) run one block of full channels at a time, about BLOCK_BYTES
 each (:func:`channel_blocks`), so each block's passes run while it is in
 cache and their scratch is a few blocks, not volumes. Their per-channel
-sums are :func:`channel_sum`'s, which add in numpy's order for a whole
-array, so every blocked pass is bit-identical to its whole-volume form.
+sums are :func:`channel_sum`'s, which add in numpy's order for an entire
+array, so every blocked pass is bit-identical to its unblocked form.
 
-Each conv pass contracts on its narrow side, chosen from the spec's shapes
-(see _narrowing). By default it is an im2col GEMM over slabs of output voxels:
-per slab, the strided windows the kernel taps read from the input fill one
-(n, g, c_in/g * taps, voxels) column buffer, which one batched matmul
-contracts with the weight or the output gradient. A stride-1 conv with at most
-half as many output as input channels runs as kn2row instead: per slab and
-kernel plane one GEMM Y = W @ x reads the input in place, and the output
-accumulates the window of Y that each tap shifts into place. Its weight
-gradient copies shifted output-gradient columns and reads the input in place.
-No pass pads its operand: each tap's window is clipped at the volume border,
-and what it would read outside counts as zero. Either buffer holds at most
-SLAB_BYTES, so a pass's scratch is one slab. A 1x1x1 stride-1 unpadded conv
-copies nothing: its operand is its columns. A forward or weight-gradient pass
-given a BN affine (``bn=``) reads relu(batch_norm(x)) without making it whole:
-it applies :func:`batch_norm_apply` to the depth planes its slabs read, a band
-of at most SLAB_BYTES (or one slab's planes, if more) in one reused buffer,
-so its scratch is one slab plus one band. The input gradient is a transposed
-conv done as gathers: one stride-1 conv per stride phase, reading the output
-gradient in place from the phase's own start, so a widening conv's phases run
-as kn2row.
+Each conv pass contracts on its narrow side, chosen from the spec's shapes (see
+_narrowing). By default one batched matmul per slab of output voxels contracts
+(n, g, c_in/g * taps, voxels) columns with the weight or the output gradient
+(_slabs). A 1x1x1 stride-1 unpadded conv copies nothing: its columns are its
+operand, a band of depth planes at a time. Other convs are im2col: per slab,
+the windows the kernel taps read fill one reused column buffer. A stride-1 conv
+with at most half as many output as input channels, other than that 1x1x1 one,
+runs as kn2row: per slab and kernel plane one GEMM Y = W @ x reads the input in
+place, and the output accumulates the window of Y that each tap shifts into
+place. Its weight gradient copies shifted output-gradient columns and reads the
+input in place. No pass pads its operand: each tap's window is clipped at the
+volume border, and what it would read outside counts as zero. Either buffer
+holds at most SLAB_BYTES, so a pass's scratch is one slab. Given a BN affine
+(``bn=``), a forward or weight-gradient pass reads relu(batch_norm(x)) a band
+of depth planes at a time, made by :func:`batch_norm_apply` in one reused
+buffer of at most SLAB_BYTES (or one slab's planes, if more), so its scratch is
+one slab plus one band. The input gradient is a transposed conv done as
+gathers: one stride-1 conv per stride phase, reading the output gradient in
+place from the phase's own start, so a widening conv's phases run as kn2row.
 
 Trilinear upsampling multiplies each axis by an interpolation matrix M; its
 gradient multiplies by M^T, so it is the exact adjoint.
@@ -157,7 +156,7 @@ SLAB_BYTES = 8 << 20
 class _Band:
     """The operand of a conv pass, read by depth planes. Without ``bn`` it is
     x itself. With ``bn`` = (mean, var, gamma, beta, eps) it is
-    ``batch_norm_apply(x, *bn, relu=True)``, made a band of whole planes at a
+    ``batch_norm_apply(x, *bn, relu=True)``, made a band of full planes at a
     time into one reused buffer: as many planes as fit SLAB_BYTES, or as one
     read asks for if more. A read past the band remakes it from the read's
     first plane on, so an operand that fits is made once per pass."""
@@ -194,14 +193,22 @@ class _Band:
             return planes
         return min(planes, max(1, (self.cap - spec.effective_kernel[0]) // spec.stride[0] + 1))
 
-    def whole(self):
-        """(planes, first) for each band of a pass that reads every plane once."""
-        for p0 in range(0, self.x.shape[2], self.cap):
-            yield self(p0, min(self.x.shape[2], p0 + self.cap))
+    def boxes(self, zboxes):
+        """The band that holds the planes a slab's depth boxes read (the current
+        one if they read none), and the boxes with their plane slices made
+        relative to it. A plain operand's band is all of x from plane 0."""
+        reads = [bd[2] for bd in zboxes if bd]
+        if not reads:
+            return self.planes, zboxes
+        planes, z = self(min(r.start for r in reads), max(r.stop for r in reads))
+        if z:
+            zboxes = [bd and (bd[0], bd[1], slice(bd[2].start - z, bd[2].stop - z, bd[2].step))
+                      for bd in zboxes]
+        return planes, zboxes
 
 
 def _slab_extent(line_bytes, out_planes, out_rows, halo=0):
-    """(planes, rows) of output per slab. A slab is whole planes or, if one
+    """(planes, rows) of output per slab. A slab is full planes or, if one
     plane does not fit, rows of one plane; it holds ``line_bytes`` of scratch
     per row it reads, which is its own rows plus ``halo`` per plane."""
     lines = max(1, SLAB_BYTES // line_bytes)
@@ -235,34 +242,42 @@ def _boxes(spec, start, in_spatial, out_spatial, steps):
 
 
 def _slabs(x, spec, out_spatial, start, bn=None):
-    """im2col of ``x`` (or, with ``bn``, of its BN+ReLU: see :class:`_Band`)
-    in slabs of output voxels whose columns fit SLAB_BYTES.
+    """Columns of ``x`` (with ``bn``, of its BN+ReLU) in slabs of output voxels.
 
     Output voxel o's tap t reads x at start + o*stride + t*dilation per axis;
-    reads outside the volume count as zero. A slab is whole output depth
+    reads outside the volume count as zero. A slab is full output depth
     planes or, if one plane does not fit, rows of one plane, so its voxels are
     contiguous in the flattened output. Yields per slab its flattened voxel
-    slice and its columns: a (n, g, c_in/g * taps, voxels) view of one reused
-    buffer, whose rows follow a weight reshaped to (g, c_out/g, -1).
+    slice and its columns, (n, g, c_in/g * taps, voxels), whose rows follow a
+    weight reshaped to (g, c_out/g, -1).
 
-    A tap copies only the box of its window that lies inside the volume. The
-    buffer starts zeroed and every slab keeps a tap's columns at the same
-    offsets, so a tap re-zeroes the d and h strips outside its box only when
-    the box or the slab's shape differs from its last slab's. The w strips
-    stay zero: every slab spans the full output width.
+    A 1x1x1 stride-1 unpadded conv read from offset 0 over its own extent
+    copies nothing: its slabs are the bands of :class:`_Band`, each its own
+    columns. Any other conv is im2col into one reused buffer of at most
+    SLAB_BYTES. A tap copies only the box of its window that lies inside the
+    volume. The buffer starts zeroed and every slab keeps a tap's columns at
+    the same offsets, so a tap re-zeroes the d and h strips outside its box
+    only when the box or the slab's shape differs from its last slab's. The w
+    strips stay zero: every slab spans the full output width.
     """
     n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
+    band = _Band(x, bn)
+    if _pointwise(spec) and not any(start) and out_spatial == x.shape[2:]:
+        plane = x[0, 0, 0].size
+        for z in range(0, x.shape[2], band.cap):
+            planes = band(z, min(x.shape[2], z + band.cap))[0]
+            yield slice(z * plane, (z + planes.shape[2]) * plane), planes.reshape(n, g, cig, -1)
+        return
     do, ho, wo = out_spatial
     taps = list(product(*map(range, spec.kernel)))
     line_elems = n * spec.c_in * len(taps) * wo
-    band = _Band(x, bn)
     dz, dy = _slab_extent(line_elems * x.itemsize, do, ho)
     dz = band.fit(dz, spec)
     buf = np.zeros((n, g, cig * len(taps), dz * dy * wo), dtype=x.dtype)
     bz, by, bx = _boxes(spec, start, x.shape[2:], out_spatial, (dz, dy, wo))
     last = [None] * len(taps)  # per tap: (box, ez, ey) of its last slab; None while all zero
     for z0, zboxes in bz.items():
-        planes, zboxes = _band_boxes(band, zboxes)
+        planes, zboxes = band.boxes(zboxes)
         xg = planes.reshape(n, g, cig, *planes.shape[2:])
         for y0, yboxes in by.items():
             ez, ey = min(dz, do - z0), min(dy, ho - y0)
@@ -289,22 +304,6 @@ def _slabs(x, spec, out_spatial, start, bn=None):
             yield slice(first, first + ez * ey * wo), cols
 
 
-def _band_boxes(band, zboxes):
-    """The band that holds the planes a slab's depth boxes read (the current
-    one if they read none), and the boxes with their plane slices made
-    relative to it."""
-    if band.bn is None:
-        return band.x, zboxes
-    reads = [bd[2] for bd in zboxes if bd]
-    if not reads:
-        return band.planes, zboxes
-    planes, z = band(min(r.start for r in reads), max(r.stop for r in reads))
-    if z:
-        zboxes = [bd and (bd[0], bd[1], slice(bd[2].start - z, bd[2].stop - z, bd[2].step))
-                  for bd in zboxes]
-    return planes, zboxes
-
-
 def _pointwise(spec):
     """A 1x1x1 stride-1 unpadded conv, whose columns are its operand itself."""
     return spec.kernel == (1, 1, 1) and spec.stride == (1, 1, 1) and not any(spec.padding)
@@ -314,8 +313,9 @@ def _narrowing(spec, span=1):
     """Whether a stride-1 conv pass contracts on its output side: when that
     side copies at most half of what the input side would. Per voxel they copy
     c_out/g and c_in/g rows; the output side's copies cover ``span`` times
-    as many voxels."""
-    return spec.stride == (1, 1, 1) and 2 * spec.c_out * span <= spec.c_in
+    as many voxels. A 1x1x1 stride-1 unpadded conv never is: read from offset
+    0, neither side copies anything (see _slabs)."""
+    return spec.stride == (1, 1, 1) and not _pointwise(spec) and 2 * spec.c_out * span <= spec.c_in
 
 
 def _kn2row(x, weight, spec, out, start, bn=None):
@@ -337,7 +337,7 @@ def _kn2row(x, weight, spec, out, start, bn=None):
     dst = out.reshape(n, g, cog, do, ho, wo)
     dst[...] = 0
     halo = spec.dilation[1] * (kh - 1)
-    # a slab of whole planes reads all hi rows of each, which a phase start can
+    # a slab of full planes reads all hi rows of each, which a phase start can
     # make more than ho + halo
     extra = max(halo, hi - ho)
     row_elems = n * spec.c_out * kh * kw * wi
@@ -347,7 +347,7 @@ def _kn2row(x, weight, spec, out, start, bn=None):
     buf = np.empty(row_elems * dz * (dy + extra), dtype=x.dtype)
     bz, by, bx = _boxes(spec, start, x.shape[2:], out.shape[2:], (dz, dy, wo))
     for z0, zboxes in bz.items():
-        planes, zboxes = _band_boxes(band, zboxes)
+        planes, zboxes = band.boxes(zboxes)
         xf = planes.reshape(n, g, cig, -1)
         for y0, yboxes in by.items():
             ey = min(dy, ho - y0)
@@ -385,12 +385,7 @@ def _conv(x, weight, spec, out=None, start=None, bn=None):
     flat = out.reshape(n, g, spec.c_out // g, -1)
     # one column row per group makes an outer product, which BLAS does 5x slower
     contract = np.multiply if wk.shape[2] == 1 else np.matmul
-    if _pointwise(spec) and not any(start) and out.shape[2:] == x.shape[2:]:
-        plane = x[0, 0, 0].size
-        for planes, z in _Band(x, bn).whole():
-            contract(wk, planes.reshape(n, g, wk.shape[2], -1),
-                     out=flat[..., z * plane:(z + planes.shape[2]) * plane])
-    elif _narrowing(spec):
+    if _narrowing(spec):
         _kn2row(x, weight, spec, out, start, bn)
     else:
         for vox, cols in _slabs(x, spec, out.shape[2:], start, bn):
@@ -405,8 +400,8 @@ def conv3d(x, weight, spec, bn=None):
     Output channel group i reads only input channel group i. With ``bn`` =
     (mean, var, gamma, beta, eps) the conv reads
     ``batch_norm_apply(x, *bn, relu=True)`` instead of x, a band of depth
-    planes at a time, never whole; the output has the very bits of the conv
-    of that whole array.
+    planes at a time, never all at once; the output has the very bits of the
+    conv of that entire array.
     """
     return _conv(_check_conv_args(x, weight, spec), weight, spec, bn=bn)
 
@@ -415,7 +410,7 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
     """Gradient of conv3d w.r.t. its input (transposed convolution), as gathers.
 
     Input voxel s*q + r takes tap t from output q + (r + p - t*d)/s where that
-    is whole. So each stride phase r is one stride-1 conv over grad_out, read
+    is integral. So each stride phase r is one stride-1 conv over grad_out, read
     in place from the phase's first index, with the phase's taps flipped, the
     weight group-transposed and dilation d/gcd(s, d); it fills gx[..., r::s].
     """
@@ -442,22 +437,14 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
 
 
 def conv3d_weight_grad(x, grad_out, spec, bn=None):
-    """Gradient of conv3d w.r.t. its weight tensor, with the columns copied
-    from the input or, for a narrowing conv, from grad_out. With ``bn`` the
-    input is read as its BN+ReLU, as :func:`conv3d` reads it; a 1x1x1 conv's
-    voxel sum then runs per band."""
+    """Gradient of conv3d w.r.t. its weight tensor: the sum of the slabs'
+    contractions (see _slabs), from the first on, of columns of the input
+    with rows of grad_out or, for a narrowing conv, the other way round. With
+    ``bn`` the input is read as its BN+ReLU, as :func:`conv3d` reads it."""
     x = check_volume5d(x)
     n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
     plane = x[0, 0, 0].size
     go = grad_out.reshape(n, g, spec.c_out // g, -1)
-    if _pointwise(spec):
-        parts = (np.matmul(go[..., z * plane:(z + planes.shape[2]) * plane],
-                           planes.reshape(n, g, cig, -1).swapaxes(2, 3)).sum(0)
-                 for planes, z in _Band(x, bn).whole())
-        gw = next(parts)
-        for part in parts:
-            gw += part
-        return gw.reshape(spec.weight_shape)
     narrow = _narrowing(spec, prod(x.shape[2:]) / go.shape[3])
     if narrow:
         # input voxel v takes tap t from grad_out at v + p - t*d, so the
@@ -469,7 +456,7 @@ def conv3d_weight_grad(x, grad_out, spec, bn=None):
         band = _Band(x, bn)
     else:
         slabs = _slabs(x, spec, grad_out.shape[2:], tuple(-p for p in spec.padding), bn)
-    gw = 0
+    gw = None
     for vox, cols in slabs:
         if narrow:
             # the band of the input planes the slab's voxels lie in
@@ -477,7 +464,8 @@ def conv3d_weight_grad(x, grad_out, spec, bn=None):
             rows = planes.reshape(n, g, cig, -1)[..., vox.start - z * plane:vox.stop - z * plane]
         else:
             rows = go[..., vox]
-        gw += np.matmul(rows, cols.swapaxes(2, 3)).sum(0)
+        part = np.matmul(rows, cols.swapaxes(2, 3)).sum(0)
+        gw = part if gw is None else np.add(gw, part, out=gw)
     if narrow:  # (g, c_in/g, c_out/g, *kernel) with the taps flipped
         gw = gw.reshape(g, cig, -1, *spec.kernel)[..., ::-1, ::-1, ::-1].swapaxes(1, 2)
     return gw.reshape(spec.weight_shape)
@@ -489,14 +477,14 @@ BLOCK_BYTES = 512 << 10
 
 
 def channel_blocks(x):
-    """Slices of ``x``'s channel axis, each as many whole channels as fit
+    """Slices of ``x``'s channel axis, each as many full channels as fit
     BLOCK_BYTES (one at least)."""
     step = max(1, BLOCK_BYTES * x.shape[1] // x.nbytes)
     return [slice(c, c + step) for c in range(0, x.shape[1], step)]
 
 
 def channel_sum(x):
-    """Per-channel sum over the (n, d, h, w) axes in numpy's order for a whole
+    """Per-channel sum over the (n, d, h, w) axes in numpy's order for an entire
     array: each (d, h, w) volume pairwise, then the n volume sums in turn.
     (numpy would sum a one-channel block of a batch as one pairwise run.)"""
     p = x.sum(axis=(2, 3, 4))
@@ -575,7 +563,7 @@ def _resample(x, mats, out=None):
     """Apply one (out, in) matrix per spatial axis (d, h, w), one channel at a
     time, into ``out`` if given. Each (n, c) volume is written through its own
     view, which is contiguous even when ``out`` is a channel slice of a larger
-    buffer; reshaping such a slice whole would copy it."""
+    buffer; reshaping all of such a slice would copy it."""
     md, mh, mw = mats
     if out is None:
         out = np.empty(x.shape[:2] + (md.shape[0], mh.shape[0], mw.shape[0]), dtype=x.dtype)

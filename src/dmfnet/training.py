@@ -92,15 +92,16 @@ def adam_step(params, grads, state, cfg, lr=None):
         g = grads[p.name]
         if not np.isfinite(g).all():
             raise GradientError(f"non-finite gradient for {p.name!r} at step {t}")
-        if cfg.weight_decay and p.decay:
-            g = g + cfg.weight_decay * p.data
         m = state.m[p.name]
         v = state.v[p.name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+            if cfg.weight_decay and p.decay:
+                g = g + cfg.weight_decay * p.data
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         if not np.isfinite(p.data).all():
             raise GradientError(f"the update left non-finite weights in {p.name!r} at step {t}")
 

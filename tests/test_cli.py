@@ -350,6 +350,8 @@ BAD_INPUTS = [
                  "seed must be >= 0, got -1", id="train-config-seed-negative"),
     pytest.param(_PREVIEW + ["--seed", "-1", "--crop-size", "8,8,8"], {}, 1,
                  "--seed must be >= 0, got -1", id="preview-seed-negative"),
+    pytest.param(["gradcheck", "--seed", "-1"], None, 1, "--seed must be >= 0, got -1",
+                 id="gradcheck-seed-negative"),
     pytest.param(_train_on("{bad[short-seg]}"), {"arch": TOY_ARCH}, 1, "seg.u8 holds 100 voxels",
                  id="short-seg"),
     pytest.param(_train_on("{bad[label-3]}"), {"arch": TOY_ARCH}, 1, "illegal values [3]",

@@ -266,20 +266,42 @@ class TestContractionSide:
     stride-1 conv, im2col otherwise, and no columns for a 1x1x1 stride-1
     unpadded conv. Both sides must give the same convolution."""
 
-    # (c_in, c_out, groups, stride, span, output side?): the DMFNet and toy
-    # convs the rule sends to kn2row, and those that stay on im2col
-    @pytest.mark.parametrize("c_in,c_out,groups,stride,span,narrow", [
-        (96, 16, 16, 1, 1, True), (272, 64, 16, 1, 1, True), (704, 144, 16, 1, 1, True),
-        (128, 32, 16, 1, 1, True), (272, 128, 16, 1, 1, True), (24, 8, 4, 1, 1, True),
-        (128, 128, 16, 1, 1, False), (32, 128, 16, 1, 1, False), (432, 272, 16, 1, 1, False),
-        (96, 16, 16, 2, 1, False),
+    # (c_in, c_out, groups, kernel, stride, span, output side?): the DMFNet
+    # and toy convs the rule sends to kn2row, and those that stay on slabs
+    SIDES = [
+        (96, 16, 16, 3, 1, 1, True), (272, 64, 16, 3, 1, 1, True), (704, 144, 16, 3, 1, 1, True),
+        (128, 32, 16, 3, 1, 1, True), (272, 128, 16, 3, 1, 1, True), (24, 8, 4, 3, 1, 1, True),
+        (128, 128, 16, 3, 1, 1, False), (32, 128, 16, 3, 1, 1, False),
+        (432, 272, 16, 3, 1, 1, False), (96, 16, 16, 3, 2, 1, False),
         # the weight gradient's output side spans the input's voxels, which
         # for an unpadded conv outnumber the output's: 6^3 / 4^3 times is too
         # many for 56 -> 16
-        (96, 16, 16, 1, 34 ** 3 / 32 ** 3, True), (56, 16, 4, 1, 6 ** 3 / 4 ** 3, False)])
-    def test_side_rule(self, c_in, c_out, groups, stride, span, narrow):
-        spec = ops.ConvSpec(c_in, c_out, kernel=3, stride=stride, padding=1, groups=groups)
+        (96, 16, 16, 3, 1, 34 ** 3 / 32 ** 3, True), (56, 16, 4, 3, 1, 6 ** 3 / 4 ** 3, False),
+        # a multiplexer squeeze: neither side of a 1x1x1 stride-1 unpadded conv copies
+        (128, 64, 1, 1, 1, 1, False)]
+
+    # an id names the kernel only when it is not 3x3x3
+    @pytest.mark.parametrize("c_in,c_out,groups,kernel,stride,span,narrow", SIDES, ids=[
+        "-".join(map(str, row[:3] + row[4:])) + ("" if row[3] == 3 else f"-k{row[3]}")
+        for row in SIDES])
+    def test_side_rule(self, c_in, c_out, groups, kernel, stride, span, narrow):
+        spec = ops.ConvSpec(c_in, c_out, kernel=kernel, stride=stride, padding=kernel // 2,
+                            groups=groups)
         assert ops._narrowing(spec, span) == narrow
+
+    def test_pointwise_passes_copy_nothing(self):
+        # a 128 -> 64 multiplexer squeeze at 32^3: forward, input gradient and
+        # weight gradient each hold their result and no column buffer
+        spec = ops.ConvSpec(128, 64, kernel=1)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 128, 32, 32, 32), dtype=np.float32)
+        w = rng.standard_normal(spec.weight_shape, dtype=np.float32)
+        g = rng.standard_normal((1, 64, 32, 32, 32), dtype=np.float32)
+        for run in (lambda: ops.conv3d(x, w, spec),
+                    lambda: ops.conv3d_input_grad(g, w, spec, x.shape),
+                    lambda: ops.conv3d_weight_grad(x, g, spec)):
+            out, peak = _traced_peak(run)
+            assert peak <= out.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("c_in,c_out", [(8, 4), (4, 4), (4, 8)],
                              ids=["narrowing", "square", "widening"])

@@ -1,6 +1,7 @@
 """Adam optimizer, training loop, omega logging and evaluation."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,10 +76,12 @@ class TestAdamStep:
         with pytest.raises(GradientError, match="p"):
             training.adam_step([p], {"p": np.array([1.0, np.nan])}, state, cfg)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("setting", [{"lr": 1e308}, {"weight_decay": 1e308}])
     def test_nonfinite_update_aborts(self, setting):
         """A finite gradient whose update overflows a float32 weight (to inf,
-        or to NaN through an infinite moment) stops the run."""
+        or to NaN through an infinite moment) stops the run, with no numpy
+        warning before the error."""
         p = ag.Parameter("p", np.ones(2, dtype=np.float32))
         state = training.AdamState([p])
         cfg = training.TrainConfig(**setting)
@@ -293,6 +296,10 @@ class TestLogPersistence:
         assert [len(row.split(",")) for row in csv[1:]] == [2 + len(rates)] * 6
 
 
+# the cfg of a stand-in net whose volumes network.segment pads to a multiple of 1
+_NO_PADDING = SimpleNamespace(downsample_factor=1)
+
+
 class TestEvaluate:
     def test_ground_truth_against_itself(self):
         """Logits crafted from the labels give dice 1 everywhere."""
@@ -300,6 +307,7 @@ class TestEvaluate:
 
         class Oracle:
             dtype = np.float32
+            cfg = _NO_PADDING
 
             def forward(self, x, mode="eval"):
                 return self._logits
@@ -314,6 +322,7 @@ class TestEvaluate:
     def test_all_background_scores_zero_on_nonempty(self):
         class Background:
             dtype = np.float32
+            cfg = _NO_PADDING
 
             def forward(self, x, mode="eval"):
                 logits = np.zeros((1, 4) + x.shape[2:], dtype=np.float32)
@@ -327,6 +336,7 @@ class TestEvaluate:
     def test_mean_is_arithmetic_mean(self):
         class Alternating:
             dtype = np.float32
+            cfg = _NO_PADDING
 
             def __init__(self):
                 self.calls = 0
