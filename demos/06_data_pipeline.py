@@ -35,10 +35,10 @@ brain = norm[0][vol2[0] != 0]
 print(f"\nnormalized brain voxels: mean {brain.mean():+.5f}, std {brain.std():.4f}")
 print("background still zero:", float(np.abs(norm[0][vol2[0] == 0]).max()) == 0.0)
 
-# the augmentation recipe
-cfg = dio.AugmentConfig(crop_size=(32, 32, 32), flip_prob=0.5,
-                        rotate_degrees=(-10, 10),
-                        intensity_shift=(-0.1, 0.1), intensity_scale=(0.9, 1.1))
+# the augmentation recipe: the crop size is a config key, the rest are constants
+cfg = dio.AugmentConfig(crop_size=(32, 32, 32))
+print(f"\nrecipe: crop {cfg.crop_size}, flip prob {cfg.flip_prob}, rotate {cfg.rotate_degrees} "
+      f"deg, shift {cfg.intensity_shift} sigma, scale {cfg.intensity_scale}")
 seed = 0
 aug_v, aug_l = dio.augment(norm, lab2, cfg, np.random.default_rng(seed))
 print("\naugmented:", aug_v.shape, "labels", sorted(np.unique(aug_l).tolist()))

@@ -135,8 +135,7 @@ def cmd_infer(args):
     net = _trained_net(args)
     volume, _ = dio.load_case(args.case_dir)
     volume = dio.normalize(volume)
-    x = volume[None].astype(np.float32)
-    labels = net_mod.segment(net, x)[0]
+    labels = net_mod.segment(net, volume[None])[0]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import CheckpointError, ConfigError, DataError, hold_floats
+from .errors import CheckpointError, ConfigError, DataError
 from .losses import check_labels
+from .network import MODALITIES
 
-MODALITIES = ("t1", "t1ce", "t2", "flair")
 META_NAME = "meta.json"
 SEG_NAME = "seg.u8"
 CHECKPOINT_MAGIC = b"MFVOLCK1"
@@ -131,28 +131,19 @@ def normalize(volume):
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """The four-step training augmentation recipe."""
+    """The four-step training augmentation recipe. ``crop_size`` is its one config
+    key; the flip probability and the three ranges are class constants."""
 
     crop_size: tuple = (128, 128, 128)
-    flip_prob: float = 0.5
-    rotate_degrees: tuple = (-10.0, 10.0)
-    intensity_shift: tuple = (-0.1, 0.1)
-    intensity_scale: tuple = (0.9, 1.1)
+    flip_prob = 0.5
+    rotate_degrees = (-10.0, 10.0)
+    intensity_shift = (-0.1, 0.1)
+    intensity_scale = (0.9, 1.1)
 
     def __post_init__(self):
-        hold_floats(self)
         object.__setattr__(self, "crop_size", tuple(int(s) for s in self.crop_size))
         if len(self.crop_size) != 3 or min(self.crop_size) < 1:
             raise ConfigError(f"crop_size must be three positive sizes, got {self.crop_size}")
-        for name in ("rotate_degrees", "intensity_shift", "intensity_scale"):
-            pair = getattr(self, name)
-            if len(pair) != 2 or pair[0] > pair[1]:
-                raise ConfigError(f"{name} must be two numbers, low <= high, got {pair}")
-            # rng.uniform refuses a range whose width overflows
-            if not np.isfinite(pair[1] - pair[0]):
-                raise ConfigError(f"{name} {pair} spans more than a float can hold")
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise ConfigError(f"flip_prob must lie in [0, 1], got {self.flip_prob}")
 
 
 def random_crop(volume, labels, size, rng):
@@ -269,7 +260,8 @@ def save_params(net, path):
 def load_params(net, path):
     """Restore a checkpoint into `net` in place; bit-exact round trip.
 
-    Every blob is checked before any is written, so a bad file leaves `net` as it was.
+    Every blob's name, shape, dtype, length and values (finite, no negative running
+    variance) are checked before any is written, so a bad file leaves `net` as it was.
     """
     try:
         raw = Path(path).read_bytes()
@@ -305,6 +297,10 @@ def load_params(net, path):
         if len(raw) < off + arr.nbytes:
             raise CheckpointError(f"checkpoint {path} is truncated inside blob {name}")
         data = np.frombuffer(raw[off : off + arr.nbytes], dtype=arr.dtype).reshape(arr.shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"checkpoint blob {name} holds non-finite values")
+        if name.endswith(".running_var") and (data < 0).any():
+            raise CheckpointError(f"checkpoint blob {name} holds a negative running variance")
         loaded.append((arr, data))
         off += arr.nbytes
     if off != len(raw):

@@ -40,16 +40,15 @@ class TrainingDiverged(DMFNetError, RuntimeError):
 
 
 def hold_floats(cfg):
-    """Store each field of the frozen dataclass ``cfg`` whose default is a float, or a
-    tuple of floats, as a float or a tuple of floats; a value that no float can hold
-    (a string, or an int beyond the float range) is a ConfigError."""
+    """Store each field of the frozen dataclass ``cfg`` whose default is a float as a
+    float; a value that no float can hold (a string, or an int beyond the float range)
+    is a ConfigError."""
     for f in dataclasses.fields(cfg):
-        one = isinstance(f.default, float)
-        if not (one or isinstance(f.default, tuple) and isinstance(f.default[0], float)):
+        if not isinstance(f.default, float):
             continue
         value = getattr(cfg, f.name)
         try:
-            held = float(value) if one else tuple(float(v) for v in value)
+            held = float(value)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{f.name} needs numbers a float can hold, got {value!r}") from None
+            raise ConfigError(f"{f.name} needs a number a float can hold, got {value!r}") from None
         object.__setattr__(cfg, f.name, held)

@@ -32,6 +32,8 @@ from . import ops
 from .blocks import Block, Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig, check_dilated
 from .errors import ConfigError, ShapeError, hold_floats
 
+# BraTS MRI modalities, in input channel order
+MODALITIES = ("t1", "t1ce", "t2", "flair")
 # BraTS label alphabet; class index i maps to CLASS_LABELS[i]
 CLASS_LABELS = (0, 1, 2, 4)
 
@@ -46,10 +48,11 @@ class ArchConfig:
     stage_channels lists seven widths: stem, three encoder stages, three
     decoder unit outputs. All widths must be divisible by ``groups`` after
     the width multiplier is applied (rounding to the nearest multiple of
-    ``groups``, half up).
+    ``groups``, half up). ``input_channels``, one per modality in MODALITIES,
+    is a class constant, not a config key.
     """
 
-    input_channels: int = 4
+    input_channels = len(MODALITIES)
     groups: int = 16
     width_multiplier: float = 1.0
     stage_channels: tuple = (32, 128, 272, 432, 144, 64, 16)
@@ -87,7 +90,7 @@ class ArchConfig:
         if not np.isfinite(max(self.stage_channels) * self.width_multiplier):
             raise ConfigError(f"width_multiplier {self.width_multiplier} overflows the stage widths")
         # numpy refuses arrays over intp-max bytes; no weight exceeds 2 * widest^2 * 27 float64s
-        widest = max(self.input_channels, *self.scaled_channels())
+        widest = max(self.scaled_channels())
         if 2 * widest**2 * 27 * 8 > np.iinfo(np.intp).max:
             raise ConfigError(f"a width of {widest} channels overflows numpy's array size limit")
 
@@ -252,9 +255,11 @@ def segment(net, x):
     """BraTS labels (n, d, h, w) for (n, c, d, h, w) volumes of any spatial size.
 
     Zero-pads the high end of each spatial axis to a multiple of
-    ``net.cfg.downsample_factor`` (a volume that needs no padding is not
-    copied), runs the eval forward, takes the argmax and crops the labels back.
+    ``net.cfg.downsample_factor``, runs the eval forward, takes the argmax and
+    crops the labels back. A volume of the net's dtype that needs no padding
+    is not copied.
     """
+    x = np.asarray(x, dtype=net.dtype)
     f = net.cfg.downsample_factor
     size = x.shape[2:]
     pads = ((0, 0), (0, 0)) + tuple((0, -s % f) for s in size)

@@ -88,6 +88,12 @@ def bad_data(tmp_path, case_dir, checkpoint):
     def first_blob(change):
         return lambda h: {**h, "blobs": [change(h["blobs"][0]), *h["blobs"][1:]]}
 
+    def valued(name, blob, value):
+        """``checkpoint`` with the first float32 of blob ``blob`` set to ``value``."""
+        i = [b["name"] for b in header["blobs"]].index(blob)
+        off = end + sum(4 * int(np.prod(b["shape"])) for b in header["blobs"][:i])
+        return written(name, raw[:off] + np.float32(value).tobytes() + raw[off + 4:])
+
     return {
         "no-flair": damaged("no-flair", lambda d: (d / "flair.f32").unlink()),
         "short-t1": damaged("short-t1", lambda d: (d / "t1.f32").write_bytes(bytes(100))),
@@ -114,6 +120,9 @@ def bad_data(tmp_path, case_dir, checkpoint):
             lambda b: {k: v for k, v in b.items() if k != "name"})),
         "blob-shape-int": reheaded("shape-int.bin", first_blob(lambda b: {**b, "shape": 7})),
         "blob-dtype": reheaded("dtype.bin", first_blob(lambda b: {**b, "dtype": "float99"})),
+        "nan-weight": valued("nan.bin", "stem.weight", np.nan),
+        "inf-weight": valued("inf.bin", "dec3.conv2.conv.weight", -np.inf),
+        "negative-running-var": valued("var.bin", "enc1.u0.mux.bn_squeeze.running_var", -1.0),
     }
 
 
@@ -254,6 +263,28 @@ class TestTrainInferEvaluate:
         assert len(seen) == 1 and seen[0].shape == (1, 20, 20, 20)
         np.testing.assert_array_equal(seen[0][0], infer_labels)
 
+    def test_infer_and_evaluate_hand_segment_the_normalized_volume(self, tmp_path, case_dir,
+                                                                   checkpoint, toy_config_file,
+                                                                   monkeypatch):
+        """infer and evaluate copy the case once, in normalize; segment reads that copy."""
+        normalized, seen = [], []
+        normalize, segment = dio.normalize, net_mod.segment
+        monkeypatch.setattr(dio, "normalize", lambda v: normalized.append(normalize(v)) or
+                            normalized[-1])
+
+        def spy(net, x):
+            seen.append(x)
+            return segment(net, x)
+
+        monkeypatch.setattr(net_mod, "segment", spy)
+        monkeypatch.setattr(training, "segment", spy)
+        common = ["--config", toy_config_file, "--arch", "toy", "--checkpoint", str(checkpoint)]
+        assert cli.main(["infer", *common, "--case-dir", str(case_dir),
+                         "--out", str(tmp_path / "pred.u8")]) == 0
+        assert cli.main(["evaluate", *common, "--data-dir", str(case_dir.parent)]) == 0
+        assert len(normalized) == len(seen) == 2
+        assert all(np.shares_memory(x, v) for x, v in zip(seen, normalized))
+
 
 _ANALYZE = ["analyze", "--arch", "toy", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
 _MFNET = ["analyze", "--arch", "mfnet", "--input-shape", "1,4,16,16,16", "--config", "{config}"]
@@ -297,9 +328,6 @@ BAD_INPUTS = [
     pytest.param(_ANALYZE + ["--width-multiplier", "9223372036854775808"], {}, 1,
                  "a width of 295147905179352825856 channels overflows numpy's array size limit",
                  id="width-multiplier-flag-2e63"),
-    pytest.param(_ANALYZE, {"arch": {"input_channels": 9223372036854775808}}, 1,
-                 "a width of 9223372036854775808 channels overflows numpy's array size limit",
-                 id="input-channels-key-2e63"),
     # an int key for a float field is held as a float, so it meets the same checks
     pytest.param(_ANALYZE, {"arch": {"width_multiplier": 9223372036854775808}}, 1,
                  "a width of 295147905179352825856 channels overflows numpy's array size limit",
@@ -381,11 +409,35 @@ BAD_INPUTS = [
           ("blob-no-name", "checkpoint blob {{'shape': [4, 4, 3, 3, 3], 'dtype': 'float32'}} "
                            "does not match network tensor {{'name': 'stem.weight'"),
           ("blob-shape-int", "'shape': 7, 'dtype': 'float32'}} does not match"),
-          ("blob-dtype", "'dtype': 'float99'}} does not match")]),
+          ("blob-dtype", "'dtype': 'float99'}} does not match"),
+          ("nan-weight", "checkpoint blob stem.weight holds non-finite values"),
+          ("inf-weight", "checkpoint blob dec3.conv2.conv.weight holds non-finite values"),
+          ("negative-running-var", "checkpoint blob enc1.u0.mux.bn_squeeze.running_var "
+                                   "holds a negative running variance")]),
+    # the last eight name the network's input channels, Adam's constants and the
+    # augmentation recipe's flip probability and ranges: class constants, not keys
     *(pytest.param(_TRAIN, {section: {key: 1}}, 1, f"unknown {section} config key(s): {key}",
                    id=f"unknown-key-{section}-{key}")
       for section, key in [("arch", "widths"), ("train", "learning_rate"), ("augment", "flip"),
-                           ("augment", "seed")]),
+                           ("augment", "seed"), ("arch", "input_channels"), ("train", "beta1"),
+                           ("train", "beta2"), ("train", "eps"), ("augment", "flip_prob"),
+                           ("augment", "rotate_degrees"), ("augment", "intensity_shift"),
+                           ("augment", "intensity_scale")]),
+    # values that these keys refused when they were keys: the key itself is refused now
+    *(pytest.param(argv, {**config, section: {key: value}}, 1,
+                   f"unknown {section} config key(s): {key}", id=name)
+      for name, argv, config, section, key, value in [
+          ("input-channels-key-2e63", _ANALYZE, {}, "arch", "input_channels", 2**63),
+          ("augment-rotate_degrees-3", _TRAIN, {}, "augment", "rotate_degrees", [1, 2, 3]),
+          *((f"augment-{key}-overflow", _TRAIN, _TOY, "augment", key, [-1e308, 1e308])
+            for key in ("rotate_degrees", "intensity_shift", "intensity_scale")),
+          ("preview-rotate_degrees-overflow", _PREVIEW + ["--config", "{config}", "--crop-size",
+                                                          "8,8,8"],
+           {}, "augment", "rotate_degrees", [-1e308, 1e308]),
+          ("train-beta1-x", _NO_AUG, {}, "train", "beta1", "x"),
+          *((f"train-{key}-{value}", _NO_AUG, _TOY, "train", key, value)
+            for key, value in [("beta1", 1.0), ("beta1", -3.0), ("beta2", 1.0), ("eps", 0.0),
+                               ("eps", -1e-8)])]),
     pytest.param(_train_on("{bad[not-json]}"), _TOY, 1,
                  "{bad[not-json]}/case_a/meta.json is not valid JSON", id="meta-not-json"),
     pytest.param(_train_on("{bad[no-dims]}"), _TOY, 1,
@@ -408,33 +460,15 @@ BAD_INPUTS = [
                    {section: {key: value}}, 1, f"{section} config key {key}={value!r} needs",
                    id=f"{section}-{key}-{value}")
       for section, key, value in [
-          ("train", "beta1", "x"), ("train", "batch_size", 1.5), ("arch", "groups", "2"),
+          ("train", "weight_decay", "x"), ("train", "batch_size", 1.5), ("arch", "groups", "2"),
           ("arch", "stage_channels", "abc"), ("arch", "dilated_unit_count", "2"),
           ("arch", "width_multiplier", "x"), ("arch", "dilation_rates", "12"),
           ("augment", "crop_size", "abc")]),
-    pytest.param(_TRAIN, {"augment": {"rotate_degrees": [1, 2, 3]}}, 1,
-                 "rotate_degrees must be two numbers", id="augment-rotate_degrees-3"),
-    # a range whose width overflows, refused before rng.uniform sees it
-    *(pytest.param(_TRAIN, {"arch": TOY_ARCH, "augment": {name: [-1e308, 1e308]}}, 1,
-                   f"{name} (-1e+308, 1e+308) spans more than a float can hold",
-                   id=f"augment-{name}-overflow")
-      for name in ("rotate_degrees", "intensity_shift", "intensity_scale")),
-    pytest.param(_PREVIEW + ["--config", "{config}", "--crop-size", "8,8,8"],
-                 {"augment": {"rotate_degrees": [-1e308, 1e308]}}, 1,
-                 "rotate_degrees (-1e+308, 1e+308) spans more than a float can hold",
-                 id="preview-rotate_degrees-overflow"),
     pytest.param(_NO_AUG + ["--lr", "nan"], {}, 1, "lr=nan needs", id="lr-nan"),
     pytest.param(_NO_AUG + ["--weight-decay", "inf"], {}, 1, "weight_decay=inf needs",
                  id="weight-decay-inf"),
-    *(pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {key: value}}, 1, expect,
-                   id=f"train-{key}-{value}")
-      for key, value, expect in [
-          ("beta1", 1.0, "beta1 and beta2 must lie in [0, 1), got 1.0 and 0.999"),
-          ("beta1", -3.0, "beta1 and beta2 must lie in [0, 1), got -3.0 and 0.999"),
-          ("beta2", 1.0, "beta1 and beta2 must lie in [0, 1), got 0.9 and 1.0"),
-          ("eps", 0.0, "eps must be finite and positive and poly_power non-negative, got 0.0"),
-          ("eps", -1e-8, "eps must be finite and positive and poly_power non-negative, got -1e-08"),
-          ("poly_power", -1.0, "poly_power non-negative, got 1e-08 and -1.0")]),
+    pytest.param(_NO_AUG, {"arch": TOY_ARCH, "train": {"poly_power": -1.0}}, 1,
+                 "poly_power must be non-negative, got -1.0", id="train-poly_power--1.0"),
     pytest.param(_NO_AUG + ["--epochs", "0"], {}, 1, "epochs must be >= 1, got 0", id="epochs-0"),
     pytest.param(_NO_AUG + ["--epochs", "-3"], {}, 1, "epochs must be >= 1, got -3",
                  id="epochs-negative"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dmfnet import data as dio, network
-from dmfnet.errors import CheckpointError, DataError
+from dmfnet.errors import CheckpointError, ConfigError, DataError
 
 from helpers import state_dict
 
@@ -232,10 +232,9 @@ class TestAugmentPipeline:
         np.testing.assert_array_equal(l, expect)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(Exception):
-            dio.AugmentConfig(intensity_scale=(1.1, 0.9))
-        with pytest.raises(Exception):
-            dio.AugmentConfig(flip_prob=1.5)
+        for crop in [(0, 8, 8), (8, 8)]:
+            with pytest.raises(ConfigError, match="crop_size must be three positive sizes"):
+                dio.AugmentConfig(crop_size=crop)
 
 
 class TestCheckpoints:
@@ -272,6 +271,24 @@ class TestCheckpoints:
         before = {name: arr.copy() for name, arr in net.state_items()}
         with pytest.raises(CheckpointError, match="truncated"):
             dio.load_params(net, path)
+        for name, arr in net.state_items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+    @pytest.mark.parametrize("value,expect", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                              (-1.0, "negative running variance")])
+    def test_unsound_values_rejected_and_net_untouched(self, tmp_path, value, expect):
+        """A non-finite value, or a negative running variance, in the last blob is
+        refused before any blob is written."""
+        cfg = network.toy_config(groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4))
+        saved = network.build_network(cfg, seed=0)
+        blob, arr = saved.state_items()[-1]
+        assert blob.endswith(".running_var")
+        arr[-1] = value
+        dio.save_params(saved, tmp_path / "ckpt.bin")
+        net = network.build_network(cfg, seed=1)
+        before = {name: arr.copy() for name, arr in net.state_items()}
+        with pytest.raises(CheckpointError, match=f"blob {blob} holds (a )?{expect}"):
+            dio.load_params(net, tmp_path / "ckpt.bin")
         for name, arr in net.state_items():
             np.testing.assert_array_equal(arr, before[name], err_msg=name)
 

@@ -129,28 +129,22 @@ class TestAdamStep:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"epochs": -3}, {"lr": float("nan")},
-                                     {"weight_decay": float("inf")}, {"beta2": float("nan")},
-                                     {"eps": float("inf")}, {"poly_power": float("nan")}],
+                                     {"weight_decay": float("inf")}, {"poly_power": float("nan")}],
                              ids=["epochs-0", "epochs-negative", "lr-nan", "weight-decay-inf",
-                                  "beta2-nan", "eps-inf", "poly-power-nan"])
+                                  "poly-power-nan"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             training.TrainConfig(**bad)
 
     def test_float_fields_held_as_floats(self):
         """The config classes store an int given for a float field as a float; an int
-        beyond the float range, or an augment range whose width overflows, is refused."""
+        beyond the float range is refused."""
         assert type(training.TrainConfig(lr=1).lr) is float
         assert type(network.toy_config(width_multiplier=2).width_multiplier) is float
-        degrees = dio.AugmentConfig(rotate_degrees=(-1, 1)).rotate_degrees
-        assert [type(v) for v in degrees] == [float, float]
         for make in (lambda: training.TrainConfig(lr=10**400),
-                     lambda: network.toy_config(width_multiplier=10**400),
-                     lambda: dio.AugmentConfig(intensity_shift=(0, 10**400))):
-            with pytest.raises(ConfigError, match="numbers a float can hold"):
+                     lambda: network.toy_config(width_multiplier=10**400)):
+            with pytest.raises(ConfigError, match="a number a float can hold"):
                 make()
-        with pytest.raises(ConfigError, match="spans more than a float can hold"):
-            dio.AugmentConfig(rotate_degrees=(-1e308, 1e308))
 
 
 class TestTrainLoop:
