@@ -86,14 +86,17 @@ class ComplexityReport:
 
 def _conv_macs(block, shape):
     """Multiply-adds per conv weight Parameter (keyed by id) of an eval
-    forward of zeros at ``shape``. A tied weight sums all its convs."""
+    forward of zeros at ``shape``. A tied weight sums all its convs; a conv
+    over several views (a DMF unit's branches) credits each view's weight,
+    the rank-5 Parameters among its parents, with its own."""
     dtype = block.parameters()[0].data.dtype
     _, tape = ag.forward_record(block, np.zeros(shape, dtype), mode="eval")
     macs = Counter()
     for v in tape.nodes:
         if v.op == "conv3d":
-            w = v.parents[1]  # the weight's leaf; parents[0] is the input
-            macs[id(w.param)] += w.data.size * v.data.shape[0] * prod(v.data.shape[2:])
+            for w in v.parents[1:]:  # parents[0] is the input
+                if w.param is not None and w.data.ndim == 5:
+                    macs[id(w.param)] += w.data.size * v.data.shape[0] * prod(v.data.shape[2:])
     return macs
 
 

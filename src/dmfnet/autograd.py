@@ -16,18 +16,20 @@ No recorded array exists only to be read by an add or a concat, whose rules
 need no saved data: a residual add is fused into the conv that feeds it (the
 conv adds the residual into its own fresh output, :func:`t_conv3d`), and the
 decoder's upsample writes straight into its concat buffer
-(:func:`t_upsample_concat`). Nor does the tape keep a BN+ReLU output that
-only one conv reads: that conv's kernels read it a band of depth planes at a
-time, in the forward and again for the weight gradient, from what the tape
-keeps anyway, the BN input and statistics (``t_conv3d(bn=)``), so no pass
-makes it whole. Both BN+ReLU ops take their moments, output and rule from
-one :func:`_bn_relu`. The head upsamples the classifier's logits
-(:func:`t_trilinear_upsample`), not dec3's wider features.
+(:func:`t_upsample_concat`). Nor does the tape keep a BN+ReLU output: the
+one conv that reads it reads it a band of depth planes at a time, in the
+forward and again for the weight gradient, from what the tape keeps anyway,
+the BN input and statistics (``t_conv3d(bn=)``), so no pass makes it whole.
+That holds for a DMF unit's ``bn1`` too: its dilated branches and their
+weighted sum are one conv over dilated views (``t_conv3d(omega=)``). Both
+BN+ReLU ops take their moments, output and rule from one :func:`_bn_relu`.
+The head upsamples the classifier's logits (:func:`t_trilinear_upsample`),
+not dec3's wider features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,10 +182,21 @@ def _record(tape, data, op, parents, bwd):
     return tape.node(data, op, parents, bwd)
 
 
-def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=None, mode="train"):
+def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=None, mode="train",
+             omega=None):
     """Traced conv3d. With transpose_weight the kernel is the channel
     transpose of ``weight`` (used by the tied multiplexer pair); the weight
     gradient is transposed back before accumulating into the parameter.
+
+    With ``omega`` (one scalar per view of ``spec``), ``weight`` is a
+    sequence of one weight per view and the kernel is
+    ``[omega_1 W_1 | omega_2 W_2 | ...]`` on the input-channel axis: the
+    weighted sum of the views' convs as one conv (a DMF unit's branches). The
+    forward leaves out a view whose omega is exactly 0, and so does the input
+    gradient, which reads the forward's kernel. Backward takes one weight
+    gradient G over all views; for view i, ``dW_i = omega_i G_i`` and, if
+    omega is trainable, ``d omega_i = <G_i, W_i>``. The node's parents are
+    then (x, W_1, ..., [omega], ...).
 
     A ``residual`` of the output's shape is added in place into the conv's
     fresh output, so conv and shortcut add are one node with parents
@@ -210,10 +223,24 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     affine = None
     if bn is not None:
         affine, build, bn_rule = _bn_relu(xd, bn, mode)
-    # channel-transposed view shares storage with the parameter (tied convs)
-    w = weight.data.transpose(1, 0, 2, 3, 4) if transpose_weight else weight.data
-    data = ops.conv3d(xd, w, spec, bn=affine)
-    parents = (x, weight)
+    weights = (weight,) if omega is None else tuple(weight)
+    fspec = spec
+    if omega is not None:
+        if omega.data.shape != (len(spec.views),) or len(weights) != len(spec.views):
+            raise ShapeError(f"{len(spec.views)} views need as many weights and omegas, got "
+                             f"{len(weights)} and omega of shape {omega.data.shape}")
+        om = omega.data.copy()  # the values this forward used, for backward
+        # a view whose omega is 0 adds nothing: the forward leaves it out
+        keep = [i for i, o in enumerate(om) if o != 0] or list(range(len(om)))
+        fspec = replace(spec, views=tuple(spec.views[i] for i in keep))
+        w = np.concatenate([om[i] * weights[i].data for i in keep], axis=1)
+    elif transpose_weight:
+        # channel-transposed view shares storage with the parameter (tied convs)
+        w = weight.data.transpose(1, 0, 2, 3, 4)
+    else:
+        w = weight.data
+    data = ops.conv3d(xd, w, fspec, bn=affine)
+    parents = (x, *weights) if omega is None or not omega.trainable else (x, *weights, omega)
     if residual is not None:
         rd = _data(residual)
         if rd.shape != data.shape:
@@ -233,13 +260,20 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
             gw = ops.conv3d_weight_grad(kept, g, spec)
         if transpose_weight:
             gw = gw.transpose(1, 0, 2, 3, 4)
-        gx = ops.conv3d_input_grad(g, w, spec, xd.shape)
+        gws = (gw,)
+        if omega is not None:
+            blocks = np.split(gw, len(weights), axis=1)
+            gws = tuple(o * b for o, b in zip(om, blocks))
+            if omega.trainable:
+                gws += (np.array([(b * wi.data).sum() for b, wi in zip(blocks, weights)],
+                                 dtype=om.dtype),)
+        gx = ops.conv3d_input_grad(g, w, fspec, xd.shape)
         rest = () if residual is None else (g,)
         if bn is None:
-            return (gx, gw, *rest)
+            return (gx, *gws, *rest)
         # gx is this rule's own array: it becomes dx
         dx, dgamma, dbeta = bn_rule(gx, kept, out=gx)
-        return (dx, gw, *rest, dgamma, dbeta)
+        return (dx, *gws, *rest, dgamma, dbeta)
 
     node = _record(tape, data, "conv3d", parents, bwd)
     if tape is not None and bn is not None:
@@ -300,9 +334,9 @@ def _bn_relu(xd, bn, mode):
 def t_batch_norm(tape, x, bn, mode="train"):
     """relu(batch_norm(x)) as one node; ``bn`` is a BatchNorm3d. Backward
     masks g with its kept ``out > 0`` block by block and runs the BN rule of
-    :func:`_bn_relu` into a fresh dx. The network records such a node only
-    where several convs read its output (a DMF unit's ``bn1``); a conv that
-    alone reads a BN+ReLU runs it itself, ``t_conv3d(bn=)``."""
+    :func:`_bn_relu` into a fresh dx. The network records no such node:
+    the conv that reads a BN+ReLU runs it itself, ``t_conv3d(bn=)``. A
+    BatchNorm3d checked alone runs this one."""
     _, build, rule = _bn_relu(_data(x), bn, mode)
     data = build()
     # g is not written: a residual conv hands one g to two parents
@@ -375,7 +409,8 @@ def t_softmax_channels(tape, x):
 
 
 def t_branch_weighted_sum(tape, branches, omega):
-    """sum_i omega[i] * branches[i] with learnable scalar weights.
+    """sum_i omega[i] * branches[i] with learnable scalar weights. A DMF unit
+    runs its branches and this sum as one conv (``t_conv3d(omega=)``).
 
     d(omega_i) is the inner product of branch i's output with the upstream
     gradient; branch gradients are omega_i * upstream. A frozen omega gets

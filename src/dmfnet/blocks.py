@@ -8,15 +8,19 @@ Topology of one MF unit (BN+ReLU, one :class:`BatchNorm3d` op, before every conv
 
 Each residual add runs inside the conv before it (``residual=`` of
 :func:`dmfnet.autograd.t_conv3d`), so the tape keeps no separate conv output.
-Each BN+ReLU that one conv alone reads runs inside that conv (``bn=``), whose
-kernels read it a band of planes at a time, forward and backward, so the tape
-keeps no BN+ReLU output that only one conv reads: only a DMF unit's ``bn1``,
-read by all its branches, is a node of its own.
+Each BN+ReLU runs inside the one conv that reads it (``bn=``), whose kernels
+read it a band of planes at a time, forward and backward, so the tape keeps
+no BN+ReLU output.
 
 The multiplexer squeezes channels c -> c/2 -> c with two ungrouped 1x1x1
 convs and its own residual shortcut. A DMF unit replaces the first grouped
 conv with three parallel dilated branches (rates 1, 2, 3 by default) combined
-by a weighted sum with one-initialized scalar weights.
+by a weighted sum with one-initialized scalar weights. No nonlinearity sits
+between the branches and their sum, so the unit runs them as one conv over
+three dilated views of its ``bn1`` BN+ReLU, with the kernel
+``[omega_1 W_1 | omega_2 W_2 | omega_3 W_3]`` (``omega=`` of
+:func:`dmfnet.autograd.t_conv3d`); the sum is exact in real arithmetic, in
+training as in eval.
 
 Every layer and unit lists its sublayers once, as attributes set in
 ``__init__``: :class:`Block` walks them in definition order to give the
@@ -165,6 +169,9 @@ class BatchNorm3d(Block):
         raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
 
     def forward(self, x, mode="train", tape=None):
+        """BN+ReLU as a node of its own. No unit calls it: every BN+ReLU runs
+        inside the conv that reads it. It makes the layer a block that the
+        finite-difference checks run alone."""
         return ag.t_batch_norm(tape, x, self, mode)
 
     def buffers(self):
@@ -270,7 +277,9 @@ class DMFUnit(MFUnit):
 
     All branches share one pre-activation BN+ReLU, are same-padded so their
     outputs align, and are combined as a weighted sum with scalar weights
-    initialized to 1 so every branch contributes equally at the start.
+    initialized to 1 so every branch contributes equally at the start. Each
+    branch keeps its own weight Parameter; ``spec`` describes them together,
+    one view per dilation rate, and the unit runs them as one conv.
     """
 
     config_type = DMFUnitConfig
@@ -289,8 +298,10 @@ class DMFUnit(MFUnit):
                                np.ones(len(self.branches), dtype=dtype),
                                decay=False,
                                trainable=cfg.weight_mode == "learnable")
+        self.spec = ops.ConvSpec(cfg.c_in, cfg.c_mid, kernel=3, stride=cfg.stride, groups=cfg.g,
+                                 views=tuple((b.spec.dilation, b.spec.padding)
+                                             for b in self.branches))
 
     def _first(self, h, mode, tape):
-        a = self.bn1.forward(h, mode, tape)
-        ys = [branch.forward(a, mode, tape) for branch in self.branches]
-        return ag.t_branch_weighted_sum(tape, ys, self.omega)
+        return ag.t_conv3d(tape, h, [b.weight for b in self.branches], self.spec, bn=self.bn1,
+                           mode=mode, omega=self.omega)

@@ -30,7 +30,7 @@ import numpy as np
 from . import autograd as ag
 from . import ops
 from .blocks import Block, Conv3dLayer, DMFUnitConfig, MFUnit, DMFUnit, MFUnitConfig, check_dilated
-from .errors import ConfigError, ShapeError, hold_floats
+from .errors import CheckpointError, ConfigError, ShapeError, hold_floats
 
 # BraTS MRI modalities, in input channel order
 MODALITIES = ("t1", "t1ce", "t2", "flair")
@@ -257,11 +257,17 @@ def segment(net, x):
     Zero-pads the high end of each spatial axis to a multiple of
     ``net.cfg.downsample_factor``, runs the eval forward, takes the argmax and
     crops the labels back. A volume of the net's dtype that needs no padding
-    is not copied.
+    is not copied. Finite weights can still overflow on the way: logits that
+    are not all finite raise CheckpointError, and the forward warns of no
+    overflow.
     """
     x = np.asarray(x, dtype=net.dtype)
     f = net.cfg.downsample_factor
     size = x.shape[2:]
     pads = ((0, 0), (0, 0)) + tuple((0, -s % f) for s in size)
-    logits = net.forward(np.pad(x, pads) if any(p for _, p in pads) else x, mode="eval")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        logits = net.forward(np.pad(x, pads) if any(p for _, p in pads) else x, mode="eval")
+    if not np.isfinite(logits).all():
+        raise CheckpointError("the logits are not finite: the checkpoint's weights overflow "
+                              f"{np.dtype(net.dtype).name} on this input")
     return predict_labels(logits)[(Ellipsis,) + tuple(slice(0, s) for s in size)]

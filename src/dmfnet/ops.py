@@ -7,12 +7,15 @@ default. Every kernel is a pure function of its inputs (except that train-mode
 :func:`batch_norm` updates the running statistics of its BatchNorm3d in place,
 through ``BatchNorm3d.moments``), deterministic, and safe to call concurrently
 on distinct arrays. The network runs BN+ReLU as one op (``relu=True`` of
-:func:`batch_norm_apply`), and fuses its residual adds and decoder concats
-into ``t_conv3d(residual=)`` and ``t_upsample_concat``. So :func:`batch_norm`,
-:func:`relu`, :func:`add` and :func:`concat_channels`, like autograd's
-``t_relu``, ``t_add`` and ``t_concat_channels``, have no caller in the
-library: they stay only because the benchmark's tracer (``perfbench/spans.py``)
-wraps them by name. Do not add callers back.
+:func:`batch_norm_apply`), fuses its residual adds and decoder concats into
+``t_conv3d(residual=)`` and ``t_upsample_concat``, and runs a DMF unit's
+branches and their weighted sum as one conv (``t_conv3d(omega=)``). So
+:func:`batch_norm`, :func:`relu`, :func:`add` and :func:`concat_channels`,
+like autograd's ``t_relu``, ``t_add``, ``t_concat_channels`` and
+``t_branch_weighted_sum``, have no caller in the library: they stay only
+because the benchmark's tracer (``perfbench/spans.py``) wraps them by name.
+Autograd's ``t_batch_norm``, which the tracer wraps too, has one caller left,
+``BatchNorm3d.forward``, which no unit calls. Do not add callers back.
 
 The batch-norm passes (statistics, apply with its ReLU, and autograd's
 backward rule) run one block of full channels at a time, about BLOCK_BYTES
@@ -20,6 +23,13 @@ each (:func:`channel_blocks`), so each block's passes run while it is in
 cache and their scratch is a few blocks, not volumes. Their per-channel
 sums are :func:`channel_sum`'s, which add in numpy's order for an entire
 array, so every blocked pass is bit-identical to its unblocked form.
+
+A spec's ``views`` make one conv over several dilated views of its operand (a
+DMF unit's branches). Every pass of such a conv contracts by depth plane
+(:func:`_depth_slabs`): each input plane's (h, w) taps are copied once per
+view and serve every kernel plane that reads the plane, one GEMM each, where
+im2col would copy them once per kernel plane. It is never kn2row, which reads
+one dilation in place. The next paragraph is about one-view convs.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes (see
 _narrowing). By default one batched matmul per slab of output voxels contracts
@@ -48,7 +58,7 @@ gradient multiplies by M^T, so it is the exact adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, prod
 
 import numpy as np
@@ -79,7 +89,15 @@ def check_volume5d(x, name="input"):
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Declarative description of one 3D convolution."""
+    """Declarative description of one 3D convolution.
+
+    ``views`` makes it a conv over several dilated views of one operand: one
+    (dilation, padding) pair per view, each read with the full kernel, and the
+    weight holds one c_in/g block of input channels per view, in view order
+    (a DMF unit's branches, :class:`dmfnet.blocks.DMFUnit`). Left empty, the
+    spec has the one view (dilation, padding); with views given, dilation and
+    padding are the first view's. Every view must give the same output
+    extent."""
 
     c_in: int
     c_out: int
@@ -88,12 +106,16 @@ class ConvSpec:
     dilation: tuple = (1, 1, 1)
     groups: int = 1
     padding: tuple = (0, 0, 0)
+    views: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", _triple(self.kernel, "kernel"))
         object.__setattr__(self, "stride", _triple(self.stride, "stride"))
-        object.__setattr__(self, "dilation", _triple(self.dilation, "dilation"))
-        object.__setattr__(self, "padding", _triple(self.padding, "padding"))
+        views = tuple((_triple(d, "dilation"), _triple(p, "padding"))
+                      for d, p in self.views or ((self.dilation, self.padding),))
+        object.__setattr__(self, "views", views)
+        object.__setattr__(self, "dilation", views[0][0])
+        object.__setattr__(self, "padding", views[0][1])
         if self.c_in <= 0 or self.c_out <= 0:
             raise ConfigError(f"channel counts must be positive, got {self.c_in}->{self.c_out}")
         if self.groups <= 0:
@@ -102,28 +124,32 @@ class ConvSpec:
             raise ConfigError(
                 f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
             )
-        if any(s < 1 for s in self.stride) or any(d < 1 for d in self.dilation):
+        if any(s < 1 for s in self.stride) or any(v < 1 for d, _ in views for v in d):
             raise ConfigError("stride and dilation must be >= 1 per axis")
+        if len({tuple(2 * p - d * (k - 1) for k, d, p in zip(self.kernel, *v)) for v in views}) > 1:
+            raise ConfigError(f"views {views} give different output extents")
 
     @property
     def weight_shape(self):
-        return (self.c_out, self.c_in // self.groups) + self.kernel
+        return (self.c_out, len(self.views) * self.c_in // self.groups) + self.kernel
 
     @property
     def effective_kernel(self):
-        """Kernel extent per axis once dilation is applied: d*(k-1)+1."""
-        return tuple(d * (k - 1) + 1 for k, d in zip(self.kernel, self.dilation))
+        """Extent per axis of the input window an output voxel reads: with one
+        view d*(k-1)+1, with several the span of all their windows."""
+        return tuple(max(d[ax] * (k - 1) - p[ax] for d, p in self.views)
+                     + max(p[ax] for _, p in self.views) + 1 for ax, k in enumerate(self.kernel))
 
     def out_spatial(self, spatial):
         out = []
-        for ax, (size, ext, s, p) in enumerate(
-            zip(spatial, self.effective_kernel, self.stride, self.padding)
+        for ax, (size, k, s, d, p) in enumerate(
+            zip(spatial, self.kernel, self.stride, self.dilation, self.padding)
         ):
-            o = (size + 2 * p - ext) // s + 1
+            o = (size + 2 * p - d * (k - 1) - 1) // s + 1
             if o < 1:
                 raise ShapeError(
                     f"conv3d output collapses on axis {AXES[ax]}: input {size}, "
-                    f"effective kernel {ext}, stride {s}, padding {p}"
+                    f"effective kernel {d * (k - 1) + 1}, stride {s}, padding {p}"
                 )
             out.append(o)
         return tuple(out)
@@ -230,6 +256,12 @@ def _clip(o0, extent, stride, dilation, start, size, k):
     return lo - o0, hi - o0, slice(first + lo * stride, first + (hi - 1) * stride + 1, stride)
 
 
+def _views(spec):
+    """(kernel, dilation, start) of each view of ``spec``: output voxel o's
+    tap t of a view reads start + o*stride + t*dilation per axis."""
+    return [(spec.kernel, d, tuple(-q for q in p)) for d, p in spec.views]
+
+
 def _boxes(spec, start, in_spatial, out_spatial, steps):
     """Per axis d and h, per slab origin (slabs of ``steps`` outputs), per tap
     index along the axis: the tap's :func:`_clip`; for w, which every slab
@@ -304,18 +336,86 @@ def _slabs(x, spec, out_spatial, start, bn=None):
             yield slice(first, first + ez * ey * wo), cols
 
 
+def _depth_slabs(x, views, stride, groups, out_spatial, bn=None):
+    """Columns of a conv over several views of ``x`` (with ``bn``, its
+    BN+ReLU) by depth plane, each input plane's (h, w) taps made once.
+
+    ``views`` lists (kernel, dilation, start) per view: output voxel o's tap
+    t of a view reads x at start + o*stride + t*dilation per axis; reads
+    outside the volume count as zero. Output plane z's kernel plane a reads
+    input plane z*stride + start + a*dilation (depth). So per band of input
+    planes and per view, the columns of the view's kh*kw taps of every plane
+    of the band, (n, g, c_in/g * kh * kw, planes * voxels per output plane),
+    serve each kernel plane a run of output planes: the band keeps its planes
+    grouped by their residue modulo the stride, so each run reads consecutive
+    planes. Yields (v, a, vox, cols): view v, kernel plane a, the flattened
+    output voxels and their columns, a slice of the band's, whose rows follow
+    view v's kernel plane a of a weight reshaped to (g, c_out/g, c_in/g, kd,
+    kh * kw). A pass's contractions over these sum to the conv, each input
+    plane's taps copied kh*kw times, not once per kernel plane that reads it.
+
+    Each view fills its own buffer, of SLAB_BYTES / views at most (one plane
+    at least), which starts zeroed: a tap's box is the same in every plane,
+    so what lies outside it stays zero."""
+    n, g, cig = x.shape[0], groups, x.shape[1] // groups
+    do, ho, wo = out_spatial
+    s, plane = stride[0], ho * wo
+    band = _Band(x, bn)
+    hw = max(k[1] * k[2] for k, _, _ in views)
+    planes = min(band.cap, max(1, SLAB_BYTES // (len(views) * n * x.shape[1] * hw * plane
+                                                  * x.itemsize)))
+    bufs = [np.zeros((n, g, cig, k[1], k[2], planes, ho, wo), dtype=x.dtype) for k, _, _ in views]
+    boxes = [[[_clip(0, o, stride[ax], dil[ax], st[ax], size, t) for t in range(k[ax])]
+              for ax, o, size in ((1, ho, x.shape[3]), (2, wo, x.shape[4]))]
+             for k, dil, st in views]
+    for p0 in range(0, x.shape[2], planes):
+        p1 = min(x.shape[2], p0 + planes)
+        xb, z = band(p0, p1)
+        xg = xb.reshape(n, g, cig, *xb.shape[2:])[:, :, :, p0 - z:p1 - z]
+        # band plane p0 + r + s*j sits at slot offset[r] + j
+        offset = list(accumulate((len(range(r, p1 - p0, s)) for r in range(s)), initial=0))
+        for v, ((k, dil, st), buf, (bh, bw)) in enumerate(zip(views, bufs, boxes)):
+            for (b, hb), (c, wb), r in product(enumerate(bh), enumerate(bw), range(s)):
+                if hb and wb:
+                    buf[:, :, :, b, c, offset[r]:offset[r + 1], hb[0]:hb[1], wb[0]:wb[1]] = \
+                        xg[:, :, :, r::s, hb[2], wb[2]]
+            cols = buf.reshape(n, g, -1, planes * plane)
+            for a in range(k[0]):
+                first = st[0] + a * dil[0]  # output plane z reads input plane z*s + first
+                z0, z1 = max(0, -((first - p0) // s)), min(do, -((first - p1) // s))
+                if z0 < z1:
+                    j, r = divmod(z0 * s + first - p0, s)
+                    yield v, a, slice(z0 * plane, z1 * plane), \
+                        cols[..., (offset[r] + j) * plane:(offset[r] + j + z1 - z0) * plane]
+
+
+def _depth_weights(wk, views, cig):
+    """Per view, per kernel plane a: the (g, c_out/g, c_in/g * kh * kw) block
+    of ``wk`` (g, c_out/g, one (c_in/g, kd, kh, kw) block per view) that
+    :func:`_depth_slabs`' columns of (v, a) contract with."""
+    out, r = [], 0
+    for k, _, _ in views:
+        t = cig * prod(k)
+        block = wk[:, :, r:r + t].reshape(*wk.shape[:2], cig, k[0], k[1] * k[2])
+        out.append([block[:, :, :, a].reshape(*wk.shape[:2], -1) for a in range(k[0])])
+        r += t
+    return out
+
+
 def _pointwise(spec):
     """A 1x1x1 stride-1 unpadded conv, whose columns are its operand itself."""
     return spec.kernel == (1, 1, 1) and spec.stride == (1, 1, 1) and not any(spec.padding)
 
 
 def _narrowing(spec, span=1):
-    """Whether a stride-1 conv pass contracts on its output side: when that
-    side copies at most half of what the input side would. Per voxel they copy
-    c_out/g and c_in/g rows; the output side's copies cover ``span`` times
-    as many voxels. A 1x1x1 stride-1 unpadded conv never is: read from offset
-    0, neither side copies anything (see _slabs)."""
-    return spec.stride == (1, 1, 1) and not _pointwise(spec) and 2 * spec.c_out * span <= spec.c_in
+    """Whether a stride-1 one-view conv pass contracts on its output side: when
+    that side copies at most half of what the input side would. Per voxel
+    they copy c_out/g and c_in/g rows; the output side's copies cover
+    ``span`` times as many voxels. A 1x1x1 stride-1 unpadded conv never is:
+    read from offset 0, neither side copies anything (see _slabs). Nor is a
+    conv over several views: kn2row reads one dilation in place."""
+    return (spec.stride == (1, 1, 1) and len(spec.views) == 1 and not _pointwise(spec)
+            and 2 * spec.c_out * span <= spec.c_in)
 
 
 def _kn2row(x, weight, spec, out, start, bn=None):
@@ -371,24 +471,36 @@ def _kn2row(x, weight, spec, out, start, bn=None):
     return out
 
 
-def _conv(x, weight, spec, out=None, start=None, bn=None):
+def _conv(x, weight, spec, out=None, views=None, bn=None):
     """conv3d without argument checks or bias, into ``out`` (C-contiguous) if
-    given. Output voxel o's tap t reads x (or, with ``bn``, its BN+ReLU: see
-    :class:`_Band`) at start + o*stride + t*dilation per axis (``start`` is
-    -padding by default); reads outside x count as zero."""
+    given. Output voxel o's tap t of a view reads x (or, with ``bn``, its
+    BN+ReLU: see :class:`_Band`) at start + o*stride + t*dilation per axis,
+    for each (kernel, dilation, start) of ``views`` (the spec's own by
+    default, :func:`_views`); reads outside x count as zero. The weight holds
+    per output channel one block per view, (c_in/g, kd, kh, kw) each, in view
+    order; several views contract by depth plane (:func:`_depth_slabs`)."""
     n, g = x.shape[0], spec.groups
-    if start is None:
-        start = tuple(-p for p in spec.padding)
+    views = views or _views(spec)
     if out is None:
         out = np.empty((n, spec.c_out) + spec.out_spatial(x.shape[2:]), dtype=x.dtype)
     wk = weight.reshape(g, spec.c_out // g, -1)
     flat = out.reshape(n, g, spec.c_out // g, -1)
     # one column row per group makes an outer product, which BLAS does 5x slower
     contract = np.multiply if wk.shape[2] == 1 else np.matmul
-    if _narrowing(spec):
-        _kn2row(x, weight, spec, out, start, bn)
+    if len(views) > 1:
+        blocks = _depth_weights(wk, views, x.shape[1] // g)
+        flat[...] = 0
+        part = None
+        for v, a, vox, cols in _depth_slabs(x, views, spec.stride, g, out.shape[2:], bn):
+            if part is None or part.shape[3] < cols.shape[3]:
+                part = np.empty(flat.shape[:3] + cols.shape[3:], dtype=x.dtype)
+            y = part[..., :cols.shape[3]]
+            np.matmul(blocks[v][a], cols, out=y)
+            flat[..., vox] += y
+    elif _narrowing(spec):
+        _kn2row(x, weight, spec, out, views[0][2], bn)
     else:
-        for vox, cols in _slabs(x, spec, out.shape[2:], start, bn):
+        for vox, cols in _slabs(x, spec, out.shape[2:], views[0][2], bn):
             contract(wk, cols, out=flat[..., vox])
     return out
 
@@ -396,8 +508,11 @@ def _conv(x, weight, spec, out=None, start=None, bn=None):
 def conv3d(x, weight, spec, bn=None):
     """Grouped, strided, dilated 3D cross-correlation, without bias.
 
-    x: (n, c_in, d, h, w); weight: (c_out, c_in/g, kd, kh, kw).
-    Output channel group i reads only input channel group i. With ``bn`` =
+    x: (n, c_in, d, h, w); weight: (c_out, c_in/g, kd, kh, kw), or with
+    several views (c_out, views * c_in/g, kd, kh, kw): the sum over the views
+    of the conv of x at the view's dilation and padding with its block of
+    input channels. Output channel group i reads only input channel group i.
+    With ``bn`` =
     (mean, var, gamma, beta, eps) the conv reads
     ``batch_norm_apply(x, *bn, relu=True)`` instead of x, a band of depth
     planes at a time, never all at once; the output has the very bits of the
@@ -413,38 +528,63 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
     is integral. So each stride phase r is one stride-1 conv over grad_out, read
     in place from the phase's first index, with the phase's taps flipped, the
     weight group-transposed and dilation d/gcd(s, d); it fills gx[..., r::s].
+    With several views, a phase is one conv over the views whose taps reach
+    it, each with its own taps, dilation and first index.
     """
-    g = spec.groups
-    # per axis, per stride phase r that some tap reaches: (r, its taps
-    # flipped, the first grad_out index it reads)
-    phases = []
-    for size, k, s, d, p in zip(input_shape[2:], spec.kernel, spec.stride, spec.dilation,
-                                spec.padding):
-        taps = [[t for t in range(k) if (r + p - t * d) % s == 0] for r in range(min(s, size))]
-        phases.append([(r, ts[::-1], (r + p - ts[-1] * d) // s) for r, ts in enumerate(taps) if ts])
-    wt = weight.reshape(g, spec.c_out // g, spec.c_in // g, *spec.kernel).swapaxes(1, 2)
-    wt = wt.reshape(spec.c_in, spec.c_out // g, *spec.kernel)
-    dilation = tuple(d // gcd(s, d) for s, d in zip(spec.stride, spec.dilation))
+    g, cog, cig = spec.groups, spec.c_out // spec.groups, spec.c_in // spec.groups
+    wv = weight.reshape(g, cog, len(spec.views), cig, *spec.kernel)
+    # per view: per axis, per stride phase r that some tap reaches: (its
+    # taps flipped, the first grad_out index it reads); the view's dilation
+    # on grad_out; and its weight group-transposed
+    views = []
+    for v, (dil, pad) in enumerate(spec.views):
+        axes = []
+        for size, k, s, d, p in zip(input_shape[2:], spec.kernel, spec.stride, dil, pad):
+            taps = [[t for t in range(k) if (r + p - t * d) % s == 0] for r in range(min(s, size))]
+            axes.append({r: (ts[::-1], (r + p - ts[-1] * d) // s) for r, ts in enumerate(taps) if ts})
+        wt = wv[:, :, v].swapaxes(1, 2).reshape(spec.c_in, cog, *spec.kernel)
+        views.append((axes, tuple(d // gcd(s, d) for s, d in zip(spec.stride, dil)), wt))
     gx = np.zeros(input_shape, dtype=grad_out.dtype)  # phases without taps stay 0
-    for phase in product(*phases):
-        r, taps, start = zip(*phase)
-        pspec = ConvSpec(spec.c_out, spec.c_in, tuple(map(len, taps)), dilation=dilation, groups=g)
+    for r in product(*(range(min(s, size)) for s, size in zip(spec.stride, input_shape[2:]))):
+        pviews, weights = [], []
+        for axes, dilation, wt in views:
+            if all(q in ax for q, ax in zip(r, axes)):
+                taps, start = zip(*(ax[q] for q, ax in zip(r, axes)))
+                pviews.append((tuple(map(len, taps)), dilation, start))
+                weights.append(wt[(Ellipsis,) + np.ix_(*taps)].reshape(spec.c_in, -1))
+        if not pviews:
+            continue
+        pspec = ConvSpec(spec.c_out, spec.c_in, pviews[0][0], dilation=pviews[0][1], groups=g)
         dst = gx[(Ellipsis,) + tuple(map(slice, r, (None,) * 3, spec.stride))]
         # a strided phase fills a scratch copy; stride 1 writes gx in place
         buf = dst if dst.flags.c_contiguous else np.empty(dst.shape, dst.dtype)
-        dst[...] = _conv(grad_out, wt[(Ellipsis,) + np.ix_(*taps)], pspec, buf, start)
+        dst[...] = _conv(grad_out, np.concatenate(weights, axis=1), pspec, buf, pviews)
     return gx
 
 
 def conv3d_weight_grad(x, grad_out, spec, bn=None):
     """Gradient of conv3d w.r.t. its weight tensor: the sum of the slabs'
     contractions (see _slabs), from the first on, of columns of the input
-    with rows of grad_out or, for a narrowing conv, the other way round. With
-    ``bn`` the input is read as its BN+ReLU, as :func:`conv3d` reads it."""
+    with rows of grad_out or, for a narrowing conv, the other way round; for
+    a conv over several views, per view and kernel plane, the sum of the
+    bands' contractions (see _depth_slabs). With ``bn`` the input is read as
+    its BN+ReLU, as :func:`conv3d` reads it."""
     x = check_volume5d(x)
     n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
     plane = x[0, 0, 0].size
     go = grad_out.reshape(n, g, spec.c_out // g, -1)
+    views = _views(spec)
+    if len(views) > 1:
+        # per view and kernel plane, (g, c_out/g, c_in/g * kh * kw) summed
+        # over the bands, then laid out as the weight's (c_in/g, kd, kh, kw)
+        gws = [[np.zeros((g, spec.c_out // g, cig * k[1] * k[2]), dtype=x.dtype)
+                for _ in range(k[0])] for k, _, _ in views]
+        for v, a, vox, cols in _depth_slabs(x, views, spec.stride, g, grad_out.shape[2:], bn):
+            gws[v][a] += np.matmul(go[..., vox], cols.swapaxes(2, 3)).sum(0)
+        blocks = [np.stack([p.reshape(g, -1, cig, k[1] * k[2]) for p in planes], axis=3)
+                  for (k, _, _), planes in zip(views, gws)]
+        return np.concatenate([b.reshape(g, spec.c_out // g, -1) for b in blocks],
+                              axis=2).reshape(spec.weight_shape)
     narrow = _narrowing(spec, prod(x.shape[2:]) / go.shape[3])
     if narrow:
         # input voxel v takes tap t from grad_out at v + p - t*d, so the

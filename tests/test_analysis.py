@@ -82,21 +82,22 @@ class TestAccountingMatchesExecutedGraph:
     """count_flops scales an eval forward at the smallest legal input; pin it
     to a train forward run at the full shape."""
 
-    @pytest.mark.parametrize("dilated,nodes,macs", [(6, 68, 43_549_248), (0, 56, 35_752_512)],
+    @pytest.mark.parametrize("dilated,nodes,macs", [(6, 56, 43_549_248), (0, 56, 35_752_512)],
                              ids=["dmfnet-toy", "mfnet-toy"])
     def test_conv_nodes_and_macs(self, dilated, nodes, macs):
         shape = (2, 4, 16, 32, 48)
         net = network.build_network(network.toy_config(dilated_unit_count=dilated), seed=0)
         _, tape = ag.forward_record(net, np.zeros(shape, np.float32), mode="train")
         convs = [v for v in tape.nodes if v.op == "conv3d"]
-        # weight size times output voxels; parents[1] is the weight's leaf
-        traced = sum(v.parents[1].data.size * v.data.shape[0] * prod(v.data.shape[2:])
-                     for v in convs)
+        # weight size times output voxels, per weight leaf: parents[1], and
+        # for a DMF unit's one conv over its branches, each branch's weight
+        weights = [(v, w) for v in convs for w in v.parents[1:] if w.op == "param" and w.data.ndim == 5]
+        traced = sum(w.data.size * v.data.shape[0] * prod(v.data.shape[2:]) for v, w in weights)
         rep = analysis.count_flops(net, shape)
         assert traced == rep.total_flops == macs
         assert len(convs) == nodes
         # one row per conv weight: the tied multiplexer pair is two nodes, one row
-        assert {v.parents[1].param.name for v in convs} == \
+        assert {w.param.name for _, w in weights} == \
             {r.name for r in rep.rows if r.kind == "conv" and r.flops}
 
 

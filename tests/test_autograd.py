@@ -57,9 +57,12 @@ class TestForwardRecord:
         np.testing.assert_array_equal(plain, recorded)
 
     def test_dmf_unit_matches_composed_ops(self, rng):
-        """Recorded DMF forward equals the same pipeline composed by hand."""
+        """Recorded DMF forward equals the same pipeline composed by hand, bit
+        for bit with the branches as one conv over three dilated views, and
+        within 1e-12 of the three branch convs summed."""
         cfg = blocks.DMFUnitConfig(4, 4, 4, g=2)
         unit = blocks.DMFUnit("dmf", cfg, rng, np.float64)
+        unit.omega.data[...] = (0.7, 1.3, -0.4)
         x = rng.standard_normal((1, 4, 6, 6, 6))
         recorded, _ = ag.forward_record(unit, x, mode="eval")
 
@@ -74,13 +77,19 @@ class TestForwardRecord:
                        unit.mux.inflate_spec)
         h = ops.add(h, x)
         a = ops.relu(bn_eval(unit.bn1, h))
-        ys = [ops.conv3d(a, b.weight.data, b.spec) for b in unit.branches]
         w = unit.omega.data
-        mix = w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2]
-        z = ops.relu(bn_eval(unit.conv2.bn, mix))
-        z = ops.conv3d(z, unit.conv2.conv.weight.data, unit.conv2.conv.spec)
-        manual = ops.add(z, x)
-        np.testing.assert_array_equal(recorded, manual)
+
+        def tail(mix):
+            z = ops.relu(bn_eval(unit.conv2.bn, mix))
+            z = ops.conv3d(z, unit.conv2.conv.weight.data, unit.conv2.conv.spec)
+            return ops.add(z, x)
+
+        views = ops.ConvSpec(4, 4, kernel=3, groups=2, views=((1, 1), (2, 2), (3, 3)))
+        kernel = np.concatenate([w[i] * b.weight.data for i, b in enumerate(unit.branches)], axis=1)
+        np.testing.assert_array_equal(recorded, tail(ops.conv3d(a, kernel, views)))
+        ys = [ops.conv3d(a, b.weight.data, b.spec) for b in unit.branches]
+        np.testing.assert_allclose(recorded, tail(w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2]),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestBackward:
@@ -153,16 +162,16 @@ class TestBackward:
     def test_sweep_releases_what_it_no_longer_needs(self, rng):
         """Interior gradients and rules go as the sweep passes; the output's
         gradient, every leaf's gradient and every node's data stay. (The toy
-        tape has 83 interior nodes: each BN+ReLU that one conv reads is part
-        of that conv's node, and the head is the classifier conv and the
-        upsample of its logits.)"""
+        tape has 59 interior nodes: each BN+ReLU is part of the conv node that
+        reads it, each DMF unit's three branches are one conv node, and the
+        head is the classifier conv and the upsample of its logits.)"""
         net = network.build_network(network.toy_config(), seed=0)
         x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
         out, tape = ag.forward_record(net, x)
         gin, grads = ag.backward(tape, np.ones_like(out))
         leaves = [v for v in tape.nodes if v.op in ("input", "param")]
         interior = [v for v in tape.nodes if v not in leaves and v is not tape.output_var]
-        assert len(interior) == 83
+        assert len(interior) == 59
         assert all(v.grad is None and v.backward_fn is None for v in interior)
         assert tape.output_var.grad is not None
         assert gin is tape.input_var.grad
@@ -190,6 +199,65 @@ class TestBackward:
             np.testing.assert_array_equal(gin[:, 2 * i: 2 * i + 2], gi)
             np.testing.assert_array_equal(grads["c.weight"][2 * i: 2 * i + 2],
                                           gr["p.weight"])
+
+
+def three_branch_first(unit):
+    """Make a DMF unit run its first conv as the paper draws it: one BN+ReLU
+    node, three branch convs and their weighted sum, each a node of its own."""
+    def first(h, mode, tape):
+        a = ag.t_batch_norm(tape, h, unit.bn1, mode)
+        ys = [ag.t_conv3d(tape, a, b.weight, b.spec) for b in unit.branches]
+        return ag.t_branch_weighted_sum(tape, ys, unit.omega)
+    unit._first = first
+    return unit
+
+
+class TestDMFUnitConv:
+    """A DMF unit's three branches run as one conv over three dilated views."""
+
+    @pytest.mark.parametrize("weight_mode", ["learnable", "fixed_equal"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_finite_differences(self, rng, stride, weight_mode):
+        cfg = blocks.DMFUnitConfig(4, 4, 8, g=2, stride=stride, weight_mode=weight_mode)
+        unit = blocks.DMFUnit("dmf", cfg, rng, np.float64)
+        unit.omega.data[...] = (0.8, 1.2, -0.5)
+        rep = ag.finite_diff_check(unit, rng.standard_normal((2, 4, 6, 6, 6)), tolerance=1e-5,
+                                   step=1e-5, max_per_tensor=30, rng=0)
+        assert rep.passed, str(rep)
+        names = {r.name for r in rep.rows}
+        assert ("dmf.omega" in names) == (weight_mode == "learnable")
+
+    @pytest.mark.parametrize("omega", [(1.0, 0.0, 1.0), (0.7, 1.3, -0.4)], ids=["101", "mixed"])
+    @pytest.mark.parametrize("weight_mode", ["learnable", "fixed_equal"])
+    def test_gradients_equal_the_three_branch_tape(self, rng, omega, weight_mode):
+        """Train mode, float64: every gradient within 1e-12 of the three
+        branch nodes'. A view whose omega is 0 is left out of the forward, yet
+        its weight gets dW = 0 and its omega the three-branch gradient."""
+        cfg = blocks.DMFUnitConfig(4, 4, 8, g=2, stride=2, weight_mode=weight_mode)
+        merged = blocks.DMFUnit("dmf", cfg, np.random.default_rng(3), np.float64)
+        branches = three_branch_first(blocks.DMFUnit("dmf", cfg, np.random.default_rng(3),
+                                                     np.float64))
+        x = rng.standard_normal((2, 4, 6, 6, 6))
+        results, kinds = [], []
+        for unit in (merged, branches):
+            unit.omega.data[...] = omega
+            out, tape = ag.forward_record(unit, x, mode="train")
+            g = np.random.default_rng(1).standard_normal(out.shape)
+            results.append((out, *ag.backward(tape, g)))
+            kinds.append({v.op for v in tape.nodes})
+        assert "batch_norm" not in kinds[0] and "batch_norm" in kinds[1]
+        (out, gx, grads), (out_b, gx_b, grads_b) = results
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, out_b, **close)
+        np.testing.assert_allclose(gx, gx_b, **close)
+        assert grads.keys() == grads_b.keys()
+        assert ("dmf.omega" in grads) == (weight_mode == "learnable")
+        for name in grads:
+            np.testing.assert_allclose(grads[name], grads_b[name], err_msg=name, **close)
+        if omega[1] == 0:
+            assert not grads["dmf.branch_d2.weight"].any()
+            if weight_mode == "learnable":
+                assert grads["dmf.omega"][1] != 0
 
 
 class TestTracedOps:

@@ -94,6 +94,14 @@ def bad_data(tmp_path, case_dir, checkpoint):
         off = end + sum(4 * int(np.prod(b["shape"])) for b in header["blobs"][:i])
         return written(name, raw[:off] + np.float32(value).tobytes() + raw[off + 4:])
 
+    def scaled(name, blob, factor):
+        """``checkpoint`` with every float32 of blob ``blob`` multiplied by ``factor``."""
+        i = [b["name"] for b in header["blobs"]].index(blob)
+        off = end + sum(4 * int(np.prod(b["shape"])) for b in header["blobs"][:i])
+        size = 4 * int(np.prod(header["blobs"][i]["shape"]))
+        values = np.frombuffer(raw[off:off + size], dtype=np.float32) * np.float32(factor)
+        return written(name, raw[:off] + values.tobytes() + raw[off + size:])
+
     return {
         "no-flair": damaged("no-flair", lambda d: (d / "flair.f32").unlink()),
         "short-t1": damaged("short-t1", lambda d: (d / "t1.f32").write_bytes(bytes(100))),
@@ -123,6 +131,8 @@ def bad_data(tmp_path, case_dir, checkpoint):
         "nan-weight": valued("nan.bin", "stem.weight", np.nan),
         "inf-weight": valued("inf.bin", "dec3.conv2.conv.weight", -np.inf),
         "negative-running-var": valued("var.bin", "enc1.u0.mux.bn_squeeze.running_var", -1.0),
+        # finite weights, but a forward through them overflows float32
+        "huge-stem": scaled("huge.bin", "stem.weight", 1e36),
     }
 
 
@@ -414,6 +424,10 @@ BAD_INPUTS = [
           ("inf-weight", "checkpoint blob dec3.conv2.conv.weight holds non-finite values"),
           ("negative-running-var", "checkpoint blob enc1.u0.mux.bn_squeeze.running_var "
                                    "holds a negative running variance")]),
+    # and with no numpy warning on the way: the row turns one into an error
+    pytest.param(_INFER + ["--checkpoint", "{bad[huge-stem]}"], _TOY, 1,
+                 "the logits are not finite", id="huge-stem",
+                 marks=pytest.mark.filterwarnings("error")),
     # the last eight name the network's input channels, Adam's constants and the
     # augmentation recipe's flip probability and ranges: class constants, not keys
     *(pytest.param(_TRAIN, {section: {key: 1}}, 1, f"unknown {section} config key(s): {key}",

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -178,8 +177,8 @@ class TestCheckpointLayout:
 
 
 class TestLeanTape:
-    """A train forward keeps no BN output, and a BN+ReLU output only where
-    several convs read it."""
+    """A train forward keeps no BN or BN+ReLU output: each BN+ReLU runs inside
+    the one conv that reads it, a DMF unit's three branches included."""
 
     def test_toy_train_tape(self, rng):
         net = network.build_network(network.toy_config(), seed=0)
@@ -187,17 +186,15 @@ class TestLeanTape:
         _, tape = ag.forward_record(net, x, mode="train")
         kinds = [v.op for v in tape.nodes]
         n_bn = sum(name.endswith(".running_mean") for name, _ in net.buffers())
-        n_bn1 = sum(name.endswith(".bn1.running_mean") for name, _ in net.buffers())
         assert "relu" not in kinds
-        # each DMF unit's bn1 feeds its three branch convs; every other BN+ReLU
-        # runs inside the one conv that reads it
-        assert kinds.count("batch_norm") == n_bn1 == 6
-        assert sum(v.rebuild is not None for v in tape.nodes) == n_bn - n_bn1 == 42
-        readers = Counter(id(p) for v in tape.nodes for p in v.parents)
-        assert all(readers[id(v)] > 1 for v in tape.nodes if v.op == "batch_norm")
+        # every BN+ReLU, a DMF unit's bn1 included, runs inside the one conv
+        # that reads it: the unit's three branches are one conv node
+        assert "batch_norm" not in kinds and "branch_weighted_sum" not in kinds
+        assert sum(v.rebuild is not None for v in tape.nodes) == n_bn == 48
         # activation bytes of the float32 toy net at 1x4x16^3, of which the
-        # head's 4-channel logits at half resolution are 8,192
-        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 512_992
+        # head's 4-channel logits at half resolution are 8,192; the six bn1
+        # outputs (30,208) and the 18 branch outputs (36,864) are not kept
+        assert sum(v.data.nbytes for v in tape.nodes if v.op != "param") == 445_920
 
     def test_dmfnet_train_tape_keeps_no_add_or_decoder_upsample(self, rng):
         """Residual adds run inside their convs and the decoder's upsamples
@@ -224,6 +221,24 @@ class TestLeanTape:
         assert len(residual) == 24
         assert all(v.parents[2].op != "param" and v.parents[3].param.name.endswith(".gamma")
                    for v in residual)
+
+    def test_dmfnet_tape_runs_each_dmf_unit_as_one_conv(self, rng):
+        """No BN+ReLU node and no branch sum: each DMF unit's bn1 and three
+        branches are one conv node, whose parents are the input, the three
+        branch weights, omega, and bn1's gamma and beta."""
+        net = network.build_network(network.dmfnet_config(), seed=0)
+        x = rng.standard_normal((1, 4, 16, 16, 16)).astype(np.float32)
+        _, tape = ag.forward_record(net, x, mode="train")
+        kinds = {v.op for v in tape.nodes}
+        assert "batch_norm" not in kinds and "branch_weighted_sum" not in kinds
+        dmf = [u for stage in net.stages for u in stage if isinstance(u, DMFUnit)]
+        merged = [v for v in tape.nodes if v.op == "conv3d" and len(v.parents) == 7]
+        assert len(merged) == len(dmf) == 6
+        for u, v in zip(dmf, merged):
+            assert [p.param for p in v.parents[1:]] == [
+                *(b.weight for b in u.branches), u.omega, u.bn1.gamma, u.bn1.beta]
+            assert v.rebuild is not None
+
 
 class TestDegeneracyAtNetworkScale:
     def test_omega_100_equals_weight_copied_mfnet(self, rng):

@@ -370,6 +370,64 @@ class TestContractionSide:
         assert peak <= gw.nbytes + ops.SLAB_BYTES + (1 << 20)
 
 
+class TestDilatedViews:
+    """A conv over several dilated views of one operand (a DMF unit's three
+    branches as one conv) is the sum of its one-view convs."""
+
+    RATES = (1, 2, 3)
+
+    def _specs(self, c_in, c_out, stride, groups):
+        singles = [ops.ConvSpec(c_in, c_out, kernel=3, stride=stride, dilation=d,
+                                padding=ops.same_padding(3, d), groups=groups) for d in self.RATES]
+        merged = ops.ConvSpec(c_in, c_out, kernel=3, stride=stride, groups=groups,
+                              views=tuple((s.dilation, s.padding) for s in singles))
+        return singles, merged
+
+    def test_spec(self):
+        singles, merged = self._specs(8, 4, 2, 2)
+        assert merged.weight_shape == (4, 12, 3, 3, 3)
+        assert merged.kernel == (3, 3, 3) and merged.dilation == (1, 1, 1)
+        assert merged.effective_kernel == (7, 7, 7)
+        assert merged.out_spatial((9, 8, 7)) == singles[2].out_spatial((9, 8, 7)) == (5, 4, 4)
+        with pytest.raises(ConfigError, match="output extents"):
+            ops.ConvSpec(8, 4, kernel=3, views=((1, 1), (2, 1)))
+
+    # c_in == c_mid, as in every DMF unit, and c_in > 2 * c_mid, whose
+    # one-view stride-1 convs run as kn2row
+    @pytest.mark.parametrize("c_in,c_mid,groups", [(8, 8, 2), (12, 4, 2)], ids=["square", "narrowing"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("slab_planes", [None, 2], ids=["one-slab", "bands"])
+    def test_views_equal_the_sum_of_single_view_convs(self, monkeypatch, rng, c_in, c_mid, groups,
+                                                      stride, slab_planes):
+        singles, merged = self._specs(c_in, c_mid, stride, groups)
+        assert not ops._narrowing(merged)
+        assert ops._narrowing(singles[0]) == (stride == 1 and c_in > 2 * c_mid)
+        x = rng.standard_normal((2, c_in, 9, 8, 7))
+        if slab_planes:  # slabs and BN+ReLU bands of a few planes
+            monkeypatch.setattr(ops, "SLAB_BYTES", slab_planes * x[:, :, 0].nbytes)
+        ws = [rng.standard_normal(s.weight_shape) for s in singles]
+        w = np.concatenate(ws, axis=1)
+        y = ops.conv3d(x, w, merged)
+        g = rng.standard_normal(y.shape)
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, sum(ops.conv3d(x, wi, s) for wi, s in zip(ws, singles)),
+                                   **close)
+        np.testing.assert_allclose(
+            ops.conv3d_input_grad(g, w, merged, x.shape),
+            sum(ops.conv3d_input_grad(g, wi, s, x.shape) for wi, s in zip(ws, singles)), **close)
+        np.testing.assert_allclose(
+            ops.conv3d_weight_grad(x, g, merged),
+            np.concatenate([ops.conv3d_weight_grad(x, g, s) for s in singles], axis=1), **close)
+        # read through a BN affine, a band of planes at a time, the passes
+        # equal those over the whole BN+ReLU operand
+        bn = (rng.standard_normal(c_in), rng.uniform(0.5, 2, c_in), rng.standard_normal(c_in),
+              rng.standard_normal(c_in), 1e-5)
+        a = ops.batch_norm_apply(x, *bn, relu=True)
+        np.testing.assert_array_equal(ops.conv3d(x, w, merged, bn=bn), ops.conv3d(a, w, merged))
+        np.testing.assert_array_equal(ops.conv3d_weight_grad(x, g, merged, bn=bn),
+                                      ops.conv3d_weight_grad(a, g, merged))
+
+
 class TestBatchNorm:
     def test_identity_on_standardized_input(self, rng):
         x = rng.standard_normal((4, 3, 6, 6, 6)).astype(np.float64)
