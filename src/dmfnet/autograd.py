@@ -283,9 +283,9 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
 
 def _bn_relu(xd, bn, mode):
     """relu(batch_norm(xd)) with ``bn`` (a BatchNorm3d) in ``mode``, for
-    :func:`t_batch_norm` and ``t_conv3d(bn=)``: checks xd, takes its moments
-    and returns the affine (mean, var, gamma, beta, eps) that the conv kernels
-    read it through (``bn=`` of :func:`dmfnet.ops.conv3d`), ``build(c)``, the
+    :func:`t_batch_norm` and ``t_conv3d(bn=)``: checks xd and returns
+    ``bn.affine(xd, mode)``, which the conv kernels read it through (``bn=``
+    of :func:`dmfnet.ops.conv3d`), ``build(c)``, the
     output on channels c (all by default), and ``rule(g, kept, out)``, its
     (dx, dgamma, dbeta) given the output gradient g, with dx written into
     ``out`` (which may be g itself). The rule runs one channel block at a
@@ -298,8 +298,8 @@ def _bn_relu(xd, bn, mode):
 
     Scratch: xhat and the ``gm * xhat`` product, one block each, and the mask."""
     xd = ops.check_volume5d(xd)
-    mean, var = bn.moments(xd, mode)
-    affine = (mean, var, bn.gamma.data, bn.beta.data, bn.eps)
+    affine = bn.affine(xd, mode)
+    mean, var = affine[:2]
 
     def build(c=slice(None)):
         return ops.batch_norm_apply(xd[:, c], *(a[c] for a in affine[:4]), bn.eps, relu=True)

@@ -22,6 +22,17 @@ three dilated views of its ``bn1`` BN+ReLU, with the kernel
 :func:`dmfnet.autograd.t_conv3d`); the sum is exact in real arithmetic, in
 training as in eval.
 
+An untaped eval forward keeps nothing for backward, and its BN+ReLU acts per
+voxel, so there the multiplexer runs squeeze, BN+ReLU, inflate and its add
+one band of depth planes at a time (:meth:`Multiplexer.forward`): the squeeze
+output is never whole. A decoder unit's input is the concat buffer the
+network has just made, which nothing else reads. Untaped in eval mode, such
+a unit runs its projection shortcut first, then lets its multiplexer write
+each band's output back into that buffer. An encoder unit never does: its
+input is a skip or its identity residual. Train mode and every recorded
+forward, eval ones included, keep the same nodes in the same order:
+multiplexer, first conv, shortcut, second conv. All paths give the same bits.
+
 Every layer and unit lists its sublayers once, as attributes set in
 ``__init__``: :class:`Block` walks them in definition order to give the
 parameters and running statistics, so that order is also the checkpoint
@@ -168,6 +179,13 @@ class BatchNorm3d(Block):
             return self.running_mean.copy(), self.running_var.copy()
         raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
 
+    def affine(self, x, mode):
+        """(mean, var, gamma, beta, eps) with :meth:`moments` in ``mode``: the
+        affine that the conv kernels read ``x``'s BN+ReLU through (``bn=`` of
+        :func:`dmfnet.ops.conv3d`)."""
+        mean, var = self.moments(x, mode)
+        return mean, var, self.gamma.data, self.beta.data, self.eps
+
     def forward(self, x, mode="train", tape=None):
         """BN+ReLU as a node of its own. No unit calls it: every BN+ReLU runs
         inside the conv that reads it. It makes the layer a block that the
@@ -217,10 +235,31 @@ class Multiplexer(Block):
                                                c_in, dtype))
         self.bn_inflate = BatchNorm3d(f"{name}.bn_inflate", c_in // 2, dtype=dtype)
 
-    def forward(self, x, mode="train", tape=None):
-        h = ag.t_conv3d(tape, x, self.weight, self.squeeze_spec, bn=self.bn_squeeze, mode=mode)
-        return ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True,
-                           residual=x, bn=self.bn_inflate, mode=mode)
+    def forward(self, x, mode="train", tape=None, out=None):
+        """The pair and its shortcut as two conv nodes; or, untaped in eval
+        mode, where each BN+ReLU is per voxel, one band of depth planes at a
+        time (:func:`dmfnet.ops.band_planes`): squeeze, BN+ReLU, inflate and
+        the add of the band of x, written into ``out`` (fresh by default; it
+        may be x itself, each band being read before it is written). So the
+        squeeze output is never whole. Either way, the bits are the same."""
+        if tape is not None or mode != "eval":
+            h = ag.t_conv3d(tape, x, self.weight, self.squeeze_spec, bn=self.bn_squeeze,
+                            mode=mode)
+            return ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True,
+                               residual=x, bn=self.bn_inflate, mode=mode)
+        x = ops.check_volume5d(x)
+        if out is None:
+            out = np.empty(x.shape, dtype=x.dtype)
+        w = self.weight.data
+        step = ops.band_planes(x)
+        for z in range(0, x.shape[2], step):
+            xb = x[:, :, z:z + step]
+            h = ops.conv3d(xb, w, self.squeeze_spec, bn=self.bn_squeeze.affine(xb, mode))
+            y = ops.conv3d(h, w.transpose(1, 0, 2, 3, 4), self.inflate_spec,
+                           bn=self.bn_inflate.affine(h, mode))
+            y += xb
+            out[:, :, z:z + step] = y
+        return out
 
 
 class MFUnit(Block):
@@ -265,10 +304,16 @@ class MFUnit(Block):
     def _first(self, h, mode, tape):
         return self.conv1.forward(h, mode, tape)
 
-    def forward(self, x, mode="train", tape=None):
-        h = self.mux.forward(x, mode, tape)
-        h = self._first(h, mode, tape)
-        s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
+    def forward(self, x, mode="train", tape=None, overwrite=False):
+        """``overwrite`` says that nothing else reads x (a decoder's concat
+        buffer). Untaped in eval mode, a unit with a projection shortcut then
+        runs the shortcut first and lets the multiplexer write over x."""
+        if overwrite and tape is None and mode == "eval" and self.shortcut is not None:
+            s = self.shortcut.forward(x, mode, tape)
+            h = self._first(self.mux.forward(x, mode, tape, out=x), mode, tape)
+        else:
+            h = self._first(self.mux.forward(x, mode, tape), mode, tape)
+            s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)
         return self.conv2.forward(h, mode, tape, residual=s)
 
 

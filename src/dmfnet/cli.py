@@ -148,19 +148,21 @@ def cmd_infer(args):
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(data_dir):
+def _labelled_cases(data_dir):
+    """The case directories under data_dir, once each is seen to hold labels."""
     case_dirs = dio.list_cases(data_dir)
     if not case_dirs:
         raise DMFNetError(f"no cases found under {data_dir}")
-    dataset = []
-    ids = []
     for d in case_dirs:
-        vol, lab = dio.load_case(d)
-        if lab is None:
+        if not (d / dio.SEG_NAME).is_file():
             raise DMFNetError(f"case {d.name} has no {dio.SEG_NAME}")
-        dataset.append((dio.normalize(vol), lab))
-        ids.append(d.name)
-    return dataset, ids
+    return case_dirs
+
+
+def _load_case(case_dir):
+    """(normalized volume, labels) of one case."""
+    vol, lab = dio.load_case(case_dir)
+    return dio.normalize(vol), lab
 
 
 def cmd_train(args):
@@ -176,7 +178,7 @@ def cmd_train(args):
         _log("augmentation disabled")
     else:
         aug_cfg = _resolve("augment", file_cfg, args, ("crop_size",), dio.AugmentConfig)
-    dataset, _ = _load_dataset(args.data_dir)
+    dataset = [_load_case(d) for d in _labelled_cases(args.data_dir)]
     net = net_mod.build_network(arch_cfg, seed=train_cfg.seed)
     log = training.train(net, dataset, train_cfg, aug_cfg)
     out_dir = Path(args.out_dir)
@@ -301,8 +303,10 @@ def cmd_augment_preview(args):
 
 def cmd_evaluate(args):
     net = _trained_net(args)
-    dataset, ids = _load_dataset(args.data_dir)
-    records, means = training.evaluate(net, dataset, case_ids=ids)
+    case_dirs = _labelled_cases(args.data_dir)
+    # each case is loaded as it is reached, so one is in memory at a time
+    records, means = training.evaluate(net, map(_load_case, case_dirs),
+                                       case_ids=[d.name for d in case_dirs])
     for rec in records:
         print(json.dumps(rec, sort_keys=True))
     print(json.dumps({"case_id": "mean", **means}, sort_keys=True))

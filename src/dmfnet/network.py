@@ -169,9 +169,11 @@ class Network(Block):
             for unit in stage:
                 h = unit.forward(h, mode, tape)
         # skips: stem out (1/s0), the first two stage outputs (1/2s0, 1/4s0);
-        # each is released once its concat has copied it
+        # each is released once its concat has copied it. The concat is the
+        # unit's alone, so it may write over it.
         for unit in self.decoder:
-            h = unit.forward(ag.t_upsample_concat(tape, h, skips.pop(), 2), mode, tape)
+            h = unit.forward(ag.t_upsample_concat(tape, h, skips.pop(), 2), mode, tape,
+                             overwrite=True)
         logits = self.classifier.forward(h, mode, tape)
         s = self.cfg.stem_stride
         return logits if s == 1 else ag.t_trilinear_upsample(tape, logits, s)

@@ -179,6 +179,11 @@ def _check_conv_args(x, weight, spec):
 SLAB_BYTES = 8 << 20
 
 
+def band_planes(x):
+    """Depth planes of ``x`` in one band: as many as fit SLAB_BYTES, one at least."""
+    return min(x.shape[2], max(1, SLAB_BYTES * x.shape[2] // x.nbytes))
+
+
 class _Band:
     """The operand of a conv pass, read by depth planes. Without ``bn`` it is
     x itself. With ``bn`` = (mean, var, gamma, beta, eps) it is
@@ -193,7 +198,7 @@ class _Band:
         self.cap = x.shape[2]
         if bn is not None:
             self.hi = 0
-            self.cap = min(self.cap, max(1, SLAB_BYTES * x.shape[2] // x.nbytes))
+            self.cap = band_planes(x)
             self.buf = np.empty(0, dtype=x.dtype)
 
     def __call__(self, p0, p1):

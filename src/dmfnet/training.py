@@ -206,12 +206,15 @@ def train(net, dataset, cfg, aug_cfg=None):
 def evaluate(net, dataset, case_ids=None):
     """Per-case and mean dice (ET/WT/TC) for (volume, labels) pairs.
 
-    Returns (records, means); records follow the metrics file schema.
+    ``dataset`` may be any iterable; a case's volume is released once it is
+    segmented, so one that loads each case as it is reached holds one at a
+    time. Returns (records, means); records follow the metrics file schema.
     """
     records = []
     for i, (vol, lab) in enumerate(dataset):
         case_id = case_ids[i] if case_ids is not None else f"case{i:03d}"
         pred = segment(net, vol[None])[0]
+        del vol  # before the next case loads
         rec = {"case_id": str(case_id)}
         for region in REGIONS:
             rec[f"dice_{region.name.lower()}"] = dice_region(pred, lab, region)

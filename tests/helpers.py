@@ -24,6 +24,16 @@ def state_dict(net):
     return d
 
 
+def with_random_stats(block, rng):
+    """``block`` with random gamma, beta and running statistics in every batch norm."""
+    for name, arr in [(p.name, p.data) for p in block.parameters()] + block.buffers():
+        if name.endswith((".gamma", ".running_var")):
+            arr[...] = rng.uniform(0.5, 1.5, arr.shape)
+        elif name.endswith((".beta", ".running_mean")):
+            arr[...] = rng.uniform(-0.3, 0.3, arr.shape)
+    return block
+
+
 def copy_dmfnet_to_mfnet(dmf_net, mf_net):
     """Copy parameters so the MF network computes the DMF net's d=1 path.
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from dmfnet import analysis, blocks, ops
+from dmfnet import analysis, autograd as ag, blocks, ops
 from dmfnet.errors import ConfigError
+
+from helpers import with_random_stats
 
 
 def conv_params(block):
@@ -185,3 +187,55 @@ class TestDMFUnit:
         unit = blocks.DMFUnit("dmf", cfg, rng)
         assert not unit.omega.trainable
         np.testing.assert_array_equal(unit.omega.data, 1.0)
+
+
+class TestEvalBands:
+    """Untaped in eval mode the multiplexer runs a band of depth planes at a
+    time, and a unit told it owns its input lets it write over it. Both give
+    the recorded eval forward's very bits."""
+
+    @pytest.fixture(autouse=True)
+    def odd_bands(self, monkeypatch):
+        # three planes of the 16-channel batch-2 inputs below: 7 depth planes
+        # make bands of 3, 3 and 1, and the recorded inflate reads bands of 6
+        monkeypatch.setattr(ops, "SLAB_BYTES", 3 * 2 * 16 * 6 * 5 * 4)
+
+    def test_encoder_unit_output_is_fresh(self, rng):
+        cfg = blocks.DMFUnitConfig(16, 16, 32, g=4, stride=2)
+        unit = with_random_stats(blocks.DMFUnit("enc", cfg, rng), rng)
+        x = rng.standard_normal((2, 16, 7, 6, 5)).astype(np.float32)
+        assert ops.band_planes(x) == 3
+        keep = x.copy()
+        ref = ag.forward_record(unit, x, mode="eval")[0]
+        mux_ref = ag.forward_record(unit.mux, x, mode="eval")[0]
+        assert unit.mux.forward(x, mode="eval").tobytes() == mux_ref.tobytes()
+        assert unit.forward(x, mode="eval").tobytes() == ref.tobytes()
+        assert x.tobytes() == keep.tobytes()
+
+    def test_decoder_unit_writes_over_its_input(self, rng):
+        unit = with_random_stats(blocks.MFUnit("dec", blocks.MFUnitConfig(16, 8, 8, g=4), rng),
+                                 rng)
+        x = rng.standard_normal((2, 16, 7, 6, 5)).astype(np.float32)
+        ref = ag.forward_record(unit, x, mode="eval")[0]
+        mux_ref = ag.forward_record(unit.mux, x, mode="eval")[0]
+        buf = x.copy()
+        assert unit.forward(buf, mode="eval", overwrite=True).tobytes() == ref.tobytes()
+        # the concat now holds the multiplexer's output
+        assert buf.tobytes() == mux_ref.tobytes()
+        buf = x.copy()
+        assert unit.mux.forward(buf, mode="eval", out=buf) is buf
+        assert buf.tobytes() == mux_ref.tobytes()
+
+    def test_identity_shortcut_and_recorded_forwards_do_not_overwrite(self, rng):
+        identity = with_random_stats(
+            blocks.MFUnit("id", blocks.MFUnitConfig(16, 16, 16, g=4), rng), rng)
+        projection = with_random_stats(
+            blocks.MFUnit("dec", blocks.MFUnitConfig(16, 8, 8, g=4), rng), rng)
+        x = rng.standard_normal((2, 16, 7, 6, 5)).astype(np.float32)
+        keep = x.copy()
+        ref = ag.forward_record(identity, x, mode="eval")[0]
+        assert identity.forward(x, mode="eval", overwrite=True).tobytes() == ref.tobytes()
+        tape = ag.GradTape()
+        projection.forward(tape.leaf(x), mode="eval", tape=tape, overwrite=True)
+        projection.forward(x, mode="train", overwrite=True)
+        assert x.tobytes() == keep.tobytes()

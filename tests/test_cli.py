@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,28 @@ class TestTrainInferEvaluate:
         assert cli.main(["evaluate", *common, "--data-dir", str(case_dir.parent)]) == 0
         assert len(normalized) == len(seen) == 2
         assert all(np.shares_memory(x, v) for x, v in zip(seen, normalized))
+
+    def test_evaluate_holds_one_case_at_a_time(self, tmp_path, toy_config_file, checkpoint,
+                                               capsys):
+        """Evaluating three cases peaks (tracemalloc) where evaluating one does:
+        each case is loaded, segmented and scored before the next is read."""
+        vol, lab = make_tumor_case(size=32, seed=1)
+        one, three = tmp_path / "one", tmp_path / "three"
+        for data, count in ((one, 1), (three, 3)):
+            for i in range(count):
+                dio.save_case(data / f"case_{i}", vol, lab)
+        common = ["evaluate", "--config", toy_config_file, "--arch", "toy",
+                  "--checkpoint", str(checkpoint)]
+        peaks = []
+        for data in (one, one, three):  # the first run warms what is cached once
+            tracemalloc.start()
+            try:
+                assert cli.main([*common, "--data-dir", str(data)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # each case held at once would add a normalized volume and its labels
+        assert peaks[2] <= peaks[1] + vol.nbytes // 4
 
 
 _ANALYZE = ["analyze", "--arch", "toy", "--input-shape", "1,4,16,16,16", "--config", "{config}"]

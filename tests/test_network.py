@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dmfnet import analysis, autograd as ag, network, ops
 from dmfnet.blocks import DMFUnit, MFUnit
 from dmfnet.errors import ConfigError, ShapeError
 
-from helpers import copy_dmfnet_to_mfnet
+from helpers import copy_dmfnet_to_mfnet, with_random_stats
 
 
 TOY = dict(groups=2, stage_channels=(4, 8, 8, 8, 8, 8, 4))
@@ -238,6 +239,55 @@ class TestLeanTape:
             assert [p.param for p in v.parents[1:]] == [
                 *(b.weight for b in u.branches), u.omega, u.bn1.gamma, u.bn1.beta]
             assert v.rebuild is not None
+
+
+def _sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestEvalForwardMemory:
+    """An untaped eval forward runs each multiplexer a band of depth planes at
+    a time and lets each decoder unit write over its own concat."""
+
+    def test_only_decoder_concats_are_written_over(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        net = with_random_stats(network.build_network(network.toy_config(**TOY), seed=0), rng)
+        x = rng.standard_normal((1, 4, 32, 32, 32)).astype(np.float32)
+        ref = ag.forward_record(net, x, mode="eval")[0]
+        # the caller's input, the stem output and every encoder unit's output,
+        # the enc1 and enc2 skips among them, each hashed as it is made
+        held = [("input", x, _sha(x))]
+
+        def hashed(name, forward):
+            def run(*args, **kwargs):
+                out = forward(*args, **kwargs)
+                held.append((name, out, _sha(out)))
+                return out
+            return run
+
+        for layer in [net.stem] + [u for stage in net.stages for u in stage]:
+            monkeypatch.setattr(layer, "forward", hashed(layer.name, layer.forward))
+        out = net.forward(x, mode="eval")
+        assert len(held) == 11
+        assert [name for name, a, before in held if _sha(a) != before] == []
+        assert out.tobytes() == ref.tobytes()
+
+    def test_dmfnet_eval_forward_peak(self):
+        """The traced peak at 1x4x64^3 is in dec3's first conv: the concat, one
+        conv pass's scratch (a slab and a BN+ReLU band, SLAB_BYTES each) and a
+        few arrays of dec3's output width. No squeeze or inflate output of the
+        multiplexer is whole beside the concat."""
+        net = network.build_network(network.dmfnet_config(), seed=0)
+        x = np.random.default_rng(0).standard_normal((1, 4, 64, 64, 64), dtype=np.float32)
+        dec3 = net.decoder[-1].cfg
+        channel_bytes = (64 // net.cfg.stem_stride) ** 3 * x.itemsize
+        tracemalloc.start()
+        try:
+            net.forward(x, mode="eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (dec3.c_in + 4 * dec3.c_out) * channel_bytes + 2 * ops.SLAB_BYTES
 
 
 class TestDegeneracyAtNetworkScale:
