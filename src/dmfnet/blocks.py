@@ -243,23 +243,21 @@ class Multiplexer(Block):
         may be x itself, each band being read before it is written). So the
         squeeze output is never whole. Either way, the bits are the same."""
         if tape is not None or mode != "eval":
-            h = ag.t_conv3d(tape, x, self.weight, self.squeeze_spec, bn=self.bn_squeeze,
-                            mode=mode)
-            return ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True,
-                               residual=x, bn=self.bn_inflate, mode=mode)
+            return self._pair(x, mode, tape)
         x = ops.check_volume5d(x)
         if out is None:
             out = np.empty(x.shape, dtype=x.dtype)
-        w = self.weight.data
         step = ops.band_planes(x)
         for z in range(0, x.shape[2], step):
-            xb = x[:, :, z:z + step]
-            h = ops.conv3d(xb, w, self.squeeze_spec, bn=self.bn_squeeze.affine(xb, mode))
-            y = ops.conv3d(h, w.transpose(1, 0, 2, 3, 4), self.inflate_spec,
-                           bn=self.bn_inflate.affine(h, mode))
-            y += xb
-            out[:, :, z:z + step] = y
+            out[:, :, z:z + step] = self._pair(x[:, :, z:z + step], mode, None)
         return out
+
+    def _pair(self, x, mode, tape):
+        """Squeeze, BN+ReLU, inflate (the squeeze's channel transpose) and
+        the add of x, as two conv nodes."""
+        h = ag.t_conv3d(tape, x, self.weight, self.squeeze_spec, bn=self.bn_squeeze, mode=mode)
+        return ag.t_conv3d(tape, h, self.weight, self.inflate_spec, transpose_weight=True,
+                           residual=x, bn=self.bn_inflate, mode=mode)
 
 
 class MFUnit(Block):
@@ -307,10 +305,12 @@ class MFUnit(Block):
     def forward(self, x, mode="train", tape=None, overwrite=False):
         """``overwrite`` says that nothing else reads x (a decoder's concat
         buffer). Untaped in eval mode, a unit with a projection shortcut then
-        runs the shortcut first and lets the multiplexer write over x."""
+        runs the shortcut first, lets the multiplexer write over x and lets x
+        go once the first conv has read it, so the second conv runs without it."""
         if overwrite and tape is None and mode == "eval" and self.shortcut is not None:
             s = self.shortcut.forward(x, mode, tape)
             h = self._first(self.mux.forward(x, mode, tape, out=x), mode, tape)
+            del x  # the first conv read the concat for the last time
         else:
             h = self._first(self.mux.forward(x, mode, tape), mode, tape)
             s = x if self.shortcut is None else self.shortcut.forward(x, mode, tape)

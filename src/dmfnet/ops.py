@@ -24,32 +24,31 @@ cache and their scratch is a few blocks, not volumes. Their per-channel
 sums are :func:`channel_sum`'s, which add in numpy's order for an entire
 array, so every blocked pass is bit-identical to its unblocked form.
 
-A spec's ``views`` make one conv over several dilated views of its operand (a
-DMF unit's branches). Every pass of such a conv contracts by depth plane
-(:func:`_depth_slabs`): each input plane's (h, w) taps are copied once per
-view and serve every kernel plane that reads the plane, one GEMM each, where
-im2col would copy them once per kernel plane. It is never kn2row, which reads
-one dilation in place. The next paragraph is about one-view convs.
+Each conv pass contracts on its narrow side, chosen from the spec's shapes
+(see _narrowing), in one of three ways. A 1x1x1 stride-1 unpadded conv copies
+nothing: its columns are its operand, a band of depth planes at a time
+(_slabs). A stride-1 one-view conv with at most half as many output as input
+channels, other than that 1x1x1 one, runs as kn2row: per slab and kernel
+plane one GEMM Y = W @ x reads the input in place, and the output accumulates
+the window of Y that each tap shifts into place; Y holds at most SLAB_BYTES.
+Every other pass copies columns, by depth plane (_depth_slabs): per band of
+input planes, each plane's (h, w) taps are copied once per view and serve
+every kernel plane that reads the plane, one GEMM each, where im2col would
+copy them once per kernel plane; a band's columns and the GEMM output fit
+SLAB_BYTES together. A spec's ``views`` make one conv over several dilated
+views of its operand (a DMF unit's branches), which always contracts by depth
+plane: kn2row reads one dilation in place. The weight gradient contracts
+(n, g, c_in/g * taps, voxels) columns of the input with grad_out or, for a
+narrowing conv, columns of grad_out with the input.
 
-Each conv pass contracts on its narrow side, chosen from the spec's shapes (see
-_narrowing). By default one batched matmul per slab of output voxels contracts
-(n, g, c_in/g * taps, voxels) columns with the weight or the output gradient
-(_slabs). A 1x1x1 stride-1 unpadded conv copies nothing: its columns are its
-operand, a band of depth planes at a time. Other convs are im2col: per slab,
-the windows the kernel taps read fill one reused column buffer. A stride-1 conv
-with at most half as many output as input channels, other than that 1x1x1 one,
-runs as kn2row: per slab and kernel plane one GEMM Y = W @ x reads the input in
-place, and the output accumulates the window of Y that each tap shifts into
-place. Its weight gradient copies shifted output-gradient columns and reads the
-input in place. No pass pads its operand: each tap's window is clipped at the
-volume border, and what it would read outside counts as zero. Either buffer
-holds at most SLAB_BYTES, so a pass's scratch is one slab. Given a BN affine
-(``bn=``), a forward or weight-gradient pass reads relu(batch_norm(x)) a band
-of depth planes at a time, made by :func:`batch_norm_apply` in one reused
-buffer of at most SLAB_BYTES (or one slab's planes, if more), so its scratch is
-one slab plus one band. The input gradient is a transposed conv done as
-gathers: one stride-1 conv per stride phase, reading the output gradient in
-place from the phase's own start, so a widening conv's phases run as kn2row.
+No pass pads its operand: each tap's window is clipped at the volume border,
+and what it would read outside counts as zero. Given a BN affine (``bn=``),
+a forward or weight-gradient pass reads relu(batch_norm(x)) a band of depth
+planes at a time, made by :func:`batch_norm_apply` in one reused buffer of at
+most SLAB_BYTES (or one slab's planes, if more), so its scratch is one slab
+plus one band. The input gradient is a transposed conv done as gathers: one
+stride-1 conv per stride phase, reading the output gradient in place from
+the phase's own start, so a widening conv's phases run as kn2row.
 
 Trilinear upsampling multiplies each axis by an interpolation matrix M; its
 gradient multiplies by M^T, so it is the exact adjoint.
@@ -174,8 +173,9 @@ def _check_conv_args(x, weight, spec):
     return x
 
 
-# Bytes of scratch a conv pass holds at once: im2col columns, or the kn2row
-# GEMM output Y (one output row at least); and a BN+ReLU operand's band.
+# Bytes of scratch a conv pass holds at once: a depth band's columns and GEMM
+# output, or the kn2row GEMM output Y (one output row at least); and a BN+ReLU
+# operand's band.
 SLAB_BYTES = 8 << 20
 
 
@@ -278,71 +278,21 @@ def _boxes(spec, start, in_spatial, out_spatial, steps):
     return d, h, w[0]
 
 
-def _slabs(x, spec, out_spatial, start, bn=None):
-    """Columns of ``x`` (with ``bn``, of its BN+ReLU) in slabs of output voxels.
-
-    Output voxel o's tap t reads x at start + o*stride + t*dilation per axis;
-    reads outside the volume count as zero. A slab is full output depth
-    planes or, if one plane does not fit, rows of one plane, so its voxels are
-    contiguous in the flattened output. Yields per slab its flattened voxel
-    slice and its columns, (n, g, c_in/g * taps, voxels), whose rows follow a
-    weight reshaped to (g, c_out/g, -1).
-
-    A 1x1x1 stride-1 unpadded conv read from offset 0 over its own extent
-    copies nothing: its slabs are the bands of :class:`_Band`, each its own
-    columns. Any other conv is im2col into one reused buffer of at most
-    SLAB_BYTES. A tap copies only the box of its window that lies inside the
-    volume. The buffer starts zeroed and every slab keeps a tap's columns at
-    the same offsets, so a tap re-zeroes the d and h strips outside its box
-    only when the box or the slab's shape differs from its last slab's. The w
-    strips stay zero: every slab spans the full output width.
-    """
-    n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
+def _slabs(x, groups, bn=None):
+    """Columns of a 1x1x1 stride-1 unpadded conv read from offset 0 over its
+    own extent: the operand itself (``x``, or with ``bn`` its BN+ReLU), a
+    band of :class:`_Band` at a time, so nothing is copied. Yields per band
+    its flattened voxel slice and the band as (n, g, c_in/g, voxels)."""
+    n, cig = x.shape[0], x.shape[1] // groups
     band = _Band(x, bn)
-    if _pointwise(spec) and not any(start) and out_spatial == x.shape[2:]:
-        plane = x[0, 0, 0].size
-        for z in range(0, x.shape[2], band.cap):
-            planes = band(z, min(x.shape[2], z + band.cap))[0]
-            yield slice(z * plane, (z + planes.shape[2]) * plane), planes.reshape(n, g, cig, -1)
-        return
-    do, ho, wo = out_spatial
-    taps = list(product(*map(range, spec.kernel)))
-    line_elems = n * spec.c_in * len(taps) * wo
-    dz, dy = _slab_extent(line_elems * x.itemsize, do, ho)
-    dz = band.fit(dz, spec)
-    buf = np.zeros((n, g, cig * len(taps), dz * dy * wo), dtype=x.dtype)
-    bz, by, bx = _boxes(spec, start, x.shape[2:], out_spatial, (dz, dy, wo))
-    last = [None] * len(taps)  # per tap: (box, ez, ey) of its last slab; None while all zero
-    for z0, zboxes in bz.items():
-        planes, zboxes = band.boxes(zboxes)
-        xg = planes.reshape(n, g, cig, *planes.shape[2:])
-        for y0, yboxes in by.items():
-            ez, ey = min(dz, do - z0), min(dy, ho - y0)
-            cols = buf[..., :ez * ey * wo]
-            view = cols.reshape(n, g, cig, len(taps), ez, ey, wo)
-            for t, (a, b, c) in enumerate(taps):
-                bd, bh, bw = zboxes[a], yboxes[b], bx[c]
-                box = (bd[:2], bh[:2]) if bd and bh and bw else None
-                if box is None and last[t] is None:
-                    continue  # its columns are still all zero
-                if last[t] not in (None, (box, ez, ey)):
-                    if box is None:
-                        view[:, :, :, t] = 0
-                    else:
-                        (d0, d1), (h0, h1) = box
-                        for strip in ((slice(0, d0),), (slice(d1, ez),),
-                                      (slice(d0, d1), slice(0, h0)), (slice(d0, d1), slice(h1, ey))):
-                            if strip[-1].start < strip[-1].stop:
-                                view[(slice(None),) * 3 + (t,) + strip] = 0
-                last[t] = box, ez, ey
-                if box:
-                    view[:, :, :, t, bd[0]:bd[1], bh[0]:bh[1], bw[0]:bw[1]] = xg[..., bd[2], bh[2], bw[2]]
-            first = (z0 * ho + y0) * wo
-            yield slice(first, first + ez * ey * wo), cols
+    plane = x[0, 0, 0].size
+    for z in range(0, x.shape[2], band.cap):
+        planes = band(z, min(x.shape[2], z + band.cap))[0]
+        yield slice(z * plane, (z + planes.shape[2]) * plane), planes.reshape(n, groups, cig, -1)
 
 
-def _depth_slabs(x, views, stride, groups, out_spatial, bn=None):
-    """Columns of a conv over several views of ``x`` (with ``bn``, its
+def _depth_slabs(x, views, stride, groups, out_spatial, bn=None, rows=0):
+    """Columns of a conv over one or more views of ``x`` (with ``bn``, its
     BN+ReLU) by depth plane, each input plane's (h, w) taps made once.
 
     ``views`` lists (kernel, dilation, start) per view: output voxel o's tap
@@ -358,17 +308,18 @@ def _depth_slabs(x, views, stride, groups, out_spatial, bn=None):
     view v's kernel plane a of a weight reshaped to (g, c_out/g, c_in/g, kd,
     kh * kw). A pass's contractions over these sum to the conv, each input
     plane's taps copied kh*kw times, not once per kernel plane that reads it.
+    Kernel planes come last to first, so the runs start in increasing order.
 
-    Each view fills its own buffer, of SLAB_BYTES / views at most (one plane
-    at least), which starts zeroed: a tap's box is the same in every plane,
-    so what lies outside it stays zero."""
+    A band's columns and ``rows`` values per output voxel of a run (the
+    caller's GEMM output) fit SLAB_BYTES together (one plane at least). Each
+    view fills its own buffer, which starts zeroed: a tap's box is the same
+    in every plane, so what lies outside it stays zero."""
     n, g, cig = x.shape[0], groups, x.shape[1] // groups
     do, ho, wo = out_spatial
     s, plane = stride[0], ho * wo
     band = _Band(x, bn)
-    hw = max(k[1] * k[2] for k, _, _ in views)
-    planes = min(band.cap, max(1, SLAB_BYTES // (len(views) * n * x.shape[1] * hw * plane
-                                                  * x.itemsize)))
+    taps = sum(k[1] * k[2] for k, _, _ in views) * x.shape[1] + rows
+    planes = min(band.cap, max(1, SLAB_BYTES // (taps * n * plane * x.itemsize)))
     bufs = [np.zeros((n, g, cig, k[1], k[2], planes, ho, wo), dtype=x.dtype) for k, _, _ in views]
     boxes = [[[_clip(0, o, stride[ax], dil[ax], st[ax], size, t) for t in range(k[ax])]
               for ax, o, size in ((1, ho, x.shape[3]), (2, wo, x.shape[4]))]
@@ -385,7 +336,7 @@ def _depth_slabs(x, views, stride, groups, out_spatial, bn=None):
                     buf[:, :, :, b, c, offset[r]:offset[r + 1], hb[0]:hb[1], wb[0]:wb[1]] = \
                         xg[:, :, :, r::s, hb[2], wb[2]]
             cols = buf.reshape(n, g, -1, planes * plane)
-            for a in range(k[0]):
+            for a in reversed(range(k[0])):
                 first = st[0] + a * dil[0]  # output plane z reads input plane z*s + first
                 z0, z1 = max(0, -((first - p0) // s)), min(do, -((first - p1) // s))
                 if z0 < z1:
@@ -483,30 +434,35 @@ def _conv(x, weight, spec, out=None, views=None, bn=None):
     for each (kernel, dilation, start) of ``views`` (the spec's own by
     default, :func:`_views`); reads outside x count as zero. The weight holds
     per output channel one block per view, (c_in/g, kd, kh, kw) each, in view
-    order; several views contract by depth plane (:func:`_depth_slabs`)."""
+    order. A narrowing one-view conv is kn2row (:func:`_kn2row`), a 1x1x1
+    one read from offset 0 over x's extent copies nothing (:func:`_slabs`),
+    and any other contracts by depth plane (:func:`_depth_slabs`)."""
     n, g = x.shape[0], spec.groups
     views = views or _views(spec)
     if out is None:
         out = np.empty((n, spec.c_out) + spec.out_spatial(x.shape[2:]), dtype=x.dtype)
     wk = weight.reshape(g, spec.c_out // g, -1)
     flat = out.reshape(n, g, spec.c_out // g, -1)
-    # one column row per group makes an outer product, which BLAS does 5x slower
-    contract = np.multiply if wk.shape[2] == 1 else np.matmul
-    if len(views) > 1:
+    if len(views) == 1 and _narrowing(spec):
+        _kn2row(x, weight, spec, out, views[0][2], bn)
+    elif (len(views) == 1 and _pointwise(spec) and not any(views[0][2])
+          and out.shape[2:] == x.shape[2:]):
+        # one column row per group makes an outer product, which BLAS does 5x slower
+        contract = np.multiply if wk.shape[2] == 1 else np.matmul
+        for vox, cols in _slabs(x, g, bn):
+            contract(wk, cols, out=flat[..., vox])
+    else:
         blocks = _depth_weights(wk, views, x.shape[1] // g)
         flat[...] = 0
         part = None
-        for v, a, vox, cols in _depth_slabs(x, views, spec.stride, g, out.shape[2:], bn):
+        for v, a, vox, cols in _depth_slabs(x, views, spec.stride, g, out.shape[2:], bn,
+                                            spec.c_out):
             if part is None or part.shape[3] < cols.shape[3]:
+                part = y = None  # the old buffer goes before a larger one is made
                 part = np.empty(flat.shape[:3] + cols.shape[3:], dtype=x.dtype)
             y = part[..., :cols.shape[3]]
             np.matmul(blocks[v][a], cols, out=y)
             flat[..., vox] += y
-    elif _narrowing(spec):
-        _kn2row(x, weight, spec, out, views[0][2], bn)
-    else:
-        for vox, cols in _slabs(x, spec, out.shape[2:], views[0][2], bn):
-            contract(wk, cols, out=flat[..., vox])
     return out
 
 
@@ -568,49 +524,48 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
 
 
 def conv3d_weight_grad(x, grad_out, spec, bn=None):
-    """Gradient of conv3d w.r.t. its weight tensor: the sum of the slabs'
-    contractions (see _slabs), from the first on, of columns of the input
-    with rows of grad_out or, for a narrowing conv, the other way round; for
-    a conv over several views, per view and kernel plane, the sum of the
-    bands' contractions (see _depth_slabs). With ``bn`` the input is read as
-    its BN+ReLU, as :func:`conv3d` reads it."""
+    """Gradient of conv3d w.r.t. its weight tensor: per view and kernel plane,
+    the sum of the bands' contractions, from the first on, of columns of the
+    input (:func:`_depth_slabs`, or :func:`_slabs` for a 1x1x1 stride-1
+    unpadded conv) with rows of grad_out. A narrowing conv contracts the
+    other way round: input voxel v takes tap t from grad_out at v + p - t*d,
+    so the columns are grad_out's taps over the input's extent, read from
+    p - d*(k-1) with the taps flipped, and the rows are the input's. With
+    ``bn`` the input is read as its BN+ReLU, as :func:`conv3d` reads it."""
     x = check_volume5d(x)
-    n, g, cig = x.shape[0], spec.groups, spec.c_in // spec.groups
+    n, g, cig, cog = x.shape[0], spec.groups, spec.c_in // spec.groups, spec.c_out // spec.groups
     plane = x[0, 0, 0].size
-    go = grad_out.reshape(n, g, spec.c_out // g, -1)
+    go = grad_out.reshape(n, g, cog, -1)
     views = _views(spec)
-    if len(views) > 1:
-        # per view and kernel plane, (g, c_out/g, c_in/g * kh * kw) summed
-        # over the bands, then laid out as the weight's (c_in/g, kd, kh, kw)
-        gws = [[np.zeros((g, spec.c_out // g, cig * k[1] * k[2]), dtype=x.dtype)
-                for _ in range(k[0])] for k, _, _ in views]
-        for v, a, vox, cols in _depth_slabs(x, views, spec.stride, g, grad_out.shape[2:], bn):
-            gws[v][a] += np.matmul(go[..., vox], cols.swapaxes(2, 3)).sum(0)
-        blocks = [np.stack([p.reshape(g, -1, cig, k[1] * k[2]) for p in planes], axis=3)
-                  for (k, _, _), planes in zip(views, gws)]
-        return np.concatenate([b.reshape(g, spec.c_out // g, -1) for b in blocks],
-                              axis=2).reshape(spec.weight_shape)
     narrow = _narrowing(spec, prod(x.shape[2:]) / go.shape[3])
     if narrow:
-        # input voxel v takes tap t from grad_out at v + p - t*d, so the
-        # columns are im2col of grad_out over the input's extent, read from
-        # p - d*(k-1), with the taps flipped, and the rows are the input's
-        cspec = ConvSpec(spec.c_out, spec.c_in, spec.kernel, dilation=spec.dilation, groups=g)
         start = tuple(p - d * (k - 1) for k, d, p in zip(spec.kernel, spec.dilation, spec.padding))
-        slabs = _slabs(grad_out, cspec, x.shape[2:], start)
+        views = [(spec.kernel, spec.dilation, start)]
+        slabs = _depth_slabs(grad_out, views, (1, 1, 1), g, x.shape[2:])
         band = _Band(x, bn)
+    elif _pointwise(spec):
+        slabs = ((0, 0, vox, cols) for vox, cols in _slabs(x, g, bn))
     else:
-        slabs = _slabs(x, spec, grad_out.shape[2:], tuple(-p for p in spec.padding), bn)
-    gw = None
-    for vox, cols in slabs:
+        slabs = _depth_slabs(x, views, spec.stride, g, grad_out.shape[2:], bn)
+    kd, kh, kw = spec.kernel
+    # per group, row, view, column channel and kernel plane: the (kh, kw)
+    # taps, each plane the sum of its runs' contractions in turn
+    gw = np.zeros((g,) + ((cig, 1, cog) if narrow else (cog, len(views), cig)) + (kd, kh * kw),
+                  dtype=np.result_type(x, grad_out))
+    made = set()
+    for v, a, vox, cols in slabs:
         if narrow:
-            # the band of the input planes the slab's voxels lie in
+            # the band of the input planes the run's voxels lie in
             planes, z = band(vox.start // plane, -(-vox.stop // plane))
             rows = planes.reshape(n, g, cig, -1)[..., vox.start - z * plane:vox.stop - z * plane]
         else:
             rows = go[..., vox]
-        part = np.matmul(rows, cols.swapaxes(2, 3)).sum(0)
-        gw = part if gw is None else np.add(gw, part, out=gw)
+        part = np.matmul(rows, cols.swapaxes(2, 3)).sum(0).reshape(gw.shape[:2] + (-1, kh * kw))
+        if (v, a) in made:
+            gw[:, :, v, :, a] += part
+        else:
+            gw[:, :, v, :, a] = part
+            made.add((v, a))
     if narrow:  # (g, c_in/g, c_out/g, *kernel) with the taps flipped
         gw = gw.reshape(g, cig, -1, *spec.kernel)[..., ::-1, ::-1, ::-1].swapaxes(1, 2)
     return gw.reshape(spec.weight_shape)

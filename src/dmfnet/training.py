@@ -211,7 +211,10 @@ def evaluate(net, dataset, case_ids=None):
     time. Returns (records, means); records follow the metrics file schema.
     """
     records = []
-    for i, (vol, lab) in enumerate(dataset):
+    # not enumerate: its reused result tuple would keep the last case alive
+    # while the next one loads
+    for vol, lab in dataset:
+        i = len(records)
         case_id = case_ids[i] if case_ids is not None else f"case{i:03d}"
         pred = segment(net, vol[None])[0]
         del vol  # before the next case loads

@@ -1,11 +1,11 @@
 """Independent reference implementations used to derive expected values.
 
 These deliberately avoid the vectorized code paths of the package: the conv
-reference is a literal nested-loop translation of the definition, the
-trilinear reference evaluates the full eight-corner formula per voxel, the
-batch-norm references are the closed-form and the chain-rule backward with
-one temporary per term, and the Adam reference runs the textbook scalar
-recurrences.
+reference and its gradients are literal nested-loop translations of the
+definition, the trilinear reference evaluates the full eight-corner formula
+per voxel, the batch-norm references are the closed-form and the chain-rule
+backward with one temporary per term, and the Adam reference runs the
+textbook scalar recurrences.
 """
 
 import numpy as np
@@ -52,6 +52,43 @@ def conv3d_reference(x, w, stride=(1, 1, 1), dilation=(1, 1, 1), padding=(0, 0, 
                             acc += bias[oc]
                         out[b, oc, zo, yo, xo] = acc
     return out
+
+
+def conv3d_grads_reference(x, w, g, stride=(1, 1, 1), dilation=(1, 1, 1), padding=(0, 0, 0),
+                           groups=1):
+    """(dx, dw) of :func:`conv3d_reference`'s output against its gradient g,
+    by the same loops: each product w * x that an output element sums adds
+    g times its other factor to dx and to dw."""
+    n, ci, D, H, W = x.shape
+    co, _, kd, kh, kw = w.shape
+    do, ho, wo = g.shape[2:]
+    cig = ci // groups
+    cog = co // groups
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for b in range(n):
+        for oc in range(co):
+            c0 = oc // cog * cig
+            for zo in range(do):
+                for yo in range(ho):
+                    for xo in range(wo):
+                        gv = g[b, oc, zo, yo, xo]
+                        for ic in range(cig):
+                            for a in range(kd):
+                                z = zo * stride[0] + a * dilation[0] - padding[0]
+                                if z < 0 or z >= D:
+                                    continue
+                                for e in range(kh):
+                                    y = yo * stride[1] + e * dilation[1] - padding[1]
+                                    if y < 0 or y >= H:
+                                        continue
+                                    for f in range(kw):
+                                        xx = xo * stride[2] + f * dilation[2] - padding[2]
+                                        if xx < 0 or xx >= W:
+                                            continue
+                                        dx[b, c0 + ic, z, y, xx] += w[oc, ic, a, e, f] * gv
+                                        dw[oc, ic, a, e, f] += x[b, c0 + ic, z, y, xx] * gv
+    return dx, dw
 
 
 def trilinear_reference(x, scale):

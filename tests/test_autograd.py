@@ -538,36 +538,38 @@ class TestBandedOperand:
     time, on every conv path, and gives the bits of the conv of the whole
     operand; no pass holds an operand-sized array."""
 
-    # (spec, path): padding past same_padding leaves slabs whose taps read no
-    # plane inside the volume
+    # (spec, path), the ids naming the depth cases as they were named when
+    # those ran as im2col: padding past same_padding leaves outputs whose
+    # taps read no plane inside the volume
     @pytest.mark.parametrize("spec,path", [
         pytest.param(ops.ConvSpec(8, 4, kernel=1), "pointwise", id="pointwise"),
         pytest.param(ops.ConvSpec(8, 4, padding=1, groups=2), "kn2row", id="kn2row"),
-        pytest.param(ops.ConvSpec(4, 8, padding=1, groups=2), "im2col", id="im2col"),
-        pytest.param(ops.ConvSpec(4, 8, stride=2, padding=1, groups=2), "im2col", id="stride2"),
-        pytest.param(ops.ConvSpec(8, 4, kernel=1, stride=2), "im2col", id="pointwise-stride2"),
+        pytest.param(ops.ConvSpec(4, 8, padding=1, groups=2), "depth", id="im2col"),
+        pytest.param(ops.ConvSpec(4, 8, stride=2, padding=1, groups=2), "depth", id="stride2"),
+        pytest.param(ops.ConvSpec(8, 4, kernel=1, stride=2), "depth", id="pointwise-stride2"),
         pytest.param(ops.ConvSpec(8, 4, dilation=2, padding=2, groups=2), "kn2row",
                      id="kn2row-dilation2"),
-        pytest.param(ops.ConvSpec(4, 8, dilation=2, padding=2, groups=2), "im2col",
+        pytest.param(ops.ConvSpec(4, 8, dilation=2, padding=2, groups=2), "depth",
                      id="im2col-dilation2"),
-        pytest.param(ops.ConvSpec(4, 8, stride=2, dilation=3, padding=3, groups=2), "im2col",
+        pytest.param(ops.ConvSpec(4, 8, stride=2, dilation=3, padding=3, groups=2), "depth",
                      id="stride2-dilation3"),
         pytest.param(ops.ConvSpec(8, 4, dilation=3, padding=(7, 3, 3), groups=2), "kn2row",
                      id="kn2row-dilation3-past"),
-        pytest.param(ops.ConvSpec(4, 8, padding=(4, 1, 1), groups=2), "im2col", id="im2col-past")])
+        pytest.param(ops.ConvSpec(4, 8, padding=(4, 1, 1), groups=2), "depth", id="im2col-past")])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_bands_equal_the_whole_operand(self, rng, monkeypatch, spec, path, mode):
         """SLAB_BYTES holds two planes of the operand and BLOCK_BYTES one, so
-        the forward and the weight gradient each read it in several bands, and
-        a 3x3x3 slab that reads past its band remakes it. A 1x1x1 conv's
-        weight gradient adds its bands' contractions in turn (at stride 2 a
-        band is the one plane that a slab of one output plane reads)."""
+        the forward and the weight gradient each read it in several bands. A
+        depth pass makes each plane once; a 3x3x3 kn2row slab that reads past
+        its band remakes it. A 1x1x1 conv's weight gradient adds its bands'
+        contractions in turn (at stride 2 a band's two input planes hold the
+        one that one output plane reads)."""
         x = rng.standard_normal((2, spec.c_in, 9, 8, 6))
         plane = x[:, :, 0].nbytes
         monkeypatch.setattr(ops, "SLAB_BYTES", 2 * plane)
         monkeypatch.setattr(ops, "BLOCK_BYTES", plane)
         assert path == ("pointwise" if ops._pointwise(spec) else
-                        "kn2row" if ops._narrowing(spec) else "im2col")
+                        "kn2row" if ops._narrowing(spec) else "depth")
         bn = TestBatchNormRule._bn(rng, spec.c_in, np.float64)
         weight = ag.Parameter("w", rng.standard_normal(spec.weight_shape))
         g = rng.standard_normal((2, spec.c_out) + spec.out_spatial(x.shape[2:]))
@@ -602,7 +604,9 @@ class TestBandedOperand:
         # as channel blocks of the whole depth
         for seen in (forward_depths, depths[:depths.index(9)]):
             assert len(seen) > 2 and max(seen) < 9
-        if spec.kernel[0] == 3:  # some planes were made again for a later slab
+        if path == "depth":  # each plane was made once
+            assert sum(forward_depths) == sum(depths[:depths.index(9)]) == 9
+        elif spec.kernel[0] == 3:  # some planes were made again for a later slab
             assert sum(forward_depths) > 9
         if spec.padding[0] > spec.effective_kernel[0] // 2:  # taps past the volume
             assert not node.data[:, :, 0].any()

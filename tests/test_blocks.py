@@ -1,5 +1,7 @@
 """Multiplexer, MF unit and DMF unit: topology, parameter algebra, degeneracies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,24 @@ class TestEvalBands:
         projection.forward(tape.leaf(x), mode="eval", tape=tape, overwrite=True)
         projection.forward(x, mode="train", overwrite=True)
         assert x.tobytes() == keep.tobytes()
+
+
+def test_decoder_unit_lets_its_concat_go_before_the_second_conv(rng):
+    """dec3 (96 -> 16, g16) on a 1x96x48^3 concat, untaped in eval mode: the
+    traced peak is the concat, the shortcut's and the first conv's outputs
+    and one pass's scratch (a slab and a BN+ReLU band). The concat goes once
+    the first conv has read it; held through the second conv, it and that
+    conv's output would exceed this."""
+    cfg = blocks.MFUnitConfig(96, 16, 16, g=16)
+    unit = blocks.MFUnit("dec3", cfg, rng)
+    size = 48
+    tracemalloc.start()
+    try:
+        # the concat is made under the trace, and only the unit holds it
+        unit.forward(rng.standard_normal((1, cfg.c_in, size, size, size), dtype=np.float32),
+                     mode="eval", overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channel = size ** 3 * 4
+    assert peak <= (cfg.c_in + 2 * cfg.c_out) * channel + 2 * ops.SLAB_BYTES + (1 << 20)

@@ -1,6 +1,7 @@
 """Forward kernel tests: spec'd examples, oracle comparisons and properties."""
 
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from dmfnet import blocks, ops
 from dmfnet.errors import ConfigError, ShapeError
 
-from oracles import conv3d_reference, trilinear_reference
+from oracles import conv3d_grads_reference, conv3d_reference, trilinear_reference
 
 
 class TestConvSpec:
@@ -148,10 +149,11 @@ class TestConvBackwardKernels:
         w = rng.standard_normal(spec.weight_shape)
         _assert_adjoint(x, w, spec)
 
-    # float64 slab budgets, in output rows: one row, a few rows of one plane,
-    # or two planes and a row; the last two leave a short last slab on these
-    # shapes. Padding past same_padding puts some taps wholly outside the
-    # volume in some slabs but not in others.
+    # float64 budgets for a band's columns, in output rows: less than a plane
+    # (two cases), which leaves bands of one plane, or two planes and a row,
+    # which leaves bands of two planes and a shorter last one. Padding past
+    # same_padding puts some taps wholly outside the volume in some bands but
+    # not in others.
     @pytest.mark.parametrize("slab_rows", [lambda ho: 3, lambda ho: 2 * ho + 1, lambda ho: 1],
                              ids=["rows", "planes", "row"])
     @pytest.mark.parametrize("stride,dilation,past", [
@@ -166,12 +168,14 @@ class TestConvBackwardKernels:
         x = rng.standard_normal((1, 4, 9, 8, 6))
         w = rng.standard_normal(spec.weight_shape)
         do, ho, wo = spec.out_spatial(x.shape[2:])
-        row_bytes = x.shape[0] * spec.c_in * 27 * wo * x.itemsize
+        row_bytes = x.shape[0] * spec.c_in * 9 * wo * x.itemsize
         monkeypatch.setattr(ops, "SLAB_BYTES", slab_rows(ho) * row_bytes)
-        start = tuple(-p for p in spec.padding)
-        sizes = [vox.stop - vox.start for vox, _ in ops._slabs(x, spec, (do, ho, wo), start)]
+        calls = _depth_calls(monkeypatch)
+        for _ in ops._depth_slabs(x, ops._views(spec), spec.stride, spec.groups, (do, ho, wo)):
+            pass
+        (_, sizes), = calls
         assert len(sizes) > 2
-        assert sizes[-1] < sizes[0] if slab_rows(ho) > 1 else sizes[-1] == sizes[0]
+        assert sizes[-1] < sizes[0] == 2 if slab_rows(ho) > ho else sizes[-1] == sizes[0] == 1
 
         _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
@@ -214,7 +218,7 @@ class TestConvBackwardKernels:
         assert peak <= out.nbytes + ops.SLAB_BYTES + (1 << 20)
 
     def test_dilated_strided_scratch_memory_is_bounded(self):
-        # the same forward's dilation-3 stride-2 branch (enc1.u0.branch_d3), on im2col
+        # the same forward's dilation-3 stride-2 branch (enc1.u0.branch_d3), by depth plane
         spec = ops.ConvSpec(32, 32, kernel=3, stride=2, dilation=3, padding=3, groups=16)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32, 64, 64, 64), dtype=np.float32)
@@ -243,6 +247,77 @@ class TestConvBackwardKernels:
         assert peak <= gx.nbytes + ops.SLAB_BYTES + (1 << 20)
 
 
+def _depth_calls(monkeypatch, planes=None):
+    """A log, from now on, of the passes that contract by depth plane: per
+    :func:`ops._depth_slabs` call, its operand and the depth of each band it
+    read. With ``planes``, SLAB_BYTES holds that many planes of each call's
+    columns and GEMM output."""
+    calls = []
+    depth_slabs = ops._depth_slabs
+
+    class Band(ops._Band):
+        def __call__(self, p0, p1):
+            if calls and calls[-1][0] is self.x:
+                calls[-1][1].append(p1 - p0)
+            return super().__call__(p0, p1)
+
+    def logged(x, views, stride, groups, out_spatial, bn=None, rows=0):
+        calls.append((x, []))
+        if planes:
+            taps = sum(k[1] * k[2] for k, _, _ in views) * x.shape[1] + rows
+            monkeypatch.setattr(ops, "SLAB_BYTES",
+                                planes * taps * x.shape[0] * prod(out_spatial[1:]) * x.itemsize)
+        yield from depth_slabs(x, views, stride, groups, out_spatial, bn, rows)
+
+    monkeypatch.setattr(ops, "_Band", Band)
+    monkeypatch.setattr(ops, "_depth_slabs", logged)
+    return calls
+
+
+class TestDepthLowering:
+    """Every conv pass that copies columns contracts by depth plane
+    (:func:`ops._depth_slabs`): a one-view forward, each stride phase of the
+    input gradient and the weight gradient; for a narrowing conv, whose
+    forward is kn2row, the weight gradient's columns are grad_out's. Each
+    pass matches the loop oracles, in one band, in bands of two planes and in
+    bands of one plane."""
+
+    @pytest.mark.parametrize("planes", [None, 2, 1], ids=["one-band", "bands", "one-plane"])
+    @pytest.mark.parametrize("c_in,c_out,stride", [(4, 6, 1), (4, 6, 2), (12, 4, 1)],
+                             ids=["stride1", "stride2", "narrowing"])
+    def test_every_copying_pass_runs_on_depth_bands(self, monkeypatch, planes, c_in, c_out,
+                                                     stride):
+        rng = np.random.default_rng(13)
+        spec = ops.ConvSpec(c_in, c_out, kernel=3, stride=stride, padding=1, groups=2)
+        x = rng.standard_normal((2, c_in, 7, 6, 5))
+        w = rng.standard_normal(spec.weight_shape)
+        g = rng.standard_normal((2, c_out) + spec.out_spatial(x.shape[2:]))
+        args = spec.stride, spec.dilation, spec.padding, spec.groups
+        gx, gw = conv3d_grads_reference(x, w, g, *args)
+        narrow = ops._narrowing(spec)
+        calls = _depth_calls(monkeypatch, planes)
+        for run, want, operand in [
+                (lambda: ops.conv3d(x, w, spec), conv3d_reference(x, w, *args), None if narrow else x),
+                (lambda: ops.conv3d_input_grad(g, w, spec, x.shape), gx, g),
+                (lambda: ops.conv3d_weight_grad(x, g, spec), gw, g if narrow else x)]:
+            calls.clear()
+            got = run()
+            assert got.shape == want.shape
+            assert (np.abs(got - want) / np.maximum(np.abs(want), 1.0)).max() < 1e-12
+            if operand is None:  # kn2row
+                assert calls == []
+                continue
+            # one call per stride phase but the even one, whose single centre
+            # tap is a 1x1x1 conv that reads grad_out in place
+            assert len(calls) == (7 if want is gx and stride == 2 else 1)
+            for seen, bands in calls:
+                assert seen is operand and sum(bands) == seen.shape[2]
+                if planes is None:
+                    assert len(bands) == 1
+                else:
+                    assert len(bands) > 1 and bands[:-1] == [planes] * (len(bands) - 1)
+
+
 def _traced_peak(f):
     """f() and the peak of the bytes that tracemalloc saw allocated while it ran."""
     tracemalloc.start()
@@ -263,11 +338,11 @@ def _flip_side(monkeypatch):
 
 class TestContractionSide:
     """Each conv pass contracts on its narrow side: kn2row for a narrowing
-    stride-1 conv, im2col otherwise, and no columns for a 1x1x1 stride-1
+    stride-1 conv, depth columns otherwise, and no columns for a 1x1x1 stride-1
     unpadded conv. Both sides must give the same convolution."""
 
     # (c_in, c_out, groups, kernel, stride, span, output side?): the DMFNet
-    # and toy convs the rule sends to kn2row, and those that stay on slabs
+    # and toy convs the rule sends to kn2row, and those that copy columns
     SIDES = [
         (96, 16, 16, 3, 1, 1, True), (272, 64, 16, 3, 1, 1, True), (704, 144, 16, 3, 1, 1, True),
         (128, 32, 16, 3, 1, 1, True), (272, 128, 16, 3, 1, 1, True), (24, 8, 4, 3, 1, 1, True),
