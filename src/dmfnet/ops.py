@@ -25,27 +25,29 @@ sums are :func:`channel_sum`'s, which add in numpy's order for an entire
 array, so every blocked pass is bit-identical to its unblocked form.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
-(see _narrowing), in one of three ways. A 1x1x1 stride-1 unpadded conv copies
-nothing: its columns are its operand, a band of depth planes at a time
-(_slabs). A stride-1 one-view conv with at most half as many output as input
-channels, other than that 1x1x1 one, runs as kn2row: per slab and kernel
-plane one GEMM Y = W @ x reads the input in place, and the output accumulates
-the window of Y that each tap shifts into place; Y holds at most SLAB_BYTES.
-Every other pass copies columns, by depth plane (_depth_slabs): per band of
-input planes, each plane's (h, w) taps are copied once per view and serve
-every kernel plane that reads the plane, one GEMM each, where im2col would
-copy them once per kernel plane; a band's columns and the GEMM output fit
-SLAB_BYTES together. A spec's ``views`` make one conv over several dilated
-views of its operand (a DMF unit's branches), which always contracts by depth
-plane: kn2row reads one dilation in place. The weight gradient contracts
-(n, g, c_in/g * taps, voxels) columns of the input with grad_out or, for a
-narrowing conv, columns of grad_out with the input.
+(see _narrowing), in one of three ways, each reading its operand in the same
+consecutive bands of whole depth planes, one plane at least (_bands). A
+1x1x1 stride-1 unpadded conv copies nothing: its columns are its operand's
+bands. A stride-1 one-view conv with at most half as many output as input
+channels, other than that 1x1x1 one, runs as kn2row: per band and kernel
+plane one GEMM Y = W @ x reads the band's planes in place, and the output
+accumulates the window of Y that each tap shifts into place; a band is as
+many planes as fit their Y in SLAB_BYTES. Every other pass copies columns,
+by depth plane (_depth_slabs): per band, each plane's (h, w) taps are copied
+once per view and serve every kernel plane that reads the plane, one GEMM
+each, where im2col would copy them once per kernel plane; a band's columns
+and the GEMM output fit SLAB_BYTES together. A spec's ``views`` make one
+conv over several dilated views of its operand (a DMF unit's branches),
+which always contracts by depth plane: kn2row reads one dilation in place.
+The weight gradient contracts (n, g, c_in/g * taps, voxels) columns of the
+input with grad_out or, for a narrowing conv, columns of grad_out with the
+input.
 
 No pass pads its operand: each tap's window is clipped at the volume border,
 and what it would read outside counts as zero. Given a BN affine (``bn=``),
 a forward or weight-gradient pass reads relu(batch_norm(x)) a band of depth
 planes at a time, made by :func:`batch_norm_apply` in one reused buffer of at
-most SLAB_BYTES (or one slab's planes, if more), so its scratch is one slab
+most SLAB_BYTES (or one band's planes, if more), so its scratch is one slab
 plus one band. The input gradient is a transposed conv done as gathers: one
 stride-1 conv per stride phase, reading the output gradient in place from
 the phase's own start, so a widening conv's phases run as kn2row.
@@ -174,8 +176,8 @@ def _check_conv_args(x, weight, spec):
 
 
 # Bytes of scratch a conv pass holds at once: a depth band's columns and GEMM
-# output, or the kn2row GEMM output Y (one output row at least); and a BN+ReLU
-# operand's band.
+# output, or a band's kn2row GEMM output Y (one plane's at least); and a
+# BN+ReLU operand's band.
 SLAB_BYTES = 8 << 20
 
 
@@ -188,9 +190,10 @@ class _Band:
     """The operand of a conv pass, read by depth planes. Without ``bn`` it is
     x itself. With ``bn`` = (mean, var, gamma, beta, eps) it is
     ``batch_norm_apply(x, *bn, relu=True)``, made a band of full planes at a
-    time into one reused buffer: as many planes as fit SLAB_BYTES, or as one
-    read asks for if more. A read past the band remakes it from the read's
-    first plane on, so an operand that fits is made once per pass."""
+    time into one reused buffer: as many planes as fit SLAB_BYTES (whole
+    bands of :func:`_bands`), or as one read asks for if more. A read past
+    the band remakes it from the read's first plane on, so an operand that
+    fits is made once per pass."""
 
     def __init__(self, x, bn):
         self.x, self.bn = x, bn
@@ -217,78 +220,40 @@ class _Band:
             batch_norm_apply(x[:, :, p0:self.hi], *self.bn, relu=True, out=self.planes)
         return self.planes, self.lo
 
-    def fit(self, planes, spec):
-        """At most ``planes`` output planes per slab of a ``spec`` conv, and no
-        more than the band holds the input planes of (one at least)."""
-        if self.cap == self.x.shape[2]:
-            return planes
-        return min(planes, max(1, (self.cap - spec.effective_kernel[0]) // spec.stride[0] + 1))
 
-    def boxes(self, zboxes):
-        """The band that holds the planes a slab's depth boxes read (the current
-        one if they read none), and the boxes with their plane slices made
-        relative to it. A plain operand's band is all of x from plane 0."""
-        reads = [bd[2] for bd in zboxes if bd]
-        if not reads:
-            return self.planes, zboxes
-        planes, z = self(min(r.start for r in reads), max(r.stop for r in reads))
-        if z:
-            zboxes = [bd and (bd[0], bd[1], slice(bd[2].start - z, bd[2].stop - z, bd[2].step))
-                      for bd in zboxes]
-        return planes, zboxes
+def _bands(x, bn, scratch=0):
+    """The operand of a conv pass (``x``, or with ``bn`` its BN+ReLU, see
+    :class:`_Band`) in consecutive bands of whole depth planes: yields (p0,
+    p1, planes p0 .. p1-1 as an (n, c, p1-p0, h, w) array). A band is as many
+    planes as leave room in SLAB_BYTES for ``scratch`` bytes per plane, one
+    at least, and no more than a :class:`_Band` makes at once (all of x
+    without ``scratch``)."""
+    band = _Band(x, bn)
+    planes = min(band.cap, max(1, SLAB_BYTES // scratch)) if scratch else band.cap
+    band.cap -= band.cap % planes  # each made band holds whole bands: no plane is made twice
+    for p0 in range(0, x.shape[2], planes):
+        p1 = min(x.shape[2], p0 + planes)
+        xb, z = band(p0, p1)
+        yield p0, p1, xb[:, :, p0 - z:p1 - z]
 
 
-def _slab_extent(line_bytes, out_planes, out_rows, halo=0):
-    """(planes, rows) of output per slab. A slab is full planes or, if one
-    plane does not fit, rows of one plane; it holds ``line_bytes`` of scratch
-    per row it reads, which is its own rows plus ``halo`` per plane."""
-    lines = max(1, SLAB_BYTES // line_bytes)
-    if lines >= out_rows + halo:
-        return min(out_planes, lines // (out_rows + halo)), out_rows
-    return 1, max(1, lines - halo)
-
-
-def _clip(o0, extent, stride, dilation, start, size, k):
-    """Where tap k of outputs o0 .. o0+extent-1 reads inside an axis of
-    ``size`` voxels, when output o's tap k reads input start + o*stride +
-    k*dilation: (lo, hi) of the outputs that do, relative to o0, and the input
-    slice they read; None if none does."""
+def _clip(extent, stride, dilation, start, size, k):
+    """Where tap k of outputs 0 .. extent-1 reads inside an axis of ``size``
+    voxels, when output o's tap k reads input start + o*stride + k*dilation:
+    (lo, hi) of the outputs that do, and the input slice they read; None if
+    none does."""
     first = start + k * dilation
-    lo = max(o0, -(first // stride))  # the first o with first + o*stride >= 0
-    hi = min(o0 + extent, (size - 1 - first) // stride + 1)
+    lo = max(0, -(first // stride))  # the first o with first + o*stride >= 0
+    hi = min(extent, (size - 1 - first) // stride + 1)
     if lo >= hi:
         return None
-    return lo - o0, hi - o0, slice(first + lo * stride, first + (hi - 1) * stride + 1, stride)
+    return lo, hi, slice(first + lo * stride, first + (hi - 1) * stride + 1, stride)
 
 
 def _views(spec):
     """(kernel, dilation, start) of each view of ``spec``: output voxel o's
     tap t of a view reads start + o*stride + t*dilation per axis."""
     return [(spec.kernel, d, tuple(-q for q in p)) for d, p in spec.views]
-
-
-def _boxes(spec, start, in_spatial, out_spatial, steps):
-    """Per axis d and h, per slab origin (slabs of ``steps`` outputs), per tap
-    index along the axis: the tap's :func:`_clip`; for w, which every slab
-    spans in full, the per-tap list alone."""
-    d, h, w = ({o0: [_clip(o0, min(step, o - o0), s, dil, st, size, t) for t in range(k)]
-                for o0 in range(0, o, step)}
-               for o, step, k, s, dil, st, size in zip(out_spatial, steps, spec.kernel, spec.stride,
-                                                       spec.dilation, start, in_spatial))
-    return d, h, w[0]
-
-
-def _slabs(x, groups, bn=None):
-    """Columns of a 1x1x1 stride-1 unpadded conv read from offset 0 over its
-    own extent: the operand itself (``x``, or with ``bn`` its BN+ReLU), a
-    band of :class:`_Band` at a time, so nothing is copied. Yields per band
-    its flattened voxel slice and the band as (n, g, c_in/g, voxels)."""
-    n, cig = x.shape[0], x.shape[1] // groups
-    band = _Band(x, bn)
-    plane = x[0, 0, 0].size
-    for z in range(0, x.shape[2], band.cap):
-        planes = band(z, min(x.shape[2], z + band.cap))[0]
-        yield slice(z * plane, (z + planes.shape[2]) * plane), planes.reshape(n, groups, cig, -1)
 
 
 def _depth_slabs(x, views, stride, groups, out_spatial, bn=None, rows=0):
@@ -299,16 +264,17 @@ def _depth_slabs(x, views, stride, groups, out_spatial, bn=None, rows=0):
     t of a view reads x at start + o*stride + t*dilation per axis; reads
     outside the volume count as zero. Output plane z's kernel plane a reads
     input plane z*stride + start + a*dilation (depth). So per band of input
-    planes and per view, the columns of the view's kh*kw taps of every plane
-    of the band, (n, g, c_in/g * kh * kw, planes * voxels per output plane),
-    serve each kernel plane a run of output planes: the band keeps its planes
-    grouped by their residue modulo the stride, so each run reads consecutive
-    planes. Yields (v, a, vox, cols): view v, kernel plane a, the flattened
-    output voxels and their columns, a slice of the band's, whose rows follow
-    view v's kernel plane a of a weight reshaped to (g, c_out/g, c_in/g, kd,
-    kh * kw). A pass's contractions over these sum to the conv, each input
-    plane's taps copied kh*kw times, not once per kernel plane that reads it.
-    Kernel planes come last to first, so the runs start in increasing order.
+    planes (:func:`_bands`) and per view, the columns of the view's kh*kw
+    taps of every plane of the band, (n, g, c_in/g * kh * kw, planes * voxels
+    per output plane), serve each kernel plane a run of output planes: the
+    band keeps its planes grouped by their residue modulo the stride, so each
+    run reads consecutive planes. Yields (v, a, vox, cols): view v, kernel
+    plane a, the flattened output voxels and their columns, a slice of the
+    band's, whose rows follow view v's kernel plane a of a weight reshaped to
+    (g, c_out/g, c_in/g, kd, kh * kw). A pass's contractions over these sum
+    to the conv, each input plane's taps copied kh*kw times, not once per
+    kernel plane that reads it. Kernel planes come last to first, so the runs
+    start in increasing order.
 
     A band's columns and ``rows`` values per output voxel of a run (the
     caller's GEMM output) fit SLAB_BYTES together (one plane at least). Each
@@ -317,17 +283,16 @@ def _depth_slabs(x, views, stride, groups, out_spatial, bn=None, rows=0):
     n, g, cig = x.shape[0], groups, x.shape[1] // groups
     do, ho, wo = out_spatial
     s, plane = stride[0], ho * wo
-    band = _Band(x, bn)
     taps = sum(k[1] * k[2] for k, _, _ in views) * x.shape[1] + rows
-    planes = min(band.cap, max(1, SLAB_BYTES // (taps * n * plane * x.itemsize)))
-    bufs = [np.zeros((n, g, cig, k[1], k[2], planes, ho, wo), dtype=x.dtype) for k, _, _ in views]
-    boxes = [[[_clip(0, o, stride[ax], dil[ax], st[ax], size, t) for t in range(k[ax])]
+    boxes = [[[_clip(o, stride[ax], dil[ax], st[ax], size, t) for t in range(k[ax])]
               for ax, o, size in ((1, ho, x.shape[3]), (2, wo, x.shape[4]))]
              for k, dil, st in views]
-    for p0 in range(0, x.shape[2], planes):
-        p1 = min(x.shape[2], p0 + planes)
-        xb, z = band(p0, p1)
-        xg = xb.reshape(n, g, cig, *xb.shape[2:])[:, :, :, p0 - z:p1 - z]
+    for p0, p1, xb in _bands(x, bn, taps * n * plane * x.itemsize):
+        if not p0:  # the first band is the largest
+            planes = p1
+            bufs = [np.zeros((n, g, cig, k[1], k[2], planes, ho, wo), dtype=x.dtype)
+                    for k, _, _ in views]
+        xg = xb.reshape(n, g, cig, *xb.shape[2:])
         # band plane p0 + r + s*j sits at slot offset[r] + j
         offset = list(accumulate((len(range(r, p1 - p0, s)) for r in range(s)), initial=0))
         for v, ((k, dil, st), buf, (bh, bw)) in enumerate(zip(views, bufs, boxes)):
@@ -368,62 +333,51 @@ def _narrowing(spec, span=1):
     that side copies at most half of what the input side would. Per voxel
     they copy c_out/g and c_in/g rows; the output side's copies cover
     ``span`` times as many voxels. A 1x1x1 stride-1 unpadded conv never is:
-    read from offset 0, neither side copies anything (see _slabs). Nor is a
+    read from offset 0, neither side copies anything (see _bands). Nor is a
     conv over several views: kn2row reads one dilation in place."""
     return (spec.stride == (1, 1, 1) and len(spec.views) == 1 and not _pointwise(spec)
             and 2 * spec.c_out * span <= spec.c_in)
 
 
 def _kn2row(x, weight, spec, out, start, bn=None):
-    """Stride-1 conv as kn2row: per slab and kernel plane a, one GEMM
-    Y = W[a] @ x over the input rows the slab reads, with no column copy, then
-    out += the part of each of the plane's kh*kw windows of Y, shifted into
-    place by its tap, that lies inside the volume. With ``bn`` x is read as
-    its BN+ReLU (:class:`_Band`).
+    """Stride-1 conv as kn2row: per band of input planes (:func:`_bands`) and
+    kernel plane a, one GEMM Y = W[a] @ x over the band's planes that a reads,
+    with no column copy, then out += the part of each of the plane's kh*kw
+    windows of Y, shifted into place by its tap, that lies inside the volume.
+    With ``bn`` x is read as its BN+ReLU (:class:`_Band`).
 
-    Y holds c_out/g * kh * kw rows per input voxel and at most SLAB_BYTES.
-    """
+    Y holds c_out/g * kh * kw rows per input voxel, and a band is as many
+    whole planes as fit its Y in SLAB_BYTES, one at least. Each output voxel
+    adds its taps kernel plane by kernel plane, first to last."""
     n, g, cig, cog = x.shape[0], spec.groups, spec.c_in // spec.groups, spec.c_out // spec.groups
     kd, kh, kw = spec.kernel
     hi, wi = x.shape[3:]
     do, ho, wo = out.shape[2:]
+    plane = hi * wi
     # (kd, g, kh*kw*c_out/g, c_in/g): the taps of one kernel plane stacked as rows
     wk = weight.reshape(g, cog, cig, kd, kh * kw).transpose(3, 0, 4, 1, 2)
     wk = wk.reshape(kd, g, -1, cig)
     dst = out.reshape(n, g, cog, do, ho, wo)
     dst[...] = 0
-    halo = spec.dilation[1] * (kh - 1)
-    # a slab of full planes reads all hi rows of each, which a phase start can
-    # make more than ho + halo
-    extra = max(halo, hi - ho)
-    row_elems = n * spec.c_out * kh * kw * wi
-    band = _Band(x, bn)
-    dz, dy = _slab_extent(row_elems * x.itemsize, do, ho, extra)
-    dz = band.fit(dz, spec)
-    buf = np.empty(row_elems * dz * (dy + extra), dtype=x.dtype)
-    bz, by, bx = _boxes(spec, start, x.shape[2:], out.shape[2:], (dz, dy, wo))
-    for z0, zboxes in bz.items():
-        planes, zboxes = band.boxes(zboxes)
-        xf = planes.reshape(n, g, cig, -1)
-        for y0, yboxes in by.items():
-            ey = min(dy, ho - y0)
-            # input rows read: all of each plane, or the slab's rows and their halo
-            r0, r1 = (0, hi) if dy == ho else (max(0, start[1] + y0), min(hi, start[1] + y0 + ey + halo))
-            if r0 >= r1:
-                continue  # every row the slab's taps read lies outside the volume
-            for a, bd in enumerate(zboxes):
-                if bd is None:
-                    continue
-                z, z1, planes = bd
-                y = buf[: row_elems * (z1 - z) * (r1 - r0)].reshape(n, g, -1, (z1 - z) * (r1 - r0) * wi)
-                first = (planes.start * hi + r0) * wi
-                np.matmul(wk[a], xf[..., first:first + y.shape[-1]], out=y)
-                taps = y.reshape(n, g, kh, kw, cog, z1 - z, r1 - r0, wi)
-                acc = dst[:, :, :, z0 + z:z0 + z1]
-                for (b, bh), (c, bw) in product(enumerate(yboxes), enumerate(bx)):
-                    if bh and bw:
-                        acc[..., y0 + bh[0]:y0 + bh[1], bw[0]:bw[1]] += \
-                            taps[:, :, b, c, ..., bh[2].start - r0:bh[2].stop - r0, bw[2]]
+    bh, bw = ([_clip(o, 1, spec.dilation[ax], start[ax], x.shape[2 + ax], t) for t in range(k)]
+              for ax, o, k in ((1, ho, kh), (2, wo, kw)))
+    rows = n * spec.c_out * kh * kw * plane  # Y's elements per input plane
+    for p0, p1, xb in _bands(x, bn, rows * x.itemsize):
+        if not p0:  # the first band is the largest
+            buf = np.empty(rows * p1, dtype=x.dtype)
+        xf = xb.reshape(n, g, cig, -1)
+        for a in range(kd):
+            first = start[0] + a * spec.dilation[0]  # output plane z reads input plane z + first
+            z0, z1 = max(0, p0 - first), min(do, p1 - first)
+            if z0 >= z1:
+                continue
+            y = buf[:rows * (z1 - z0)].reshape(n, g, -1, (z1 - z0) * plane)
+            np.matmul(wk[a], xf[..., (z0 + first - p0) * plane:(z1 + first - p0) * plane], out=y)
+            taps = y.reshape(n, g, kh, kw, cog, z1 - z0, hi, wi)
+            acc = dst[:, :, :, z0:z1]
+            for (b, hb), (c, wb) in product(enumerate(bh), enumerate(bw)):
+                if hb and wb:
+                    acc[..., hb[0]:hb[1], wb[0]:wb[1]] += taps[:, :, b, c, ..., hb[2], wb[2]]
     return out
 
 
@@ -435,8 +389,9 @@ def _conv(x, weight, spec, out=None, views=None, bn=None):
     default, :func:`_views`); reads outside x count as zero. The weight holds
     per output channel one block per view, (c_in/g, kd, kh, kw) each, in view
     order. A narrowing one-view conv is kn2row (:func:`_kn2row`), a 1x1x1
-    one read from offset 0 over x's extent copies nothing (:func:`_slabs`),
-    and any other contracts by depth plane (:func:`_depth_slabs`)."""
+    one read from offset 0 over x's extent contracts x's bands themselves
+    (:func:`_bands`), and any other contracts by depth plane
+    (:func:`_depth_slabs`)."""
     n, g = x.shape[0], spec.groups
     views = views or _views(spec)
     if out is None:
@@ -449,8 +404,10 @@ def _conv(x, weight, spec, out=None, views=None, bn=None):
           and out.shape[2:] == x.shape[2:]):
         # one column row per group makes an outer product, which BLAS does 5x slower
         contract = np.multiply if wk.shape[2] == 1 else np.matmul
-        for vox, cols in _slabs(x, g, bn):
-            contract(wk, cols, out=flat[..., vox])
+        plane = x[0, 0, 0].size
+        for p0, p1, xb in _bands(x, bn):
+            contract(wk, xb.reshape(n, g, -1, (p1 - p0) * plane),
+                     out=flat[..., p0 * plane:p1 * plane])
     else:
         blocks = _depth_weights(wk, views, x.shape[1] // g)
         flat[...] = 0
@@ -526,12 +483,13 @@ def conv3d_input_grad(grad_out, weight, spec, input_shape):
 def conv3d_weight_grad(x, grad_out, spec, bn=None):
     """Gradient of conv3d w.r.t. its weight tensor: per view and kernel plane,
     the sum of the bands' contractions, from the first on, of columns of the
-    input (:func:`_depth_slabs`, or :func:`_slabs` for a 1x1x1 stride-1
-    unpadded conv) with rows of grad_out. A narrowing conv contracts the
-    other way round: input voxel v takes tap t from grad_out at v + p - t*d,
-    so the columns are grad_out's taps over the input's extent, read from
-    p - d*(k-1) with the taps flipped, and the rows are the input's. With
-    ``bn`` the input is read as its BN+ReLU, as :func:`conv3d` reads it."""
+    input (:func:`_depth_slabs`, or the bands of :func:`_bands` themselves
+    for a 1x1x1 stride-1 unpadded conv) with rows of grad_out. A narrowing
+    conv contracts the other way round: input voxel v takes tap t from
+    grad_out at v + p - t*d, so the columns are grad_out's taps over the
+    input's extent, read from p - d*(k-1) with the taps flipped, and the rows
+    are the input's. With ``bn`` the input is read as its BN+ReLU, as
+    :func:`conv3d` reads it."""
     x = check_volume5d(x)
     n, g, cig, cog = x.shape[0], spec.groups, spec.c_in // spec.groups, spec.c_out // spec.groups
     plane = x[0, 0, 0].size
@@ -544,7 +502,8 @@ def conv3d_weight_grad(x, grad_out, spec, bn=None):
         slabs = _depth_slabs(grad_out, views, (1, 1, 1), g, x.shape[2:])
         band = _Band(x, bn)
     elif _pointwise(spec):
-        slabs = ((0, 0, vox, cols) for vox, cols in _slabs(x, g, bn))
+        slabs = ((0, 0, slice(p0 * plane, p1 * plane), xb.reshape(n, g, cig, -1))
+                 for p0, p1, xb in _bands(x, bn))
     else:
         slabs = _depth_slabs(x, views, spec.stride, g, grad_out.shape[2:], bn)
     kd, kh, kw = spec.kernel

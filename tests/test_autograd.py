@@ -560,10 +560,9 @@ class TestBandedOperand:
     def test_bands_equal_the_whole_operand(self, rng, monkeypatch, spec, path, mode):
         """SLAB_BYTES holds two planes of the operand and BLOCK_BYTES one, so
         the forward and the weight gradient each read it in several bands. A
-        depth pass makes each plane once; a 3x3x3 kn2row slab that reads past
-        its band remakes it. A 1x1x1 conv's weight gradient adds its bands'
-        contractions in turn (at stride 2 a band's two input planes hold the
-        one that one output plane reads)."""
+        forward makes each plane once, on every path. A 1x1x1 conv's weight
+        gradient adds its bands' contractions in turn (at stride 2 a band's
+        two input planes hold the one that one output plane reads)."""
         x = rng.standard_normal((2, spec.c_in, 9, 8, 6))
         plane = x[:, :, 0].nbytes
         monkeypatch.setattr(ops, "SLAB_BYTES", 2 * plane)
@@ -604,10 +603,9 @@ class TestBandedOperand:
         # as channel blocks of the whole depth
         for seen in (forward_depths, depths[:depths.index(9)]):
             assert len(seen) > 2 and max(seen) < 9
-        if path == "depth":  # each plane was made once
-            assert sum(forward_depths) == sum(depths[:depths.index(9)]) == 9
-        elif spec.kernel[0] == 3:  # some planes were made again for a later slab
-            assert sum(forward_depths) > 9
+        assert sum(forward_depths) == 9  # each plane was made once
+        if path == "depth":
+            assert sum(depths[:depths.index(9)]) == 9
         if spec.padding[0] > spec.effective_kernel[0] // 2:  # taps past the volume
             assert not node.data[:, :, 0].any()
 

@@ -412,10 +412,10 @@ class TestContractionSide:
         _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
 
-    # float64 budgets for kn2row's Y, in rows of the unpadded input width: two
-    # planes (with their halo) and a row, or less than a plane, which leaves
-    # two output rows (and their halo) per slab
-    @pytest.mark.parametrize("budget_rows", [lambda hp, halo: 2 * hp + 1, lambda hp, halo: halo + 2],
+    # float64 budgets for kn2row's Y, in rows of the input's width: two
+    # planes and a row, which leaves bands of two planes and a shorter last
+    # one, or less than one plane, which leaves one-plane bands over budget
+    @pytest.mark.parametrize("budget_rows", [lambda hi: 2 * hi + 1, lambda hi: hi - 1],
                              ids=["planes", "rows"])
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_kn2row_slabs_match_oracle_and_adjoints(self, monkeypatch, budget_rows, dilation):
@@ -425,11 +425,18 @@ class TestContractionSide:
         assert ops._narrowing(spec)
         x = rng.standard_normal((1, 12, 9, 7, 6))
         w = rng.standard_normal(spec.weight_shape)
-        do, ho, wo = spec.out_spatial(x.shape[2:])
-        halo = 2 * dilation
         row_bytes = x.shape[0] * spec.c_out * 9 * x.shape[4] * x.itemsize
-        monkeypatch.setattr(ops, "SLAB_BYTES", budget_rows(ho + halo, halo) * row_bytes)
-        assert ops._slab_extent(row_bytes, do, ho, halo) in [(2, ho), (1, 2)]
+        monkeypatch.setattr(ops, "SLAB_BYTES", budget_rows(x.shape[3]) * row_bytes)
+        depths, bands = [], ops._bands
+
+        def logged(*args):
+            for band in bands(*args):
+                depths.append(band[1] - band[0])
+                yield band
+
+        monkeypatch.setattr(ops, "_bands", logged)
+        ops.conv3d(x, w, spec)
+        assert depths == ([2, 2, 2, 2, 1] if budget_rows(x.shape[3]) > x.shape[3] else [1] * 9)
         _assert_matches_oracle(x, w, spec)
         _assert_adjoint(x, w, spec)
 
