@@ -215,11 +215,8 @@ def t_conv3d(tape, x, weight, spec, transpose_weight=False, residual=None, bn=No
     instead, for the weight gradient and as the mask. So the tape keeps x but
     no operand, and the node's parents gain (bn.gamma, bn.beta). Every output
     and gradient is bit-identical to ``t_conv3d(t_batch_norm(x, bn, mode),
-    ...)``, except a weight gradient whose BN+ReLU bands hold fewer depth
-    planes than its column bands would (a 1x1x1 conv's, over more than one
-    band): it adds the shorter bands' sums in turn. The node's ``rebuild``
-    returns the BN+ReLU output, whole, for the kink mask of
-    :func:`finite_diff_check`."""
+    ...)``. The node's ``rebuild`` returns the BN+ReLU output, whole, for
+    the kink mask of :func:`finite_diff_check`."""
     xd = _data(x)
     affine = None
     if bn is not None:

@@ -25,32 +25,35 @@ sums are :func:`channel_sum`'s, which add in numpy's order for an entire
 array, so every blocked pass is bit-identical to its unblocked form.
 
 Each conv pass contracts on its narrow side, chosen from the spec's shapes
-(see _narrowing), in one of three ways, each reading its operand in the same
-consecutive bands of whole depth planes, one plane at least (_bands). A
-1x1x1 stride-1 unpadded conv copies nothing: its columns are its operand's
-bands. A stride-1 one-view conv with at most half as many output as input
-channels, other than that 1x1x1 one, runs as kn2row: per band and kernel
-plane one GEMM Y = W @ x reads the band's planes in place, and the output
-accumulates the window of Y that each tap shifts into place; a band is as
-many planes as fit their Y in SLAB_BYTES. Every other pass copies columns,
-by depth plane (_depth_slabs): per band, each plane's (h, w) taps are copied
-once per view and serve every kernel plane that reads the plane, one GEMM
-each, where im2col would copy them once per kernel plane; a band's columns
-and the GEMM output fit SLAB_BYTES together. A spec's ``views`` make one
-conv over several dilated views of its operand (a DMF unit's branches),
-which always contracts by depth plane: kn2row reads one dilation in place.
-The weight gradient contracts (n, g, c_in/g * taps, voxels) columns of the
-input with grad_out or, for a narrowing conv, columns of grad_out with the
-input.
+(see _narrowing), in one of three ways, each reading its operand in
+consecutive bands of whole depth planes from one loop (_bands): as many
+planes as fit SLAB_BYTES and leave room in it for the pass's scratch, one
+plane at least. A 1x1x1 stride-1 unpadded conv copies nothing: its columns
+are its operand's bands. A stride-1 one-view conv with at most half as many
+output as input channels, other than that 1x1x1 one, runs as kn2row: per
+band and kernel plane one GEMM Y = W @ x reads the band's planes in place,
+and the output accumulates the window of Y that each tap shifts into place;
+a band is as many planes as fit their Y in SLAB_BYTES. Every other pass
+copies columns, by depth plane (_depth_slabs): per band, each plane's (h, w)
+taps are copied once per view and serve every kernel plane that reads the
+plane, one GEMM each, where im2col would copy them once per kernel plane; a
+band's columns and the GEMM output fit SLAB_BYTES together. A spec's
+``views`` make one conv over several dilated views of its operand (a DMF
+unit's branches), which always contracts by depth plane: kn2row reads one
+dilation in place. The weight gradient contracts (n, g, c_in/g * taps,
+voxels) columns of the input with grad_out or, for a narrowing conv, per
+band of the input, columns of the depth slice of grad_out that the band
+reads with the band.
 
 No pass pads its operand: each tap's window is clipped at the volume border,
 and what it would read outside counts as zero. Given a BN affine (``bn=``),
-a forward or weight-gradient pass reads relu(batch_norm(x)) a band of depth
-planes at a time, made by :func:`batch_norm_apply` in one reused buffer of at
-most SLAB_BYTES (or one band's planes, if more), so its scratch is one slab
-plus one band. The input gradient is a transposed conv done as gathers: one
-stride-1 conv per stride phase, reading the output gradient in place from
-the phase's own start, so a widening conv's phases run as kn2row.
+a forward or weight-gradient pass reads relu(batch_norm(x)) in the bands it
+would read x in, each plane made once by :func:`batch_norm_apply` into one
+reused buffer. So its scratch is one slab plus one band, and its result has
+the bits of the same pass over the whole BN+ReLU. The input gradient is a
+transposed conv done as gathers: one stride-1 conv per stride phase, reading
+the output gradient in place from the phase's own start, so a widening
+conv's phases run as kn2row.
 
 Trilinear upsampling multiplies each axis by an interpolation matrix M; its
 gradient multiplies by M^T, so it is the exact adjoint.
@@ -176,8 +179,8 @@ def _check_conv_args(x, weight, spec):
 
 
 # Bytes of scratch a conv pass holds at once: a depth band's columns and GEMM
-# output, or a band's kn2row GEMM output Y (one plane's at least); and a
-# BN+ReLU operand's band.
+# output, or a band's kn2row GEMM output Y (one plane's at least); and one
+# band of its operand (made, for a BN+ReLU operand).
 SLAB_BYTES = 8 << 20
 
 
@@ -186,55 +189,27 @@ def band_planes(x):
     return min(x.shape[2], max(1, SLAB_BYTES * x.shape[2] // x.nbytes))
 
 
-class _Band:
-    """The operand of a conv pass, read by depth planes. Without ``bn`` it is
-    x itself. With ``bn`` = (mean, var, gamma, beta, eps) it is
-    ``batch_norm_apply(x, *bn, relu=True)``, made a band of full planes at a
-    time into one reused buffer: as many planes as fit SLAB_BYTES (whole
-    bands of :func:`_bands`), or as one read asks for if more. A read past
-    the band remakes it from the read's first plane on, so an operand that
-    fits is made once per pass."""
-
-    def __init__(self, x, bn):
-        self.x, self.bn = x, bn
-        self.planes, self.lo, self.hi = x, 0, x.shape[2]
-        self.cap = x.shape[2]
-        if bn is not None:
-            self.hi = 0
-            self.cap = band_planes(x)
-            self.buf = np.empty(0, dtype=x.dtype)
-
-    def __call__(self, p0, p1):
-        """(planes, first): an (n, c, planes, h, w) C-contiguous array (or x)
-        whose depth plane i is the operand's plane first + i, for a read of
-        planes p0 .. p1-1."""
-        if p0 < self.lo or p1 > self.hi:
-            x = self.x
-            self.lo, self.hi = p0, min(x.shape[2], p0 + max(self.cap, p1 - p0))
-            shape = x.shape[:2] + (self.hi - p0,) + x.shape[3:]
-            size = prod(shape)
-            if self.buf.size < size:
-                self.planes = self.buf = None  # the old band goes before a larger one is made
-                self.buf = np.empty(size, dtype=x.dtype)
-            self.planes = self.buf[:size].reshape(shape)
-            batch_norm_apply(x[:, :, p0:self.hi], *self.bn, relu=True, out=self.planes)
-        return self.planes, self.lo
-
-
 def _bands(x, bn, scratch=0):
-    """The operand of a conv pass (``x``, or with ``bn`` its BN+ReLU, see
-    :class:`_Band`) in consecutive bands of whole depth planes: yields (p0,
-    p1, planes p0 .. p1-1 as an (n, c, p1-p0, h, w) array). A band is as many
-    planes as leave room in SLAB_BYTES for ``scratch`` bytes per plane, one
-    at least, and no more than a :class:`_Band` makes at once (all of x
-    without ``scratch``)."""
-    band = _Band(x, bn)
-    planes = min(band.cap, max(1, SLAB_BYTES // scratch)) if scratch else band.cap
-    band.cap -= band.cap % planes  # each made band holds whole bands: no plane is made twice
+    """The operand of a conv pass in consecutive bands of whole depth planes:
+    yields (p0, p1, planes p0 .. p1-1 as an (n, c, p1-p0, h, w) array). The
+    operand is ``x`` or, with ``bn`` = (mean, var, gamma, beta, eps),
+    ``batch_norm_apply(x, *bn, relu=True)``, each band made into one reused
+    buffer, so each plane is made once. Either way a band is as many planes
+    as fit SLAB_BYTES (:func:`band_planes`) and leave room in it for
+    ``scratch`` bytes per plane, one at least: a pass splits a plain operand
+    and a BN+ReLU one alike, so both give the same bits."""
+    planes = band_planes(x)
+    if scratch:
+        planes = max(1, min(planes, SLAB_BYTES // scratch))
     for p0 in range(0, x.shape[2], planes):
         p1 = min(x.shape[2], p0 + planes)
-        xb, z = band(p0, p1)
-        yield p0, p1, xb[:, :, p0 - z:p1 - z]
+        band = x[:, :, p0:p1]
+        if bn is not None:
+            if not p0:  # the first band is the largest
+                buf = np.empty(band.size, dtype=x.dtype)
+            band = batch_norm_apply(band, *bn, relu=True,
+                                    out=buf[:band.size].reshape(band.shape))
+        yield p0, p1, band
 
 
 def _clip(extent, stride, dilation, start, size, k):
@@ -344,7 +319,7 @@ def _kn2row(x, weight, spec, out, start, bn=None):
     kernel plane a, one GEMM Y = W[a] @ x over the band's planes that a reads,
     with no column copy, then out += the part of each of the plane's kh*kw
     windows of Y, shifted into place by its tap, that lies inside the volume.
-    With ``bn`` x is read as its BN+ReLU (:class:`_Band`).
+    With ``bn`` x is read as its BN+ReLU (:func:`_bands`).
 
     Y holds c_out/g * kh * kw rows per input voxel, and a band is as many
     whole planes as fit its Y in SLAB_BYTES, one at least. Each output voxel
@@ -384,7 +359,7 @@ def _kn2row(x, weight, spec, out, start, bn=None):
 def _conv(x, weight, spec, out=None, views=None, bn=None):
     """conv3d without argument checks or bias, into ``out`` (C-contiguous) if
     given. Output voxel o's tap t of a view reads x (or, with ``bn``, its
-    BN+ReLU: see :class:`_Band`) at start + o*stride + t*dilation per axis,
+    BN+ReLU: see :func:`_bands`) at start + o*stride + t*dilation per axis,
     for each (kernel, dilation, start) of ``views`` (the spec's own by
     default, :func:`_views`); reads outside x count as zero. The weight holds
     per output channel one block per view, (c_in/g, kd, kh, kw) each, in view
@@ -430,11 +405,10 @@ def conv3d(x, weight, spec, bn=None):
     several views (c_out, views * c_in/g, kd, kh, kw): the sum over the views
     of the conv of x at the view's dilation and padding with its block of
     input channels. Output channel group i reads only input channel group i.
-    With ``bn`` =
-    (mean, var, gamma, beta, eps) the conv reads
+    With ``bn`` = (mean, var, gamma, beta, eps) the conv reads
     ``batch_norm_apply(x, *bn, relu=True)`` instead of x, a band of depth
-    planes at a time, never all at once; the output has the very bits of the
-    conv of that entire array.
+    planes at a time (:func:`_bands`), never all at once; the output has the
+    very bits of the conv of that entire array.
     """
     return _conv(_check_conv_args(x, weight, spec), weight, spec, bn=bn)
 
@@ -486,45 +460,51 @@ def conv3d_weight_grad(x, grad_out, spec, bn=None):
     input (:func:`_depth_slabs`, or the bands of :func:`_bands` themselves
     for a 1x1x1 stride-1 unpadded conv) with rows of grad_out. A narrowing
     conv contracts the other way round: input voxel v takes tap t from
-    grad_out at v + p - t*d, so the columns are grad_out's taps over the
-    input's extent, read from p - d*(k-1) with the taps flipped, and the rows
-    are the input's. With ``bn`` the input is read as its BN+ReLU, as
-    :func:`conv3d` reads it."""
+    grad_out at v + p - t*d, so per band of the input (:func:`_bands`) the
+    columns are the taps, read from p - d*(k-1) with the taps flipped, of
+    the depth slice of grad_out that the band's voxels read, over the band's
+    extent, and the rows are the band's. With ``bn`` the input is read as
+    its BN+ReLU, as :func:`conv3d` reads it, with the same bits as a pass
+    over the whole BN+ReLU."""
     x = check_volume5d(x)
     n, g, cig, cog = x.shape[0], spec.groups, spec.c_in // spec.groups, spec.c_out // spec.groups
     plane = x[0, 0, 0].size
     go = grad_out.reshape(n, g, cog, -1)
     views = _views(spec)
     narrow = _narrowing(spec, prod(x.shape[2:]) / go.shape[3])
-    if narrow:
-        start = tuple(p - d * (k - 1) for k, d, p in zip(spec.kernel, spec.dilation, spec.padding))
-        views = [(spec.kernel, spec.dilation, start)]
-        slabs = _depth_slabs(grad_out, views, (1, 1, 1), g, x.shape[2:])
-        band = _Band(x, bn)
-    elif _pointwise(spec):
-        slabs = ((0, 0, slice(p0 * plane, p1 * plane), xb.reshape(n, g, cig, -1))
-                 for p0, p1, xb in _bands(x, bn))
-    else:
-        slabs = _depth_slabs(x, views, spec.stride, g, grad_out.shape[2:], bn)
     kd, kh, kw = spec.kernel
     # per group, row, view, column channel and kernel plane: the (kh, kw)
     # taps, each plane the sum of its runs' contractions in turn
     gw = np.zeros((g,) + ((cig, 1, cog) if narrow else (cog, len(views), cig)) + (kd, kh * kw),
                   dtype=np.result_type(x, grad_out))
     made = set()
-    for v, a, vox, cols in slabs:
-        if narrow:
-            # the band of the input planes the run's voxels lie in
-            planes, z = band(vox.start // plane, -(-vox.stop // plane))
-            rows = planes.reshape(n, g, cig, -1)[..., vox.start - z * plane:vox.stop - z * plane]
-        else:
-            rows = go[..., vox]
+
+    def add(v, a, rows, cols):
         part = np.matmul(rows, cols.swapaxes(2, 3)).sum(0).reshape(gw.shape[:2] + (-1, kh * kw))
         if (v, a) in made:
             gw[:, :, v, :, a] += part
         else:
             gw[:, :, v, :, a] = part
             made.add((v, a))
+
+    if narrow:
+        start = tuple(p - d * (k - 1) for k, d, p in zip(spec.kernel, spec.dilation, spec.padding))
+        for p0, p1, xb in _bands(x, bn):
+            # the planes of grad_out that the band's voxels read
+            q0 = max(0, p0 + start[0])
+            q1 = min(grad_out.shape[2], p1 + start[0] + (kd - 1) * spec.dilation[0])
+            view = (spec.kernel, spec.dilation, (p0 + start[0] - q0,) + start[1:])
+            rows = xb.reshape(n, g, cig, -1)
+            for v, a, vox, cols in _depth_slabs(grad_out[:, :, q0:q1], [view], (1, 1, 1), g,
+                                                (p1 - p0,) + x.shape[3:]):
+                add(v, a, rows[..., vox], cols)
+            cols = None  # the band's columns go before the next band's are made
+    elif _pointwise(spec):
+        for p0, p1, xb in _bands(x, bn):
+            add(0, 0, go[..., p0 * plane:p1 * plane], xb.reshape(n, g, cig, -1))
+    else:
+        for v, a, vox, cols in _depth_slabs(x, views, spec.stride, g, grad_out.shape[2:], bn):
+            add(v, a, go[..., vox], cols)
     if narrow:  # (g, c_in/g, c_out/g, *kernel) with the taps flipped
         gw = gw.reshape(g, cig, -1, *spec.kernel)[..., ::-1, ::-1, ::-1].swapaxes(1, 2)
     return gw.reshape(spec.weight_shape)

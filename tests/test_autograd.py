@@ -559,10 +559,8 @@ class TestBandedOperand:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_bands_equal_the_whole_operand(self, rng, monkeypatch, spec, path, mode):
         """SLAB_BYTES holds two planes of the operand and BLOCK_BYTES one, so
-        the forward and the weight gradient each read it in several bands. A
-        forward makes each plane once, on every path. A 1x1x1 conv's weight
-        gradient adds its bands' contractions in turn (at stride 2 a band's
-        two input planes hold the one that one output plane reads)."""
+        the forward and the weight gradient each read it in several bands.
+        Each makes every plane once, on every path."""
         x = rng.standard_normal((2, spec.c_in, 9, 8, 6))
         plane = x[:, :, 0].nbytes
         monkeypatch.setattr(ops, "SLAB_BYTES", 2 * plane)
@@ -588,24 +586,12 @@ class TestBandedOperand:
         forward_depths, depths[:] = depths[:], []
         gw = node.backward_fn(g)[1]
         _assert_bitwise(node.data, ops.conv3d(a, weight.data, spec))
-        if spec.kernel == (1, 1, 1):
-            # bands of two input planes, which at stride 2 give one output plane
-            s, step = spec.stride[0], 2 // spec.stride[0]
-            parts = [ops.conv3d_weight_grad(a[:, :, z * s:(z + step) * s], g[:, :, z:z + step], spec)
-                     for z in range(0, g.shape[2], step)]
-            want = parts[0]
-            for part in parts[1:]:
-                want += part
-        else:
-            want = ops.conv3d_weight_grad(a, g, spec)
-        _assert_bitwise(gw, want)
+        _assert_bitwise(gw, ops.conv3d_weight_grad(a, g, spec))
         # the weight gradient's bands come first; the BN rule's masks follow
         # as channel blocks of the whole depth
         for seen in (forward_depths, depths[:depths.index(9)]):
             assert len(seen) > 2 and max(seen) < 9
-        assert sum(forward_depths) == 9  # each plane was made once
-        if path == "depth":
-            assert sum(depths[:depths.index(9)]) == 9
+            assert sum(seen) == 9  # each plane was made once
         if spec.padding[0] > spec.effective_kernel[0] // 2:  # taps past the volume
             assert not node.data[:, :, 0].any()
 

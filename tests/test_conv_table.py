@@ -9,7 +9,9 @@ BN affine read through ``bn=``, and a ``SLAB_BYTES`` from under one plane of
 the operand to all of it. A case whose output collapses must raise
 ``ShapeError``; any other runs its forward, input gradient and weight
 gradient, each within 1e-12 of :mod:`oracles`, and, where the conv has one
-view, again with ``ops._narrowing`` forced either way.
+view, again with ``ops._narrowing`` forced either way. With ``bn=`` the
+forward and the weight gradient must also have the very bits of the same
+passes over the whole ``ops.batch_norm_apply(x, *bn, relu=True)``.
 """
 
 import numpy as np
@@ -107,3 +109,9 @@ def test_conv_passes_match_the_oracles(monkeypatch, index):
                ops.conv3d_weight_grad(x, g, spec, bn=bn))
         for name, result, expect in zip(("forward", "input grad", "weight grad"), got, want):
             _assert_close(result, expect, f"{case}, side {side}, {name}")
+        if bn is not None:  # a band at a time, the bits of the whole operand
+            whole = ops.batch_norm_apply(x, *bn, relu=True)
+            np.testing.assert_array_equal(got[0], ops.conv3d(whole, w, spec),
+                                          f"{case}, side {side}, forward bits")
+            np.testing.assert_array_equal(got[2], ops.conv3d_weight_grad(whole, g, spec),
+                                          f"{case}, side {side}, weight grad bits")

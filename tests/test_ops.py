@@ -253,13 +253,13 @@ def _depth_calls(monkeypatch, planes=None):
     read. With ``planes``, SLAB_BYTES holds that many planes of each call's
     columns and GEMM output."""
     calls = []
-    depth_slabs = ops._depth_slabs
+    depth_slabs, bands = ops._depth_slabs, ops._bands
 
-    class Band(ops._Band):
-        def __call__(self, p0, p1):
-            if calls and calls[-1][0] is self.x:
-                calls[-1][1].append(p1 - p0)
-            return super().__call__(p0, p1)
+    def logged_bands(x, bn, scratch=0):
+        for band in bands(x, bn, scratch):
+            if calls and calls[-1][0] is x:
+                calls[-1][1].append(band[1] - band[0])
+            yield band
 
     def logged(x, views, stride, groups, out_spatial, bn=None, rows=0):
         calls.append((x, []))
@@ -269,7 +269,7 @@ def _depth_calls(monkeypatch, planes=None):
                                 planes * taps * x.shape[0] * prod(out_spatial[1:]) * x.itemsize)
         yield from depth_slabs(x, views, stride, groups, out_spatial, bn, rows)
 
-    monkeypatch.setattr(ops, "_Band", Band)
+    monkeypatch.setattr(ops, "_bands", logged_bands)
     monkeypatch.setattr(ops, "_depth_slabs", logged)
     return calls
 
@@ -308,14 +308,24 @@ class TestDepthLowering:
                 assert calls == []
                 continue
             # one call per stride phase but the even one, whose single centre
-            # tap is a 1x1x1 conv that reads grad_out in place
-            assert len(calls) == (7 if want is gx and stride == 2 else 1)
+            # tap is a 1x1x1 conv that reads grad_out in place; the narrowing
+            # weight gradient makes one per input band, each over the depth
+            # slice of g that the band's voxels read, from g's first plane on
+            sliced = narrow and want is gw
+            if sliced:
+                first = [(seen.ctypes.data - g.ctypes.data) // g.strides[2] for seen, _ in calls]
+                assert first[0] == 0 and first == sorted(first)
+                assert first[-1] + calls[-1][0].shape[2] == g.shape[2]
+            if not sliced or planes is None:
+                assert len(calls) == (7 if want is gx and stride == 2 else 1)
             for seen, bands in calls:
-                assert seen is operand and sum(bands) == seen.shape[2]
+                assert (seen.base is g if sliced else seen is operand)
+                assert sum(bands) == seen.shape[2]
                 if planes is None:
                     assert len(bands) == 1
                 else:
-                    assert len(bands) > 1 and bands[:-1] == [planes] * (len(bands) - 1)
+                    assert len(bands) > 1 or sliced
+                    assert bands[:-1] == [planes] * (len(bands) - 1) and bands[-1] <= planes
 
 
 def _traced_peak(f):
@@ -450,6 +460,19 @@ class TestContractionSide:
         g = rng.standard_normal((1, 16, 32, 32, 32), dtype=np.float32)
         gw, peak = _traced_peak(lambda: ops.conv3d_weight_grad(x, g, spec))
         assert peak <= gw.nbytes + ops.SLAB_BYTES + (1 << 20)
+
+    def test_narrowing_bn_weight_grad_scratch_memory_is_bounded(self):
+        # the same pass reading its operand's BN+ReLU: one band of it and one
+        # slab of grad_out's columns, each band's columns gone before the next
+        spec = ops.ConvSpec(96, 16, kernel=3, padding=1, groups=16)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 96, 32, 32, 32), dtype=np.float32)
+        g = rng.standard_normal((1, 16, 32, 32, 32), dtype=np.float32)
+        bn = (rng.standard_normal(96, dtype=np.float32), rng.uniform(0.5, 2, 96).astype(np.float32),
+              rng.standard_normal(96, dtype=np.float32), rng.standard_normal(96, dtype=np.float32),
+              1e-5)
+        gw, peak = _traced_peak(lambda: ops.conv3d_weight_grad(x, g, spec, bn=bn))
+        assert peak <= gw.nbytes + 2 * ops.SLAB_BYTES + (1 << 20)
 
 
 class TestDilatedViews:
